@@ -47,5 +47,5 @@ print("wrote box_dataset.ds")
 # inputs are exact slices of the stored fields at the observation vertices
 x = ds.inputs()
 flat = ds.observation_flat_indices()
-assert np.array_equal(x[0], ds.samples[0].u_all[flat])
+assert np.array_equal(x[0], ds.u[0][flat])
 print("observation slicing verified")

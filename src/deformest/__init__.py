@@ -33,7 +33,6 @@ from .fem import (
 from .sampling import (
     Dataset,
     DatasetError,
-    DeformationSample,
     MeshHashMismatchError,
     SamplingSpec,
     build_dataset,
@@ -50,7 +49,6 @@ from .nn import (
     adam_step,
     alpha_schedule,
     cost,
-    forward,
     gradients,
     init_model,
     load_model,

@@ -286,8 +286,12 @@ def resolve_sampling_specs(cfg: PipelineConfig, mesh: TetMesh) -> dict:
         else:
             ref = spec.get("reference_length")
             if ref == "diameter":
-                diffs = mesh.vertices[:, None, :] - mesh.vertices[None, :, :]
-                ref = float(np.sqrt((diffs**2).sum(axis=2)).max())
+                # imported here: scipy.spatial adds ~9 MB and ~0.1 s to every command
+                from scipy.spatial import ConvexHull
+                from scipy.spatial.distance import pdist
+
+                # the farthest vertex pair lies on the convex hull
+                ref = float(pdist(mesh.vertices[ConvexHull(mesh.vertices).vertices]).max())
             elif ref is not None:
                 ref = float(cfg.scale.to_units(ref))
             specs[name] = sampling.ellipsoid_spec_for_region(
@@ -349,44 +353,30 @@ def _apply_seed(cfg: PipelineConfig, seed: int | None):
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_mesh(args) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    mesh = build_mesh(cfg, args.mesh)
+def mesh_stage(cfg: PipelineConfig, out: Path, mesh_override: str | None):
+    """Build (or load) the mesh and write <out>/mesh.txt; returns (mesh, path)."""
+    mesh = build_mesh(cfg, mesh_override)
     path = out / "mesh.txt"
     save_mesh(mesh, path)
-    write_manifest(out, "mesh", cfg.raw, cfg.train.seed, args.workers,
-                   inputs={}, outputs={"mesh": path}, elapsed=time.time() - t0)
-    print(path)
-    return 0
+    return mesh, path
 
 
-def cmd_sample(args) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
-    mesh_path = args.mesh or (out / "mesh.txt")
-    mesh = load_mesh(mesh_path)
-    specs = resolve_sampling_specs(cfg, mesh)
+def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
+    """Run the FEM over the sampling lattice and write <out>/dataset.ds; returns (dataset, path)."""
     dataset = sampling.build_dataset(
         mesh,
         elasticity_matrix(cfg.material),
-        specs,
+        resolve_sampling_specs(cfg, mesh),
         n_steps=cfg.n_steps,
         scale=cfg.scale,
-        workers=args.workers,
+        workers=workers,
     )
     if dataset.failures:
         print(f"note: {len(dataset.failures)} of {dataset.m + len(dataset.failures)} "
               "samples failed and were skipped", file=sys.stderr)
     path = out / "dataset.ds"
     sampling.save_dataset(dataset, path)
-    write_manifest(out, "sample", cfg.raw, cfg.train.seed, args.workers,
-                   inputs={"mesh": mesh_path}, outputs={"dataset": path},
-                   elapsed=time.time() - t0)
-    print(path)
-    return 0
+    return dataset, path
 
 
 def _hidden_sizes(cfg: PipelineConfig, dataset) -> tuple:
@@ -395,13 +385,8 @@ def _hidden_sizes(cfg: PipelineConfig, dataset) -> tuple:
     return dataset.n_free, dataset.n_free
 
 
-def cmd_train(args) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    _apply_seed(cfg, args.seed)
-    out = _resolve_out(args, cfg)
-    dataset_path = args.dataset or (out / "dataset.ds")
-    dataset = sampling.load_dataset(dataset_path)
+def train_stage(cfg: PipelineConfig, dataset, out: Path) -> Path:
+    """Train one estimator on the whole dataset and write <out>/model.json."""
     h1, h2 = _hidden_sizes(cfg, dataset)
     model, log = nn.train(dataset, np.arange(dataset.m), cfg.train, h1, h2)
     train_rmse = evaluation.rmse(
@@ -419,6 +404,61 @@ def cmd_train(args) -> int:
         train_config=cfg.train,
         metrics={"train_rmse_mm": train_rmse, "final_cost": log.epoch_mean_cost[-1]},
     )
+    return path
+
+
+def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
+    """Cross-validate, then write and summarize the report files; returns {name: path}."""
+    h1, h2 = _hidden_sizes(cfg, dataset)
+    report = evaluation.run_session(
+        dataset, cfg.train, h1, h2, k=cfg.eval_k, n_repeats=cfg.eval_repeats
+    )
+    outputs = {}
+    for name, writer in (
+        ("report.json", evaluation.report_to_json),
+        ("report.csv", evaluation.report_to_csv),
+        ("curves.csv", evaluation.curves_to_csv),
+    ):
+        path = out / name
+        writer(report, path)
+        outputs[name.replace(".", "_")] = path
+    print(out / "report.json")
+    print(f"mean RMSE: {report.mean_rmse_mm:.4f} mm ({report.mean_rmse_pct:.4f} % "
+          f"of {report.max_displacement_mm:.1f} mm max displacement)")
+    return outputs
+
+
+def cmd_mesh(args) -> int:
+    t0 = time.time()
+    cfg = load_config(args.config)
+    out = _resolve_out(args, cfg)
+    _, path = mesh_stage(cfg, out, args.mesh)
+    write_manifest(out, "mesh", cfg.raw, cfg.train.seed, args.workers,
+                   inputs={}, outputs={"mesh": path}, elapsed=time.time() - t0)
+    print(path)
+    return 0
+
+
+def cmd_sample(args) -> int:
+    t0 = time.time()
+    cfg = load_config(args.config)
+    out = _resolve_out(args, cfg)
+    mesh_path = args.mesh or (out / "mesh.txt")
+    _, path = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
+    write_manifest(out, "sample", cfg.raw, cfg.train.seed, args.workers,
+                   inputs={"mesh": mesh_path}, outputs={"dataset": path},
+                   elapsed=time.time() - t0)
+    print(path)
+    return 0
+
+
+def cmd_train(args) -> int:
+    t0 = time.time()
+    cfg = load_config(args.config)
+    _apply_seed(cfg, args.seed)
+    out = _resolve_out(args, cfg)
+    dataset_path = args.dataset or (out / "dataset.ds")
+    path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
     write_manifest(out, "train", cfg.raw, cfg.train.seed, args.workers,
                    inputs={"dataset": dataset_path}, outputs={"model": path},
                    elapsed=time.time() - t0)
@@ -435,25 +475,10 @@ def cmd_eval(args) -> int:
     dataset = sampling.load_dataset(dataset_path)
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
-    h1, h2 = _hidden_sizes(cfg, dataset)
-    report = evaluation.run_session(
-        dataset, cfg.train, h1, h2, k=cfg.eval_k, n_repeats=cfg.eval_repeats
-    )
-    outputs = {}
-    for name, writer in (
-        ("report.json", evaluation.report_to_json),
-        ("report.csv", evaluation.report_to_csv),
-        ("curves.csv", evaluation.curves_to_csv),
-    ):
-        path = out / name
-        writer(report, path)
-        outputs[name.split(".")[0] + "_" + name.split(".")[1]] = path
+    outputs = eval_stage(cfg, dataset, out)
     write_manifest(out, "eval", cfg.raw, cfg.train.seed, args.workers,
                    inputs={"dataset": dataset_path}, outputs=outputs,
                    elapsed=time.time() - t0)
-    print(out / "report.json")
-    print(f"mean RMSE: {report.mean_rmse_mm:.4f} mm ({report.mean_rmse_pct:.4f} % "
-          f"of {report.max_displacement_mm:.1f} mm max displacement)")
     return 0
 
 
@@ -532,45 +557,17 @@ def cmd_repro(args) -> int:
     _apply_seed(cfg, args.seed)
     out = _resolve_out(args, cfg)
 
-    mesh = build_mesh(cfg, args.mesh)
-    mesh_path = out / "mesh.txt"
-    save_mesh(mesh, mesh_path)
-
-    specs = resolve_sampling_specs(cfg, mesh)
-    dataset = sampling.build_dataset(
-        mesh, elasticity_matrix(cfg.material), specs,
-        n_steps=cfg.n_steps, scale=cfg.scale, workers=args.workers,
-    )
-    if dataset.failures:
-        print(f"note: {len(dataset.failures)} samples failed and were skipped", file=sys.stderr)
-    dataset_path = out / "dataset.ds"
-    sampling.save_dataset(dataset, dataset_path)
-
-    h1, h2 = _hidden_sizes(cfg, dataset)
-    model, _ = nn.train(dataset, np.arange(dataset.m), cfg.train, h1, h2)
-    model_path = out / "model.json"
-    nn.save_model(model, model_path, observation_ids=dataset.observation_ids,
-                  mesh_hash=dataset.mesh_hash, mm_per_unit=dataset.mm_per_unit,
-                  train_config=cfg.train)
-
-    report = evaluation.run_session(
-        dataset, cfg.train, h1, h2, k=cfg.eval_k, n_repeats=cfg.eval_repeats
-    )
-    evaluation.report_to_json(report, out / "report.json")
-    evaluation.report_to_csv(report, out / "report.csv")
-    evaluation.curves_to_csv(report, out / "curves.csv")
-
+    mesh, mesh_path = mesh_stage(cfg, out, args.mesh)
+    dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
+    model_path = train_stage(cfg, dataset, out)
+    report_paths = eval_stage(cfg, dataset, out)
     write_manifest(
         out, "repro", cfg.raw, cfg.train.seed, args.workers,
         inputs={},
         outputs={"mesh": mesh_path, "dataset": dataset_path, "model": model_path,
-                 "report_json": out / "report.json", "report_csv": out / "report.csv",
-                 "curves_csv": out / "curves.csv"},
+                 **report_paths},
         elapsed=time.time() - t0,
     )
-    print(out / "report.json")
-    print(f"profile {args.profile}: mean RMSE {report.mean_rmse_mm:.4f} mm "
-          f"({report.mean_rmse_pct:.4f} % of {report.max_displacement_mm:.1f} mm)")
     return 0
 
 

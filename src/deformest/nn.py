@@ -32,7 +32,6 @@ __all__ = [
     "init_model",
     "relu",
     "relu_grad",
-    "forward",
     "forward_batch",
     "cost",
     "gradients",
@@ -126,27 +125,15 @@ class ForwardCache:
     outputs: np.ndarray
 
 
-def forward(model: MlpModel, x: np.ndarray) -> ForwardCache:
-    """Forward pass for a single input vector."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    n_in = model.layer_sizes[0]
-    if x.size != n_in:
-        raise ValueError(f"input length {x.size} != {n_in}")
-    if not np.isfinite(x).all():
-        raise ValueError("input contains non-finite values")
-    z1 = model.w_hidden1 @ _with_bias(x)
-    a1 = relu(z1)
-    z2 = model.w_hidden2 @ _with_bias(a1)
-    a2 = relu(z2)
-    out = model.w_out @ _with_bias(a2)
-    return ForwardCache(inputs=x, z_hidden1=z1, a_hidden1=a1, z_hidden2=z2, a_hidden2=a2, outputs=out)
-
-
 def forward_batch(model: MlpModel, x: np.ndarray) -> ForwardCache:
-    """Forward pass for a batch, rows are samples."""
+    """Forward pass for one input row (n_in,) or a batch (m, n_in) of rows.
+
+    The activations and outputs keep the input's rank.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.layer_sizes[0]:
-        raise ValueError(f"expected (m, {model.layer_sizes[0]}) inputs, got {x.shape}")
+    n_in = model.w_hidden1.shape[1] - 1
+    if x.ndim not in (1, 2) or x.shape[-1] != n_in:
+        raise ValueError(f"expected ({n_in},) or (m, {n_in}) inputs, got {x.shape}")
     z1 = _with_bias(x) @ model.w_hidden1.T
     a1 = relu(z1)
     z2 = _with_bias(a1) @ model.w_hidden2.T
@@ -382,7 +369,10 @@ def train(
                 )
                 maybe_log(xb, yb, epoch)
             epoch_costs.append(cost(model, xb, yb, config.lambdas))
-        log.epoch_mean_cost.append(float(np.mean(epoch_costs)))
+        mean_cost = float(np.mean(epoch_costs))
+        if not np.isfinite(mean_cost):
+            raise ValueError(f"training diverged: mean cost of epoch {epoch} is {mean_cost}")
+        log.epoch_mean_cost.append(mean_cost)
 
     return model, log
 
@@ -397,8 +387,9 @@ def predict(model: MlpModel, observation_disp: np.ndarray) -> np.ndarray:
     n_in = model.layer_sizes[0]
     if obs.ndim != 2 or obs.shape[1] != 3 or obs.shape[0] * 3 != n_in:
         raise ValueError(f"expected ({n_in // 3}, 3) observation displacements, got {obs.shape}")
-    out = forward(model, obs.reshape(-1)).outputs
-    return out.reshape(-1, 3)
+    if not np.isfinite(obs).all():
+        raise ValueError("observation displacements contain non-finite values")
+    return forward_batch(model, obs.reshape(-1)).outputs.reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "DatasetFormatError",
     "MeshHashMismatchError",
     "SamplingSpec",
-    "DeformationSample",
     "SampleFailure",
     "Dataset",
     "grid_points",
@@ -242,16 +241,6 @@ def ellipsoid_spec_for_region(
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DeformationSample:
-    """One FEM run: the prescribed contact translation and the full field."""
-
-    region: str
-    target_disp: np.ndarray
-    u_all: np.ndarray  # (3 * n_free,) vertex-major (x, y, z), free vertices sorted by id
-    contact_forces: np.ndarray | None = None
-
-
-@dataclass
 class SampleFailure:
     region: str
     point_index: int
@@ -260,32 +249,51 @@ class SampleFailure:
 
 @dataclass
 class Dataset:
-    """Deformation samples tied to one mesh (by content hash) and one observation list."""
+    """Deformation samples tied to one mesh (by content hash) and one observation list.
+
+    Sample i pushed region regions[region_id[i]] by the contact translation
+    target[i] and produced the field u[i]: free-vertex displacements,
+    vertex-major (x, y, z), free vertices sorted by id.
+    """
 
     mesh_hash: str
     free_ids: np.ndarray
     observation_ids: np.ndarray
     mm_per_unit: float
-    samples: list
+    regions: list          # region names, indexed by region_id
+    region_id: np.ndarray  # (m,)
+    target: np.ndarray     # (m, 3)
+    u: np.ndarray          # (m, 3 * n_free)
     failures: list = field(default_factory=list)
 
     def __post_init__(self):
         self.free_ids = np.asarray(self.free_ids, dtype=np.int64)
         self.observation_ids = np.asarray(self.observation_ids, dtype=np.int64)
-        if len(self.samples) < 1:
+        self.regions = list(self.regions)
+        self.region_id = np.asarray(self.region_id, dtype=np.int64)
+        self.target = np.ascontiguousarray(self.target, dtype=np.float64)
+        self.u = np.ascontiguousarray(self.u, dtype=np.float64)
+        m = self.region_id.size
+        if m < 1:
             raise DatasetError("dataset needs at least one sample")
+        if self.region_id.shape != (m,) or self.target.shape != (m, 3):
+            raise DatasetError(
+                f"region_id {self.region_id.shape} and target {self.target.shape} "
+                f"must have shapes ({m},) and ({m}, 3)"
+            )
         width = 3 * self.free_ids.size
-        for i, s in enumerate(self.samples):
-            if s.u_all.shape != (width,):
-                raise DatasetError(
-                    f"sample {i} field length {s.u_all.shape} != (3 * n_free,) = ({width},)"
-                )
+        if self.u.shape != (m, width):
+            raise DatasetError(
+                f"field matrix shape {self.u.shape} != (m, 3 * n_free) = ({m}, {width})"
+            )
+        if not ((self.region_id >= 0) & (self.region_id < len(self.regions))).all():
+            raise DatasetError(f"region ids must index the {len(self.regions)} region names")
         if not np.isin(self.observation_ids, self.free_ids).all():
             raise DatasetError("observation vertices must be free vertices")
 
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return self.region_id.size
 
     @property
     def n_free(self) -> int:
@@ -295,25 +303,22 @@ class Dataset:
     def n_obs(self) -> int:
         return self.observation_ids.size
 
-    @property
-    def region_names(self) -> list:
-        return list(dict.fromkeys(s.region for s in self.samples))
-
     def observation_flat_indices(self) -> np.ndarray:
         """Indices into a flat field selecting the observation components."""
         slots = np.searchsorted(self.free_ids, self.observation_ids)
         return (3 * slots[:, None] + np.arange(3)).reshape(-1)
 
     def targets(self) -> np.ndarray:
-        """(m, 3*n_free) matrix of full displacement fields."""
-        return np.vstack([s.u_all for s in self.samples])
+        """(m, 3*n_free) matrix of full displacement fields; the stored array, not a copy."""
+        return self.u
 
     def inputs(self) -> np.ndarray:
         """(m, 3*n_obs) observation slices of the fields; the network input."""
-        return self.targets()[:, self.observation_flat_indices()]
+        return self.u[:, self.observation_flat_indices()]
 
     def target_displacements(self) -> np.ndarray:
-        return np.vstack([s.target_disp for s in self.samples])
+        """(m, 3) prescribed contact translations; the stored array, not a copy."""
+        return self.target
 
     def max_contact_displacement(self) -> float:
         """Largest prescribed contact translation, simulation units."""
@@ -345,9 +350,9 @@ def _run_sample(task):
         result = deform(
             _WORKER_CTX["mesh"], _WORKER_CTX["d"], region, target, _WORKER_CTX["n_steps"]
         )
-        return "ok", result.flat_displacements, result.contact_forces
+        return "ok", result.flat_displacements
     except FemError as exc:
-        return "fail", str(exc), None
+        return "fail", str(exc)
 
 
 def sample_points_for_region(mesh: TetMesh, region: str, spec: SamplingSpec) -> np.ndarray:
@@ -400,12 +405,12 @@ def build_dataset(
         outcomes = [_run_sample(t) for t in tasks]
 
     free_index = mesh.free_index_of()
-    samples, failures = [], []
+    region_slot: dict = {}  # region -> id, in order of the first successful sample
+    region_id, targets, fields, failures = [], [], [], []
     point_counter: dict = {}
-    for (region, target), outcome in zip(tasks, outcomes):
+    for (region, target), (status, payload) in zip(tasks, outcomes):
         idx = point_counter.get(region, 0)
         point_counter[region] = idx + 1
-        status, payload, forces = outcome
         if status == "fail":
             failures.append(SampleFailure(region=region, point_index=idx, reason=payload))
             continue
@@ -420,21 +425,19 @@ def build_dataset(
                 )
             )
             continue
-        samples.append(
-            DeformationSample(
-                region=region,
-                target_disp=np.asarray(target, dtype=np.float64),
-                u_all=payload,
-                contact_forces=forces,
-            )
-        )
+        region_id.append(region_slot.setdefault(region, len(region_slot)))
+        targets.append(target)
+        fields.append(payload)
 
     return Dataset(
         mesh_hash=mesh.content_hash(),
         free_ids=mesh.free_ids,
         observation_ids=mesh.observation_ids,
         mm_per_unit=scale.mm_per_unit,
-        samples=samples,
+        regions=list(region_slot),
+        region_id=np.array(region_id, dtype=np.int64),
+        target=np.array(targets, dtype=np.float64).reshape(-1, 3),
+        u=np.array(fields, dtype=np.float64).reshape(-1, 3 * mesh.free_ids.size),
         failures=failures,
     )
 
@@ -447,8 +450,6 @@ def build_dataset(
 #   m records of little-endian float64: [region id, target(3), u_all(3*n_free)]
 
 def save_dataset(dataset: Dataset, path):
-    regions = dataset.region_names
-    region_id = {name: i for i, name in enumerate(regions)}
     header = {
         "format": "deformest-dataset",
         "version": 1,
@@ -459,7 +460,7 @@ def save_dataset(dataset: Dataset, path):
         "n_free": dataset.n_free,
         "n_obs": dataset.n_obs,
         "sample_count": dataset.m,
-        "regions": regions,
+        "regions": dataset.regions,
         "record_fields": ["region_id", "target_disp", "u_all"],
         "failures": [
             {"region": f.region, "point_index": f.point_index, "reason": f.reason}
@@ -471,11 +472,8 @@ def save_dataset(dataset: Dataset, path):
         fh.write(_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for s in dataset.samples:
-            record = np.concatenate(
-                [[float(region_id[s.region])], s.target_disp, s.u_all]
-            ).astype("<f8")
-            fh.write(record.tobytes())
+        records = np.column_stack([dataset.region_id, dataset.target, dataset.u])
+        fh.write(records.astype("<f8", copy=False).tobytes())
 
 
 def load_dataset(path) -> Dataset:
@@ -508,31 +506,32 @@ def load_dataset(path) -> Dataset:
     except (KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"header missing field: {exc}", byte_offset=off) from None
 
-    record_len = 8 * (4 + 3 * n_free)
-    samples = []
-    for i in range(m):
-        start = off + i * record_len
-        if len(data) < start + record_len:
-            raise DatasetFormatError(
-                f"truncated record {i} of {m}", byte_offset=len(data)
-            )
-        rec = np.frombuffer(data, dtype="<f8", count=4 + 3 * n_free, offset=start)
-        rid = int(rec[0])
-        if not 0 <= rid < len(regions):
-            raise DatasetFormatError(f"record {i} has bad region id {rid}", byte_offset=start)
-        samples.append(
-            DeformationSample(
-                region=regions[rid],
-                target_disp=rec[1:4].astype(np.float64),
-                u_all=rec[4:].astype(np.float64),
-            )
+    if m < 0 or n_free < 0:
+        raise DatasetFormatError(
+            f"negative sample_count {m} or n_free {n_free}", byte_offset=off
+        )
+    width = 4 + 3 * n_free
+    record_len = 8 * width
+    if len(data) < off + m * record_len:
+        i = (len(data) - off) // record_len
+        raise DatasetFormatError(f"truncated record {i} of {m}", byte_offset=len(data))
+    records = np.frombuffer(data, dtype="<f8", count=m * width, offset=off).reshape(m, width)
+    rid = records[:, 0]
+    bad = ~((rid >= 0) & (rid < len(regions)) & (rid == np.floor(rid)))  # NaN is bad too
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DatasetFormatError(
+            f"record {i} has bad region id {float(rid[i])!r}", byte_offset=off + i * record_len
         )
     return Dataset(
         mesh_hash=mesh_hash,
         free_ids=free_ids,
         observation_ids=obs_ids,
         mm_per_unit=mm_per_unit,
-        samples=samples,
+        regions=regions,
+        region_id=rid.astype(np.int64),
+        target=records[:, 1:4],
+        u=records[:, 4:],
         failures=[SampleFailure(**f) for f in failures],
     )
 
@@ -543,7 +542,7 @@ def dataset_to_csv(dataset: Dataset, path):
         cols = ["region", "target_x", "target_y", "target_z"]
         cols += [f"u{i}_{ax}" for i in dataset.free_ids for ax in "xyz"]
         fh.write(",".join(cols) + "\n")
-        for s in dataset.samples:
-            vals = [s.region] + [repr(float(v)) for v in s.target_disp]
-            vals += [repr(float(v)) for v in s.u_all]
+        for rid, target, u in zip(dataset.region_id, dataset.target, dataset.u):
+            vals = [dataset.regions[rid]] + [repr(float(v)) for v in target]
+            vals += [repr(float(v)) for v in u]
             fh.write(",".join(vals) + "\n")

@@ -3,26 +3,22 @@ import pytest
 from scipy.spatial import Delaunay
 
 from deformest.mesh import TetMesh, generate_rpp
-from deformest.sampling import Dataset, DeformationSample
+from deformest.sampling import Dataset
 
 
 def make_synthetic_dataset(m=30, n_free=4, seed=0, mm_per_unit=256.0) -> Dataset:
     """Random fields, no physics; enough structure for training-loop tests."""
     rng = np.random.default_rng(seed)
-    samples = [
-        DeformationSample(
-            region="r",
-            target_disp=rng.normal(size=3),
-            u_all=rng.normal(size=3 * n_free),
-        )
-        for _ in range(m)
-    ]
+    draws = rng.normal(size=(m, 3 + 3 * n_free))  # per sample: target, then field
     return Dataset(
         mesh_hash="synthetic",
         free_ids=np.arange(n_free),
         observation_ids=np.array([0, n_free - 1]),
         mm_per_unit=mm_per_unit,
-        samples=samples,
+        regions=["r"],
+        region_id=np.zeros(m, dtype=np.int64),
+        target=draws[:, :3],
+        u=draws[:, 3:],
     )
 
 

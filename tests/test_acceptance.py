@@ -252,6 +252,14 @@ class TestCriterion5DeskScaleEndToEnd:
         check("criterion-5", "reproduction run writes every pipeline artifact",
               not missing, f"missing {missing}" if missing else "all present")
 
+    def test_model_records_training_metrics(self, desk_run):
+        metrics = json.loads((desk_run / "model.json").read_text())["metrics"]
+        ok = metrics is not None and all(
+            np.isfinite(metrics.get(key, np.nan)) for key in ("train_rmse_mm", "final_cost")
+        )
+        check("criterion-5", "reproduction model records its training metrics", ok,
+              f"metrics {metrics}")
+
     def test_report_internally_consistent(self, desk_run):
         report = json.loads((desk_run / "report.json").read_text())
         trials = report["trials"]

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from deformest.cli import PROFILES, ConfigError, PipelineConfig, main
+from deformest.cli import PROFILES, ConfigError, PipelineConfig, main, resolve_sampling_specs
 from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
 from deformest.sampling import load_dataset
+
+from conftest import make_blob_mesh
 
 SMALL_CONFIG = {
     "mesh": {
@@ -67,6 +69,17 @@ class TestConfig:
             if raw["mesh"].get("generator") is None:
                 continue  # needs an external mesh file
             PipelineConfig.from_dict(json.loads(json.dumps(raw)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_diameter_reference_length_matches_brute_force(self, seed):
+        mesh = make_blob_mesh(seed=seed, n_points=200)
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["sampling"]["regions"] = {"grab": {
+            "mode": "ellipsoid", "r_para_ratio": 0.2, "r_perp_ratio": 0.3,
+            "spacing_ratio": 0.05, "normal_filter": None, "reference_length": "diameter"}}
+        spec = resolve_sampling_specs(PipelineConfig.from_dict(raw), mesh)["grab"]
+        diffs = mesh.vertices[:, None, :] - mesh.vertices[None, :, :]
+        assert spec.reference_length == np.sqrt((diffs**2).sum(axis=2)).max()
 
 
 class TestMeshCommand:
@@ -130,6 +143,19 @@ class TestPipelineCommands:
                     "--mesh", out2 / "mesh.txt"])
         assert code == 1
         assert "mesh hash mismatch" in capsys.readouterr().err
+
+    def test_diverging_training_exits_1_without_model(self, tmp_path, capsys):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["train"]["gamma"] = 1e-300
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        run(["mesh", "--config", path, "--out", out])
+        run(["sample", "--config", path, "--out", out])
+        with np.errstate(all="ignore"):
+            assert run(["train", "--config", path, "--out", out]) == 1
+        assert not (out / "model.json").exists()
+        assert "epoch 1" in capsys.readouterr().err
 
     def test_seed_override_changes_model(self, config_path, tmp_path):
         out = tmp_path / "run"

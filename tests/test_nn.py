@@ -10,7 +10,6 @@ from deformest.nn import (
     adam_step,
     alpha_schedule,
     cost,
-    forward,
     forward_batch,
     gradients,
     init_model,
@@ -51,12 +50,12 @@ class TestForward:
     def test_zero_weights_give_zero_output(self):
         model = zero_model()
         for x in ([0.0, 0.0], [1.5, -2.0], [100.0, 3.0]):
-            assert not forward(model, x).outputs.any()
+            assert not forward_batch(model, x).outputs.any()
 
     def test_hand_example_chain(self):
         # sizes 1-1-1-1, every weight (incl. biases) 1, input 2:
         # hidden1 = 1 + 2 = 3, hidden2 = 1 + 3 = 4, output = 1 + 4 = 5
-        cache = forward(ones_1111(), [2.0])
+        cache = forward_batch(ones_1111(), [2.0])
         assert cache.a_hidden1[0] == 3.0
         assert cache.a_hidden2[0] == 4.0
         assert cache.outputs[0] == 5.0
@@ -64,7 +63,7 @@ class TestForward:
     def test_negative_preactivations_clamp(self):
         model = ones_1111()
         model.w_hidden1[:] = [[-10.0, 1.0]]  # bias -10 dominates
-        cache = forward(model, [2.0])
+        cache = forward_batch(model, [2.0])
         assert cache.z_hidden1[0] == -8.0
         assert cache.a_hidden1[0] == 0.0
 
@@ -74,12 +73,12 @@ class TestForward:
         x = rng.normal(size=(7, 4))
         batch = forward_batch(model, x)
         for i in range(7):
-            single = forward(model, x[i])
+            single = forward_batch(model, x[i])
             np.testing.assert_allclose(batch.outputs[i], single.outputs, rtol=1e-13)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="input length"):
-            forward(zero_model(n_in=2), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="inputs, got"):
+            forward_batch(zero_model(n_in=2), [1.0, 2.0, 3.0])
 
 
 class TestCost:
@@ -281,6 +280,13 @@ class TestTrain:
         with pytest.raises(ValueError, match="cannot fill one batch"):
             train(ds, np.arange(5), cfg, 2, 2)
 
+    def test_diverging_run_stops_with_epoch(self):
+        # alpha = 1 / (gamma * epoch) = 1e300: the first epoch already overflows
+        ds = synthetic_dataset(m=30)
+        cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=2, gamma=1e-300, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1 "):
+            train(ds, np.arange(30), cfg, 4, 4)
+
     def test_deterministic(self):
         ds = synthetic_dataset(m=24)
         cfg = TrainConfig(epochs=3, batch_size=8, inner_iters=2, seed=42, log_every=0)
@@ -327,7 +333,7 @@ class TestTrain:
         for w in model.weights():
             bound = 1.0 / np.sqrt(w.shape[1])
             assert np.abs(w).max() <= bound
-        out = forward(model, np.linspace(-1, 1, 9)).outputs
+        out = forward_batch(model, np.linspace(-1, 1, 9)).outputs
         assert np.isfinite(out).all()
 
 
@@ -343,8 +349,16 @@ class TestPredict:
         model = init_model(6, 8, 8, 12, rng)
         obs = rng.normal(size=(2, 3))
         field = predict(model, obs)
-        raw = forward(model, obs.reshape(-1)).outputs
+        raw = forward_batch(model, obs.reshape(-1)).outputs
         assert np.array_equal(field.reshape(-1), raw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        model = zero_model(n_in=6, h1=4, h2=4, n_out=12)
+        obs = np.ones((2, 3))
+        obs[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, obs)
 
     def test_wrong_observation_count(self):
         model = zero_model(n_in=6, h1=4, h2=4, n_out=12)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from deformest.sampling import (
     Dataset,
     DatasetError,
     DatasetFormatError,
-    DeformationSample,
     MeshHashMismatchError,
     SamplingSpec,
     build_dataset,
@@ -179,8 +180,8 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
         ds = build_dataset(mesh, D, {"end": spec}, n_steps=1)
         assert ds.m == 1
-        assert not ds.samples[0].u_all.any()
-        assert not ds.samples[0].target_disp.any()
+        assert not ds.u.any()
+        assert not ds.target.any()
 
     def test_contact_rows_echo_target(self):
         mesh = small_bar()
@@ -188,9 +189,9 @@ class TestBuildDataset:
         ds = build_dataset(mesh, D, {"end": spec}, n_steps=2)
         assert ds.m == 9
         slots = np.searchsorted(ds.free_ids, mesh.contact_regions["end"])
-        for s in ds.samples:
-            echo = s.u_all.reshape(-1, 3)[slots]
-            assert np.abs(echo - s.target_disp).max() <= 1e-9
+        for u, target in zip(ds.u, ds.target):
+            echo = u.reshape(-1, 3)[slots]
+            assert np.abs(echo - target).max() <= 1e-9
 
     def test_inputs_slice_matches_u_all(self):
         mesh = small_bar()
@@ -198,8 +199,8 @@ class TestBuildDataset:
         ds = build_dataset(mesh, D, {"end": spec}, n_steps=2)
         flat = ds.observation_flat_indices()
         x = ds.inputs()
-        for i, s in enumerate(ds.samples):
-            assert np.array_equal(x[i], s.u_all[flat])
+        for i, u in enumerate(ds.u):
+            assert np.array_equal(x[i], u[flat])
 
     def test_failed_samples_recorded_and_skipped(self):
         mesh = small_bar()  # bar is 0.2 units long; -0.4 compression collapses it
@@ -246,8 +247,8 @@ class TestBuildDataset:
         )
         spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
         ds = build_dataset(mesh, D, {"tip": spec, "side": spec}, n_steps=1)
-        assert [s.region for s in ds.samples] == ["tip", "side"]
-        assert ds.region_names == ["tip", "side"]
+        assert ds.regions == ["tip", "side"]
+        assert ds.region_id.tolist() == [0, 1]
 
 
 class TestDatasetFile:
@@ -266,10 +267,10 @@ class TestDatasetFile:
         assert np.array_equal(loaded.free_ids, ds.free_ids)
         assert np.array_equal(loaded.observation_ids, ds.observation_ids)
         assert loaded.m == ds.m
-        for a, b in zip(loaded.samples, ds.samples):
-            assert a.region == b.region
-            assert np.array_equal(a.target_disp, b.target_disp)
-            assert np.array_equal(a.u_all, b.u_all)
+        assert loaded.regions == ds.regions
+        assert np.array_equal(loaded.region_id, ds.region_id)
+        assert np.array_equal(loaded.target, ds.target)
+        assert np.array_equal(loaded.u, ds.u)
         loaded.require_mesh(mesh)
 
     def test_mesh_hash_mismatch(self, tmp_path):
@@ -289,6 +290,43 @@ class TestDatasetFile:
             load_dataset(cut)
         assert err.value.byte_offset == len(blob) - 40
 
+    def test_record_bytes_match_per_record_writer(self, tmp_path):
+        rng = np.random.default_rng(4)
+        ds = Dataset(
+            mesh_hash="x",
+            free_ids=[1, 4, 6],
+            observation_ids=[4],
+            mm_per_unit=256.0,
+            regions=["tip", "side"],
+            region_id=[1, 0, 0, 1, 1],
+            target=rng.normal(size=(5, 3)),
+            u=rng.normal(size=(5, 9)),
+        )
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<Q", blob, 7)
+        # the DEFDS1 layout written one record at a time
+        reference = b"".join(
+            np.concatenate([[float(ds.region_id[i])], ds.target[i], ds.u[i]]).astype("<f8").tobytes()
+            for i in range(ds.m)
+        )
+        assert blob[7 + 8 + header_len :] == reference
+
+    @pytest.mark.parametrize("bad_id", [np.nan, -1.0, 1.0, 0.7])
+    def test_bad_region_id_reports_record_offset(self, tmp_path, bad_id):
+        _, ds = self.make_dataset()  # one region, so id 1 is out of range
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        blob = bytearray(path.read_bytes())
+        record_len = 8 * (4 + 3 * ds.n_free)
+        start = len(blob) - (ds.m - 1) * record_len  # record 1
+        blob[start : start + 8] = struct.pack("<d", bad_id)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DatasetFormatError, match="record 1 has bad region id") as err:
+            load_dataset(path)
+        assert err.value.byte_offset == start
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ds"
         path.write_bytes(b"not a dataset at all")
@@ -304,7 +342,7 @@ class TestDatasetFile:
         assert lines[0].startswith("region,target_x")
         first = lines[1].split(",")
         assert first[0] == "end"
-        assert float(first[1]) == ds.samples[0].target_disp[0]
+        assert float(first[1]) == ds.target[0, 0]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError, match="at least one sample"):
@@ -313,7 +351,10 @@ class TestDatasetFile:
                 free_ids=[0, 1],
                 observation_ids=[0],
                 mm_per_unit=256.0,
-                samples=[],
+                regions=["r"],
+                region_id=np.zeros(0, dtype=np.int64),
+                target=np.zeros((0, 3)),
+                u=np.zeros((0, 6)),
             )
 
     def test_observation_must_be_free(self):
@@ -323,11 +364,10 @@ class TestDatasetFile:
                 free_ids=[1, 2],
                 observation_ids=[0],
                 mm_per_unit=256.0,
-                samples=[
-                    DeformationSample(
-                        region="r", target_disp=np.zeros(3), u_all=np.zeros(6)
-                    )
-                ],
+                regions=["r"],
+                region_id=[0],
+                target=np.zeros((1, 3)),
+                u=np.zeros((1, 6)),
             )
 
     def test_max_contact_displacement(self):
@@ -336,9 +376,9 @@ class TestDatasetFile:
             free_ids=[0],
             observation_ids=[0],
             mm_per_unit=256.0,
-            samples=[
-                DeformationSample("r", np.array([0.3, 0.4, 0.0]), np.zeros(3)),
-                DeformationSample("r", np.array([0.1, 0.0, 0.0]), np.zeros(3)),
-            ],
+            regions=["r"],
+            region_id=[0, 0],
+            target=[[0.3, 0.4, 0.0], [0.1, 0.0, 0.0]],
+            u=np.zeros((2, 3)),
         )
         assert abs(ds.max_contact_displacement() - 0.5) <= 1e-15
