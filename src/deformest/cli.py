@@ -433,7 +433,7 @@ def cmd_mesh(args) -> int:
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     _, path = mesh_stage(cfg, out, args.mesh)
-    write_manifest(out, "mesh", cfg.raw, cfg.train.seed, args.workers,
+    write_manifest(out, "mesh", cfg.raw, cfg.train.seed, None,
                    inputs={}, outputs={"mesh": path}, elapsed=time.time() - t0)
     print(path)
     return 0
@@ -459,7 +459,7 @@ def cmd_train(args) -> int:
     out = _resolve_out(args, cfg)
     dataset_path = args.dataset or (out / "dataset.ds")
     path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
-    write_manifest(out, "train", cfg.raw, cfg.train.seed, args.workers,
+    write_manifest(out, "train", cfg.raw, cfg.train.seed, None,
                    inputs={"dataset": dataset_path}, outputs={"model": path},
                    elapsed=time.time() - t0)
     print(path)
@@ -476,24 +476,25 @@ def cmd_eval(args) -> int:
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
     outputs = eval_stage(cfg, dataset, out)
-    write_manifest(out, "eval", cfg.raw, cfg.train.seed, args.workers,
+    write_manifest(out, "eval", cfg.raw, cfg.train.seed, None,
                    inputs={"dataset": dataset_path}, outputs=outputs,
                    elapsed=time.time() - t0)
     return 0
 
 
 def _read_observation_csv(path, n_obs: int) -> np.ndarray:
-    rows = []
+    """Rows of dx_mm,dy_mm,dz_mm; only the first nonblank line may be a header."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                continue  # header line
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
+    rows = []
+    for i, (lineno, line) in enumerate(lines):
+        try:
+            rows.append([float(p) for p in line.split(",")])
+        except ValueError:
+            if i > 0:
+                raise ConfigError(
+                    f"observation CSV {path}:{lineno}: not a row of numbers: {line!r}"
+                ) from None
     arr = np.asarray(rows, dtype=float)
     if arr.shape != (n_obs, 3):
         raise ConfigError(
@@ -537,7 +538,7 @@ def cmd_predict(args) -> int:
         )
         outputs["field_vtk"] = vtk_path
 
-    write_manifest(out, "predict", {"model": str(args.model)}, None, args.workers,
+    write_manifest(out, "predict", {"model": str(args.model)}, None, None,
                    inputs={"model": args.model, "observations": args.observations},
                    outputs=outputs, elapsed=time.time() - t0)
     print(csv_path)
@@ -586,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config_required:
             p.add_argument("--config", required=True, help="pipeline config (JSON)")
         p.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT})")
-        p.add_argument("--seed", type=int, default=None, help="override the training seed")
-        p.add_argument("--workers", type=int, default=1, help="parallel sampling workers")
 
     p = sub.add_parser("mesh", help="generate or convert the mesh")
     common(p)
@@ -623,6 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p.add_argument("--mesh", default=None, help="mesh file for profiles that need one")
     p.set_defaults(fn=cmd_repro)
+
+    for name in ("train", "eval", "repro"):
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="override the training seed")
+    for name in ("sample", "repro"):
+        sub.choices[name].add_argument("--workers", type=int, default=1,
+                                       help="parallel sampling workers")
     return parser
 
 

@@ -70,27 +70,16 @@ def kfold(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
     return FoldPlan(k=k, seed=seed, folds=tuple(np.array_split(perm, k)))
 
 
-def rmse(
-    pred: np.ndarray,
-    target: np.ndarray,
-    scale: ScaleConvention = ScaleConvention(),
-    vertex_norm: bool = False,
-) -> float:
+def rmse(pred: np.ndarray, target: np.ndarray, scale: ScaleConvention = ScaleConvention()) -> float:
     """Root-mean-square displacement error in millimeters.
 
-    Default: mean over every scalar component of every vertex of every
-    sample. With vertex_norm=True the mean runs over squared per-vertex
-    Euclidean norms instead (sensitivity check; sqrt(3) times larger for
-    isotropic errors).
+    The mean runs over every scalar component of every vertex of every sample.
     """
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    diff = (pred - target).reshape(-1, 3)
-    if vertex_norm:
-        return float(np.sqrt(np.mean(np.sum(diff**2, axis=1))) * scale.mm_per_unit)
-    return float(np.sqrt(np.mean(diff**2)) * scale.mm_per_unit)
+    return float(np.sqrt(np.mean((pred - target) ** 2)) * scale.mm_per_unit)
 
 
 @dataclass

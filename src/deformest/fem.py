@@ -228,8 +228,11 @@ def solve_forced_displacement(system: StiffnessSystem, contact_dofs, u_c):
 
     mask = np.ones(k.shape[0], dtype=bool)
     mask[contact_dofs] = False
-    n_idx = np.flatnonzero(mask)
+    return _solve(k, contact_dofs, np.flatnonzero(mask), u_c)
 
+
+def _solve(k: np.ndarray, contact_dofs: np.ndarray, n_idx: np.ndarray, u_c: np.ndarray):
+    """(f_c, u_n) of :func:`solve_forced_displacement` for a checked partition."""
     k_cc = k[np.ix_(contact_dofs, contact_dofs)]
     if n_idx.size == 0:
         return k_cc @ u_c, np.empty(0)
@@ -258,7 +261,6 @@ class DeformResult:
     contact_ids: np.ndarray
     free_ids: np.ndarray
     n_steps: int
-    step_residuals: np.ndarray
 
     @property
     def flat_displacements(self) -> np.ndarray:
@@ -277,8 +279,8 @@ def deform(
 
     Every vertex of the region receives the same displacement (rigid
     translation of the contact set). After each increment the stiffness is
-    reassembled at the updated positions. The per-step residual
-    ||K_nn u_n + K_nc u_c|| of the linear solve is recorded.
+    reassembled at the updated positions and the reduced system is solved
+    with the contact DOFs prescribed.
     """
     if n_steps < 1:
         raise FemError(f"n_steps must be >= 1, got {n_steps}")
@@ -291,8 +293,6 @@ def deform(
     contact_ids = mesh.contact_regions[region]
     positions = mesh.vertices.copy()
     start = mesh.vertices[contact_ids].copy()
-    residuals = np.zeros(n_steps)
-    f_c = np.zeros(3 * contact_ids.size)
     d = np.asarray(d, dtype=np.float64)
 
     pattern = _AssemblyPattern(mesh)
@@ -301,22 +301,19 @@ def deform(
     mask = np.ones(pattern.n_dofs, dtype=bool)
     mask[contact_dofs] = False
     n_idx = np.flatnonzero(mask)
+    update = np.zeros(pattern.n_dofs)  # contact rows stay 0: those positions are reset below
 
     for step in range(1, n_steps + 1):
         try:
-            system = StiffnessSystem(K=pattern.stiffness(positions, d), free_ids=mesh.free_ids)
+            k = pattern.stiffness(positions, d)
         except DegenerateElementError as exc:
             raise DegenerateElementError(
                 f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
             ) from exc
         desired = start + target * (step / n_steps)
         u_c = (desired - positions[contact_ids]).reshape(-1)
-        f_c, u_n = solve_forced_displacement(system, contact_dofs, u_c)
-
-        update = np.zeros(pattern.n_dofs)
+        f_c, u_n = _solve(k, contact_dofs, n_idx, u_c)
         update[n_idx] = u_n
-        update[contact_dofs] = u_c
-        residuals[step - 1] = np.linalg.norm((system.K @ update)[n_idx])
         positions[mesh.free_ids] += update.reshape(-1, 3)
         positions[contact_ids] = desired  # keep the prescribed path exact
 
@@ -326,5 +323,4 @@ def deform(
         contact_ids=contact_ids,
         free_ids=mesh.free_ids,
         n_steps=n_steps,
-        step_residuals=residuals,
     )

@@ -43,9 +43,6 @@ class ScaleConvention:
         if not self.mm_per_unit > 0:
             raise MeshError(f"mm_per_unit must be positive, got {self.mm_per_unit}")
 
-    def to_mm(self, units):
-        return np.asarray(units, dtype=float) * self.mm_per_unit
-
     def to_units(self, mm):
         return np.asarray(mm, dtype=float) / self.mm_per_unit
 
@@ -104,6 +101,8 @@ class TetMesh:
         self._check_range(fixed, n, "fixed vertex")
         self._check_range(obs, n, "observation vertex")
         for name, ids in regions.items():
+            if ids.size == 0:
+                raise MeshError(f"contact region {name!r} has no vertices")
             self._check_range(ids, n, f"contact region {name!r} vertex")
             if not name or any(c.isspace() for c in name):
                 raise MeshError(f"region name {name!r} must be non-empty without whitespace")

@@ -127,6 +127,24 @@ class TestPipelineCommands:
         assert (out / "curves.csv").exists()
         err = capsys.readouterr()
         assert "mean RMSE" in err.out
+        # every manifest keeps both keys; workers is null where the flag is absent
+        for command, workers in (("mesh", None), ("sample", 1), ("train", None), ("eval", None)):
+            manifest = json.loads((out / f"{command}.manifest.json").read_text())
+            assert manifest["workers"] == workers
+            assert manifest["seed"] == SMALL_CONFIG["train"]["seed"]
+
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--config", "c.json", "--seed", "1"],
+        ["mesh", "--config", "c.json", "--workers", "2"],
+        ["sample", "--config", "c.json", "--seed", "1"],
+        ["train", "--config", "c.json", "--workers", "2"],
+        ["eval", "--config", "c.json", "--workers", "2"],
+        ["predict", "--model", "m", "--observations", "o", "--seed", "1"],
+        ["predict", "--model", "m", "--observations", "o", "--workers", "2"],
+    ])
+    def test_flags_without_effect_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            run(argv)
 
     def test_eval_refuses_foreign_mesh(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
@@ -216,6 +234,20 @@ class TestPredictCommand:
         assert run(["predict", "--model", model_path, "--observations", obs_path,
                     "--out", tmp_path]) == 1
         assert "observation CSV" in capsys.readouterr().err
+
+    def test_unparseable_row_exits_1(self, tmp_path, capsys):
+        model = MlpModel(
+            w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path, mm_per_unit=256.0)
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("1,2,3\n1,2,oops\n4,5,6\n")
+        assert run(["predict", "--model", model_path, "--observations", obs_path,
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and f"{obs_path}:2" in err
+        assert not (tmp_path / "field.csv").exists()
 
     def test_predict_with_mesh_writes_vtk(self, config_path, tmp_path):
         out = tmp_path / "run"

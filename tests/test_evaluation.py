@@ -91,11 +91,6 @@ class TestRmse:
         assert rmse(pred, target, MM) == rmse(target, pred, MM)
         assert rmse(pred, target, MM) > 0
 
-    def test_vertex_norm_variant(self):
-        pred = np.array([[[3.0, 4.0, 0.0]]]) / 256.0
-        target = np.zeros((1, 1, 3))
-        assert abs(rmse(pred, target, MM, vertex_norm=True) - 5.0) <= 1e-12
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             rmse(np.zeros((1, 2, 3)), np.zeros((1, 3, 3)), MM)

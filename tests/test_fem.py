@@ -333,7 +333,6 @@ class TestDeform:
         b = deform(mesh, material_d(), "end", target, n_steps=5)
         assert np.array_equal(a.displacements, b.displacements)
         assert np.array_equal(a.contact_forces, b.contact_forces)
-        assert np.array_equal(a.step_residuals, b.step_residuals)
 
     def test_fixed_vertices_never_move(self):
         mesh = fixed_bar()
@@ -341,11 +340,24 @@ class TestDeform:
         full = mesh.expand_free(res.displacements)
         assert not full[mesh.fixed_ids].any()
 
-    def test_residuals_recorded_and_small(self):
-        mesh = fixed_bar()
-        res = deform(mesh, material_d(), "end", (0.0, 0.02, 0.0), n_steps=5)
-        assert res.step_residuals.shape == (5,)
-        assert (res.step_residuals >= 0).all()
+    @pytest.mark.parametrize("which", ["fixed_bar", "paper_rpp"])
+    def test_one_step_equals_dense_oracle(self, which, paper_rpp):
+        # deform's internal solve path against the public assemble + solve
+        mesh = fixed_bar() if which == "fixed_bar" else paper_rpp
+        target = np.array([0.01, -0.02, 0.015])
+        res = deform(mesh, material_d(), "end", target, n_steps=1)
+
+        system = assemble(mesh, mesh.vertices, material_d())
+        start = mesh.vertices[mesh.contact_regions["end"]]
+        dofs = system.vertex_dofs(mesh.contact_regions["end"])
+        u_c = ((start + target) - start).reshape(-1)  # deform's step-1 increment
+        f_c, u_n = solve_forced_displacement(system, dofs, u_c)
+        update = np.empty(system.n_dofs)
+        update[dofs] = u_c
+        update[np.setdiff1d(np.arange(system.n_dofs), dofs)] = u_n
+        v = mesh.vertices[mesh.free_ids]
+        assert np.array_equal(res.displacements, (v + update.reshape(-1, 3)) - v)
+        assert np.array_equal(res.contact_forces.reshape(-1), f_c)
 
     def test_unknown_region(self):
         mesh = fixed_bar()

@@ -93,6 +93,11 @@ class TestTetMeshInvariants:
         with pytest.raises(MeshError, match="overlaps fixed"):
             TetMesh(verts, [[0, 1, 2, 3]], fixed_ids=[0], contact_regions={"r": [0]})
 
+    def test_empty_region_rejected(self):
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        with pytest.raises(MeshError, match="contact region 'r' has no vertices"):
+            TetMesh(verts, [[0, 1, 2, 3]], contact_regions={"r": []})
+
     def test_fixed_overlap_with_observation(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
         with pytest.raises(MeshError, match="overlap fixed"):
@@ -230,6 +235,14 @@ class TestMeshFile:
         path.write_text(text)
         with pytest.raises(MeshError, match="non-positive volume"):
             load_mesh(path)
+
+    def test_load_empty_region(self, tmp_path):
+        text = "tetmesh 4 1\nv 0.0 0.0 0.0\nv 1.0 0.0 0.0\nv 0.0 1.0 0.0\nv 0.0 0.0 1.0\nt 0 1 2 3\nfixed\nregion a\nobs\n"
+        path = tmp_path / "bad.mesh"
+        path.write_text(text)
+        with pytest.raises(MeshError, match="contact region 'a' has no vertices") as err:
+            load_mesh(path)
+        assert str(path) in str(err.value)
 
     def test_load_malformed_header(self, tmp_path):
         path = tmp_path / "bad.mesh"
