@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -489,12 +490,19 @@ def _read_observation_csv(path, n_obs: int) -> np.ndarray:
     rows = []
     for i, (lineno, line) in enumerate(lines):
         try:
-            rows.append([float(p) for p in line.split(",")])
+            row = [float(p) for p in line.split(",")]
         except ValueError:
             if i > 0:
                 raise ConfigError(
                     f"observation CSV {path}:{lineno}: not a row of numbers: {line!r}"
                 ) from None
+            continue
+        if len(row) != 3:
+            raise ConfigError(
+                f"observation CSV {path}:{lineno}: {len(row)} values, expected 3 "
+                f"(dx_mm,dy_mm,dz_mm): {line!r}"
+            )
+        rows.append(row)
     arr = np.asarray(rows, dtype=float)
     if arr.shape != (n_obs, 3):
         raise ConfigError(
@@ -639,7 +647,7 @@ def main(argv=None) -> int:
     except (ConfigError, MeshError, DatasetError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FemError as exc:
+    except (FemError, BrokenProcessPool, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -3,8 +3,17 @@
 Large deformations are computed incrementally: the prescribed displacement is
 applied in equal micro-steps and the stiffness matrix is reassembled from the
 updated geometry after every step, while the constitutive matrix stays fixed.
-Fixed vertices are removed from the system by row/column elimination; the
-reduced system is solved by Cholesky factorization each step.
+Fixed vertices are removed from the system by row/column elimination.
+
+Two paths compute the same solve. :func:`assemble` and
+:func:`solve_forced_displacement` build the dense reduced ``K`` and factor its
+non-contact block with a dense Cholesky; they are the public oracle the tests
+compare against. :func:`deform` instead builds one solver plan per (mesh,
+region): a reverse Cuthill-McKee ordering of the non-contact DOFs (Cuthill &
+McKee, 1969; George & Liu, 1981) and scatter indices that send element
+stiffness entries straight into LAPACK lower-band storage of ``K_nn``. Each
+step then costs a banded Cholesky, O(n bw^2) for half-bandwidth bw, and never
+forms an n^2 matrix.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -82,47 +91,46 @@ def elasticity_matrix(mat: MaterialParams) -> np.ndarray:
     return d
 
 
+# Nonzeros of B for one node: (strain row, displacement component, gradient axis).
+_B_PATTERN = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0),
+              (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0)]
+# ... for all four nodes: row of B, column of B, column of the (M, 12) gradients
+_B_ROW, _B_COL, _B_GRAD = np.array(
+    [(r, 3 * node + comp, 3 * node + axis)
+     for node in range(4) for r, comp, axis in _B_PATTERN]
+).T
+
+
 def _element_matrices(tet_vertices: np.ndarray):
     """Strain-displacement matrices and volumes for a batch of tetrahedra.
 
     tet_vertices: (M, 4, 3). Returns (B, volumes) with B of shape (M, 6, 12),
     columns grouped per node as (ux, uy, uz). Volumes are signed.
     """
-    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]  # rows are edge vectors
-    vols = np.linalg.det(edges) / 6.0
+    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]  # rows are edge vectors e1, e2, e3
+    # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
+    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T)
+    cof = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+    det = np.einsum("mi,mi->m", edges[:, 0], cof[:, 0])
+    vols = det / 6.0
     bad = np.flatnonzero(vols <= 0.0)
     if bad.size:
         i = int(bad[0])
         raise DegenerateElementError(
             f"tetrahedron {i} has non-positive volume ({vols[i]:.3e})", tet_index=i
         )
-    # shape-function gradients: rows of inv(E) for nodes 1..3, node 0 = -sum
-    grads = np.linalg.inv(np.transpose(edges, (0, 2, 1)))
     g = np.empty((tet_vertices.shape[0], 4, 3))
-    g[:, 1:, :] = grads
-    g[:, 0, :] = -grads.sum(axis=1)
+    g[:, 1:, :] = cof / det[:, None, None]
+    g[:, 0, :] = -g[:, 1:, :].sum(axis=1)  # the gradients sum to zero
 
-    m = tet_vertices.shape[0]
-    b = np.zeros((m, 6, 12))
-    for node in range(4):
-        gx, gy, gz = g[:, node, 0], g[:, node, 1], g[:, node, 2]
-        col = 3 * node
-        b[:, 0, col + 0] = gx
-        b[:, 1, col + 1] = gy
-        b[:, 2, col + 2] = gz
-        b[:, 3, col + 0] = gy
-        b[:, 3, col + 1] = gx
-        b[:, 4, col + 1] = gz
-        b[:, 4, col + 2] = gy
-        b[:, 5, col + 0] = gz
-        b[:, 5, col + 2] = gx
+    b = np.zeros((tet_vertices.shape[0], 6, 12))
+    b[:, _B_ROW, _B_COL] = g.reshape(-1, 12)[:, _B_GRAD]
     return b, vols
 
 
 def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray):
     b, vols = _element_matrices(tet_vertices)
-    db = np.einsum("jk,mkl->mjl", d, b)
-    ke = np.einsum("mji,mjl->mil", b, db) * vols[:, None, None]
+    ke = (np.transpose(b, (0, 2, 1)) @ (d @ b)) * vols[:, None, None]
     return ke, vols
 
 
@@ -163,42 +171,43 @@ class StiffnessSystem:
         return (3 * slots[:, None] + np.arange(3)).reshape(-1)
 
 
-class _AssemblyPattern:
-    """Precomputed scatter pattern from element blocks into the reduced K.
+def _element_dofs(mesh: TetMesh) -> np.ndarray:
+    """(M, 12) reduced DOF of each element node and axis, -1 at fixed vertices."""
+    slots = mesh.free_index_of()[mesh.tets]
+    dofs = 3 * slots[:, :, None] + np.arange(3)
+    return np.where(slots[:, :, None] >= 0, dofs, -1).reshape(-1, 12)
 
-    The pattern depends only on topology and fixed-vertex elimination, so a
-    single instance serves every reassembly along a deformation trajectory.
+
+def _block_pairs(index: np.ndarray):
+    """Flat (row, column) index of every entry of the (M, k, k) per-element blocks.
+
+    index is (M, k): the index of each element's k block rows; the entries
+    come in the row-major order of the blocks.
     """
-
-    def __init__(self, mesh: TetMesh):
-        self.mesh = mesh
-        self.n_dofs = 3 * mesh.n_free
-        slots = mesh.free_index_of()[mesh.tets]  # (M, 4), -1 for fixed
-        elem_dofs = np.where(slots >= 0, 3 * slots, -3)[:, :, None] + np.arange(3)
-        elem_dofs = np.where(slots[:, :, None] >= 0, elem_dofs, -1).reshape(-1, 12)
-        rows = np.broadcast_to(elem_dofs[:, :, None], (len(elem_dofs), 12, 12))
-        cols = np.broadcast_to(elem_dofs[:, None, :], (len(elem_dofs), 12, 12))
-        self.valid = (rows >= 0) & (cols >= 0)
-        self.flat = rows[self.valid] * self.n_dofs + cols[self.valid]
-
-    def stiffness(self, positions: np.ndarray, d: np.ndarray) -> np.ndarray:
-        ke, _ = _element_stiffness_batch(positions[self.mesh.tets], d)
-        k = np.bincount(self.flat, weights=ke[self.valid], minlength=self.n_dofs**2)
-        return k.reshape(self.n_dofs, self.n_dofs)
+    m, k = index.shape
+    return (np.broadcast_to(index[:, :, None], (m, k, k)).reshape(-1),
+            np.broadcast_to(index[:, None, :], (m, k, k)).reshape(-1))
 
 
 def assemble(mesh: TetMesh, current_positions: np.ndarray, d: np.ndarray) -> StiffnessSystem:
     """Global stiffness at the given vertex positions, fixed DOFs eliminated.
 
-    Raises DegenerateElementError naming the first inverted tetrahedron.
+    Dense and rebuilt on every call: the reference that :func:`deform`'s
+    banded plan is tested against. Raises DegenerateElementError naming the
+    first inverted tetrahedron.
     """
     positions = np.asarray(current_positions, dtype=np.float64)
     if positions.shape != mesh.vertices.shape:
         raise FemError(
             f"positions shape {positions.shape} does not match mesh ({mesh.vertices.shape})"
         )
-    pattern = _AssemblyPattern(mesh)
-    return StiffnessSystem(K=pattern.stiffness(positions, np.asarray(d, dtype=np.float64)), free_ids=mesh.free_ids)
+    n_dofs = 3 * mesh.n_free
+    rows, cols = _block_pairs(_element_dofs(mesh))
+    valid = (rows >= 0) & (cols >= 0)
+    ke, _ = _element_stiffness_batch(positions[mesh.tets], np.asarray(d, dtype=np.float64))
+    k = np.bincount(rows[valid] * n_dofs + cols[valid], weights=ke.reshape(-1)[valid],
+                    minlength=n_dofs**2)
+    return StiffnessSystem(K=k.reshape(n_dofs, n_dofs), free_ids=mesh.free_ids)
 
 
 def solve_forced_displacement(system: StiffnessSystem, contact_dofs, u_c):
@@ -210,7 +219,8 @@ def solve_forced_displacement(system: StiffnessSystem, contact_dofs, u_c):
         u_n = -K_nn^-1 K_nc u_c
         f_c =  K_cc u_c + K_cn u_n
 
-    u_n is ordered by ascending DOF index of the n-partition.
+    u_n is ordered by ascending DOF index of the n-partition. Dense Cholesky
+    of K_nn: the reference for :func:`deform`'s banded solve.
     """
     k = system.K
     contact_dofs = np.asarray(contact_dofs, dtype=np.int64)
@@ -228,11 +238,7 @@ def solve_forced_displacement(system: StiffnessSystem, contact_dofs, u_c):
 
     mask = np.ones(k.shape[0], dtype=bool)
     mask[contact_dofs] = False
-    return _solve(k, contact_dofs, np.flatnonzero(mask), u_c)
-
-
-def _solve(k: np.ndarray, contact_dofs: np.ndarray, n_idx: np.ndarray, u_c: np.ndarray):
-    """(f_c, u_n) of :func:`solve_forced_displacement` for a checked partition."""
+    n_idx = np.flatnonzero(mask)
     k_cc = k[np.ix_(contact_dofs, contact_dofs)]
     if n_idx.size == 0:
         return k_cc @ u_c, np.empty(0)
@@ -245,6 +251,159 @@ def _solve(k: np.ndarray, contact_dofs: np.ndarray, n_idx: np.ndarray, u_c: np.n
     u_n = scipy.linalg.cho_solve(chol, -(k_nc @ u_c), check_finite=False)
     f_c = k_cc @ u_c + k_nc.T @ u_n
     return f_c, u_n
+
+
+def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Reverse Cuthill-McKee order of the n-vertex graph with edges a[i] - b[i].
+
+    Both directions of every edge are listed; repeats are allowed. A
+    breadth-first search starts from a lowest-degree unvisited vertex of each
+    component and visits neighbours by ascending degree; the visit order is
+    returned reversed. This is the algorithm of
+    scipy.sparse.csgraph.reverse_cuthill_mckee, written here because
+    importing scipy.sparse adds about 5 MB to every process that loads fem.
+    """
+    key = np.unique(a * n + b)
+    a, b = key // n, key % n
+    degree = np.bincount(a, minlength=n)
+    first = np.concatenate([[0], np.cumsum(degree)])
+    neighbours = b[np.lexsort((b, degree[b], a))]  # grouped by a, ascending degree
+    order = np.empty(n, dtype=np.int64)
+    seen = np.zeros(n, dtype=bool)
+    end = 0
+    for root in np.argsort(degree, kind="stable"):
+        if seen[root]:
+            continue
+        seen[root] = True
+        order[end] = root
+        head, end = end, end + 1
+        while head < end:
+            v = order[head]
+            head += 1
+            new = neighbours[first[v]:first[v + 1]]
+            new = new[~seen[new]]
+            seen[new] = True
+            order[end:end + new.size] = new
+            end += new.size
+    return order[::-1]
+
+
+class _SolverPlan:
+    """Banded forced-displacement solver for one contact region of one mesh.
+
+    Everything here depends on topology alone, so one plan serves every
+    step of every sample of the region: the contact (c) / remaining free (n)
+    DOF partition, a reverse Cuthill-McKee ordering of the n-partition (per
+    vertex, so that a vertex's three DOFs stay adjacent), its half-bandwidth
+    ``bw``, and flat scatter indices from the element blocks into K_nn's
+    lower band in LAPACK storage ``(bw + 1, n)``, a dense ``(n, c)`` K_nc
+    and a dense ``(c, c)`` K_cc.
+    """
+
+    def __init__(self, mesh: TetMesh, region: str):
+        self.mesh = mesh
+        self.contact_ids = mesh.contact_regions[region]
+        n_dofs = 3 * mesh.n_free
+        contact_dofs = (3 * mesh.free_index_of()[self.contact_ids][:, None]
+                        + np.arange(3)).reshape(-1)
+        in_n = np.ones(n_dofs, dtype=bool)
+        in_n[contact_dofs] = False
+        self.n_idx = np.flatnonzero(in_n)
+        self.n, self.c = self.n_idx.size, contact_dofs.size
+
+        # RCM over the n-partition's vertices, adjacent when they share a tet
+        n_vertices = self.n // 3
+        vertex_slot = np.full(mesh.n_vertices, -1)
+        vertex_slot[mesh.free_ids[in_n[::3]]] = np.arange(n_vertices)
+        a, b = _block_pairs(vertex_slot[mesh.tets])
+        edge = (a >= 0) & (b >= 0) & (a != b)
+        rank = np.empty(n_vertices, dtype=np.int64)
+        rank[_reverse_cuthill_mckee(a[edge], b[edge], n_vertices)] = np.arange(n_vertices)
+        self.n_perm = (3 * rank[:, None] + np.arange(3)).reshape(-1)  # plan position of n_idx[k]
+
+        # position of each reduced DOF in the plan's n and c orders, -1 outside
+        # them; a fixed vertex's DOF is -1 and so reads the trailing -1
+        n_pos = np.full(n_dofs + 1, -1)
+        n_pos[self.n_idx] = self.n_perm
+        c_pos = np.full(n_dofs + 1, -1)
+        c_pos[contact_dofs] = np.arange(self.c)
+        dofs = _element_dofs(mesh)
+        ni, nj = _block_pairs(n_pos[dofs])
+        ci, cj = _block_pairs(c_pos[dofs])
+        lower = (nj >= 0) & (ni >= nj)
+        self.bw = int((ni - nj)[lower].max(initial=0))
+        self._band = (np.flatnonzero(lower), ((ni - nj) * self.n + nj)[lower], (self.bw + 1, self.n))
+        nc = (ni >= 0) & (cj >= 0)
+        self._nc = (np.flatnonzero(nc), (ni * self.c + cj)[nc], (self.n, self.c))
+        cc = (ci >= 0) & (cj >= 0)
+        self._cc = (np.flatnonzero(cc), (ci * self.c + cj)[cc], (self.c, self.c))
+
+    @staticmethod
+    def _scatter(pattern, ke: np.ndarray) -> np.ndarray:
+        src, dst, shape = pattern
+        k = np.bincount(dst, weights=ke.reshape(-1)[src], minlength=shape[0] * shape[1])
+        return k.reshape(shape)
+
+    def _solve_nn(self, ke: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """K_nn^-1 rhs, both in plan order, with K_nn summed from the element blocks."""
+        if self.n == 0:
+            return rhs
+        band = self._scatter(self._band, ke)
+        k_diag = band[0].copy()
+        try:
+            chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
+                                                check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"reduced stiffness is not positive definite: {exc}") from exc
+        # A semi-definite K_nn can factor into tiny positive pivots instead of
+        # failing; a pivot this small against its diagonal is rounding noise.
+        ok = chol[0] ** 2 > self.n * np.finfo(np.float64).eps * k_diag  # NaN fails too
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise SingularSystemError(
+                f"reduced stiffness is not positive definite: pivot {i} is "
+                f"{chol[0, i] ** 2:.3e} against diagonal {k_diag[i]:.3e}"
+            )
+        return scipy.linalg.cho_solve_banded((chol, True), rhs, overwrite_b=True,
+                                             check_finite=False)
+
+    def deform(self, d: np.ndarray, target_disp, n_steps: int) -> DeformResult:
+        """:func:`deform` of this plan's region."""
+        if n_steps < 1:
+            raise FemError(f"n_steps must be >= 1, got {n_steps}")
+        target = np.asarray(target_disp, dtype=np.float64).reshape(3)
+        if not np.isfinite(target).all():
+            raise FemError("target_disp contains non-finite values")
+
+        mesh, contact_ids = self.mesh, self.contact_ids
+        d = np.asarray(d, dtype=np.float64)
+        positions = mesh.vertices.copy()
+        start = mesh.vertices[contact_ids].copy()
+        update = np.zeros(3 * mesh.n_free)  # contact rows stay 0: those positions are reset below
+
+        for step in range(1, n_steps + 1):
+            try:
+                ke, _ = _element_stiffness_batch(positions[mesh.tets], d)
+            except DegenerateElementError as exc:
+                raise DegenerateElementError(
+                    f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
+                ) from exc
+            desired = start + target * (step / n_steps)
+            u_c = (desired - positions[contact_ids]).reshape(-1)
+            k_nc = self._scatter(self._nc, ke)
+            u_n = self._solve_nn(ke, -(k_nc @ u_c))
+            update[self.n_idx] = u_n[self.n_perm]
+            positions[mesh.free_ids] += update.reshape(-1, 3)
+            positions[contact_ids] = desired  # keep the prescribed path exact
+
+        f_c = self._scatter(self._cc, ke) @ u_c + k_nc.T @ u_n  # reaction of the last step
+        return DeformResult(
+            displacements=positions[mesh.free_ids] - mesh.vertices[mesh.free_ids],
+            contact_forces=f_c.reshape(-1, 3),
+            contact_ids=contact_ids,
+            free_ids=mesh.free_ids,
+            n_steps=n_steps,
+        )
 
 
 @dataclass
@@ -281,46 +440,14 @@ def deform(
     translation of the contact set). After each increment the stiffness is
     reassembled at the updated positions and the reduced system is solved
     with the contact DOFs prescribed.
+
+    The solve uses a banded plan built for (mesh, region): an RCM-ordered
+    band Cholesky of K_nn, scattered from the element blocks without forming
+    the dense K. It agrees with :func:`assemble` + :func:`solve_forced_displacement`
+    to rounding. Raises SingularSystemError when K_nn is not numerically
+    positive definite, and DegenerateElementError naming the step at which
+    an element inverted.
     """
-    if n_steps < 1:
-        raise FemError(f"n_steps must be >= 1, got {n_steps}")
     if region not in mesh.contact_regions:
         raise FemError(f"unknown contact region {region!r}; have {list(mesh.contact_regions)}")
-    target = np.asarray(target_disp, dtype=np.float64).reshape(3)
-    if not np.isfinite(target).all():
-        raise FemError("target_disp contains non-finite values")
-
-    contact_ids = mesh.contact_regions[region]
-    positions = mesh.vertices.copy()
-    start = mesh.vertices[contact_ids].copy()
-    d = np.asarray(d, dtype=np.float64)
-
-    pattern = _AssemblyPattern(mesh)
-    slots = mesh.free_index_of()[contact_ids]  # regions never contain fixed vertices
-    contact_dofs = (3 * slots[:, None] + np.arange(3)).reshape(-1)
-    mask = np.ones(pattern.n_dofs, dtype=bool)
-    mask[contact_dofs] = False
-    n_idx = np.flatnonzero(mask)
-    update = np.zeros(pattern.n_dofs)  # contact rows stay 0: those positions are reset below
-
-    for step in range(1, n_steps + 1):
-        try:
-            k = pattern.stiffness(positions, d)
-        except DegenerateElementError as exc:
-            raise DegenerateElementError(
-                f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
-            ) from exc
-        desired = start + target * (step / n_steps)
-        u_c = (desired - positions[contact_ids]).reshape(-1)
-        f_c, u_n = _solve(k, contact_dofs, n_idx, u_c)
-        update[n_idx] = u_n
-        positions[mesh.free_ids] += update.reshape(-1, 3)
-        positions[contact_ids] = desired  # keep the prescribed path exact
-
-    return DeformResult(
-        displacements=positions[mesh.free_ids] - mesh.vertices[mesh.free_ids],
-        contact_forces=f_c.reshape(-1, 3),
-        contact_ids=contact_ids,
-        free_ids=mesh.free_ids,
-        n_steps=n_steps,
-    )
+    return _SolverPlan(mesh, region).deform(d, target_disp, n_steps)

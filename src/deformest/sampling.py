@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fem import FemError, deform
+from .fem import FemError, _SolverPlan
 from .mesh import ScaleConvention, TetMesh, vertex_normals
 
 __all__ = [
@@ -342,14 +342,16 @@ def _worker_init(mesh, d, n_steps):
     _WORKER_CTX["mesh"] = mesh
     _WORKER_CTX["d"] = d
     _WORKER_CTX["n_steps"] = n_steps
+    _WORKER_CTX["plans"] = {}  # region -> solver plan, built on the region's first sample
 
 
 def _run_sample(task):
     region, target = task
+    plans = _WORKER_CTX["plans"]
+    if region not in plans:
+        plans[region] = _SolverPlan(_WORKER_CTX["mesh"], region)
     try:
-        result = deform(
-            _WORKER_CTX["mesh"], _WORKER_CTX["d"], region, target, _WORKER_CTX["n_steps"]
-        )
+        result = plans[region].deform(_WORKER_CTX["d"], target, _WORKER_CTX["n_steps"])
         return "ok", result.flat_displacements
     except FemError as exc:
         return "fail", str(exc)
@@ -384,6 +386,8 @@ def build_dataset(
     order, lattice points in lexicographic order. FEM failures are recorded
     and skipped; results do not depend on the worker count.
     """
+    if workers < 1:
+        raise DatasetError(f"workers must be >= 1, got {workers}")
     unknown = [r for r in specs if r not in mesh.contact_regions]
     if unknown:
         raise DatasetError(f"specs reference unknown regions {unknown}; have {list(mesh.contact_regions)}")
@@ -402,7 +406,10 @@ def build_dataset(
             outcomes = list(pool.map(_run_sample, tasks, chunksize=chunk))
     else:
         _worker_init(mesh, d, n_steps)
-        outcomes = [_run_sample(t) for t in tasks]
+        try:
+            outcomes = [_run_sample(t) for t in tasks]
+        finally:
+            _WORKER_CTX.clear()  # release the mesh and its plans
 
     free_index = mesh.free_index_of()
     region_slot: dict = {}  # region -> id, in order of the first successful sample

@@ -1,8 +1,10 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from deformest import sampling
 from deformest.cli import PROFILES, ConfigError, PipelineConfig, main, resolve_sampling_specs
 from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
@@ -146,6 +148,30 @@ class TestPipelineCommands:
         with pytest.raises(SystemExit):
             run(argv)
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_exits_1(self, config_path, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out, "--workers", workers]) == 1
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (out / "dataset.ds").exists()
+
+    @pytest.mark.parametrize("exc", [BrokenProcessPool("a worker died"),
+                                     MemoryError("cannot allocate")])
+    def test_pool_or_memory_failure_exits_2(self, config_path, tmp_path, capsys, monkeypatch,
+                                            exc):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(sampling, "build_dataset", fail)
+        assert run(["sample", "--config", config_path, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {type(exc).__name__}: {exc}" in err
+        assert "Traceback" not in err
+
     def test_eval_refuses_foreign_mesh(self, config_path, tmp_path, capsys):
         out = tmp_path / "run"
         run(["mesh", "--config", config_path, "--out", out])
@@ -247,6 +273,20 @@ class TestPredictCommand:
                     "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and f"{obs_path}:2" in err
+        assert not (tmp_path / "field.csv").exists()
+
+    def test_short_row_exits_1(self, tmp_path, capsys):
+        model = MlpModel(
+            w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path, mm_per_unit=256.0)
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("dx_mm,dy_mm,dz_mm\n1,2,3\n1,2\n")
+        assert run(["predict", "--model", model_path, "--observations", obs_path,
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and f"{obs_path}:3" in err and "dx_mm,dy_mm,dz_mm" in err
         assert not (tmp_path / "field.csv").exists()
 
     def test_predict_with_mesh_writes_vtk(self, config_path, tmp_path):

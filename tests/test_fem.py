@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,8 +18,14 @@ from deformest.fem import (
     element_stiffness,
     elasticity_matrix,
     solve_forced_displacement,
+    _reverse_cuthill_mckee,
 )
-from deformest.mesh import generate_rpp
+from deformest.mesh import TetMesh, generate_rpp
+from deformest.sampling import SamplingSpec, build_dataset
+
+from conftest import make_blob_mesh
+
+ROOT = Path(__file__).resolve().parent.parent
 
 UNIT_TET = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -124,8 +135,6 @@ class TestElementStiffness:
 
 
 def single_tet_mesh():
-    from deformest.mesh import TetMesh
-
     return TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]])
 
 
@@ -265,6 +274,28 @@ def fixed_bar(cells_x=2):
     return generate_rpp(25.6 * cells_x, 25.6, 25.6)
 
 
+def dense_deform(mesh, d, region, target, n_steps):
+    """deform's Euler loop on the dense oracle: assemble + solve_forced_displacement."""
+    contact = mesh.contact_regions[region]
+    positions = mesh.vertices.copy()
+    start = positions[contact].copy()
+    for step in range(1, n_steps + 1):
+        system = assemble(mesh, positions, d)
+        dofs = system.vertex_dofs(contact)
+        desired = start + np.asarray(target) * (step / n_steps)
+        u_c = (desired - positions[contact]).reshape(-1)
+        f_c, u_n = solve_forced_displacement(system, dofs, u_c)
+        update = np.zeros(system.n_dofs)
+        update[np.setdiff1d(np.arange(system.n_dofs), dofs)] = u_n
+        positions[mesh.free_ids] += update.reshape(-1, 3)
+        positions[contact] = desired
+    return positions[mesh.free_ids] - mesh.vertices[mesh.free_ids], f_c.reshape(-1, 3)
+
+
+def assert_rel_close(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
 class TestPatchTest:
     def test_affine_field_reproduced_at_interior(self):
         # 3x3x3-cell cube, all boundary vertices prescribed with an affine field
@@ -342,22 +373,103 @@ class TestDeform:
 
     @pytest.mark.parametrize("which", ["fixed_bar", "paper_rpp"])
     def test_one_step_equals_dense_oracle(self, which, paper_rpp):
-        # deform's internal solve path against the public assemble + solve
+        # the banded plan rounds differently from the dense Cholesky, so
+        # equality holds to 1e-12 relative, not bit for bit
         mesh = fixed_bar() if which == "fixed_bar" else paper_rpp
         target = np.array([0.01, -0.02, 0.015])
         res = deform(mesh, material_d(), "end", target, n_steps=1)
+        u, f_c = dense_deform(mesh, material_d(), "end", target, n_steps=1)
+        assert_rel_close(res.displacements, u)
+        assert_rel_close(res.contact_forces, f_c)
 
-        system = assemble(mesh, mesh.vertices, material_d())
-        start = mesh.vertices[mesh.contact_regions["end"]]
-        dofs = system.vertex_dofs(mesh.contact_regions["end"])
-        u_c = ((start + target) - start).reshape(-1)  # deform's step-1 increment
-        f_c, u_n = solve_forced_displacement(system, dofs, u_c)
-        update = np.empty(system.n_dofs)
-        update[dofs] = u_c
-        update[np.setdiff1d(np.arange(system.n_dofs), dofs)] = u_n
-        v = mesh.vertices[mesh.free_ids]
-        assert np.array_equal(res.displacements, (v + update.reshape(-1, 3)) - v)
-        assert np.array_equal(res.contact_forces.reshape(-1), f_c)
+    @pytest.mark.parametrize("which, n_steps", [
+        ("fixed_bar", 5),
+        ("rpp-12.8mm", 3),
+        ("all_free_in_contact", 2),  # empty n-partition: only the contact force is solved
+    ])
+    def test_multi_step_equals_dense_euler_loop(self, which, n_steps):
+        if which == "fixed_bar":
+            mesh = fixed_bar()
+        elif which == "rpp-12.8mm":
+            mesh = generate_rpp(256.0, 51.2, 12.8)
+        else:
+            mesh = TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]], fixed_ids=[0],
+                           contact_regions={"end": [1, 2, 3]})
+        target = np.array([0.1, 0.15, -0.05])  # large enough to move the geometry
+        res = deform(mesh, material_d(), "end", target, n_steps=n_steps)
+        u, f_c = dense_deform(mesh, material_d(), "end", target, n_steps=n_steps)
+        assert_rel_close(res.displacements, u)
+        assert_rel_close(res.contact_forces, f_c)
+
+    def test_floating_mesh_raises_singular(self):
+        # one prescribed vertex leaves a floating tet free to rotate: K_nn is
+        # singular, and a band Cholesky can still return tiny positive pivots
+        mesh = TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]], contact_regions={"a": [0]})
+        with pytest.raises(SingularSystemError):
+            deform(mesh, material_d(), "a", (0.1, 0.0, 0.0), n_steps=1)
+
+    def test_nine_thousand_dof_step_in_bounded_memory(self):
+        # the dense K of the 6.4 mm RPP alone would take 718 MB
+        code = (
+            "import resource\n"
+            "from deformest.fem import MaterialParams, deform, elasticity_matrix\n"
+            "from deformest.mesh import generate_rpp\n"
+            "mesh = generate_rpp(256.0, 51.2, 6.4)\n"
+            "assert 3 * mesh.n_free - 3 * mesh.contact_regions['end'].size == 9477\n"
+            "deform(mesh, elasticity_matrix(MaterialParams()), 'end', (0.1, 0.1, 0.0), 1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        peak_mb = int(done.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
+        assert peak_mb < 400
+
+    def test_build_dataset_reuses_plan_per_region(self):
+        # one plan per region inside build_dataset gives the same bits as a
+        # fresh plan per deform call
+        mesh = generate_rpp(51.2, 25.6, 25.6, contact_specs={"tip": [(2, 1, 1)],
+                                                             "side": [(1, 1, 0), (2, 1, 0)]})
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.02, 0.02, 0.0))
+        ds = build_dataset(mesh, material_d(), {"tip": spec, "side": spec}, n_steps=3)
+        assert ds.m == 8 and not ds.failures
+        for rid, target, u in zip(ds.region_id, ds.target, ds.u):
+            res = deform(mesh, material_d(), ds.regions[rid], target, n_steps=3)
+            assert np.array_equal(u, res.flat_displacements)
+
+    @pytest.mark.parametrize("which", ["rpp-12.8mm", "blob0", "blob1", "blob2"])
+    def test_rcm_bandwidth_matches_scipy(self, which):
+        # the plan's own RCM against scipy's on the vertex graph of the n-partition
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        if which == "rpp-12.8mm":
+            mesh, region = generate_rpp(256.0, 51.2, 12.8), "end"
+        else:
+            mesh, region = make_blob_mesh(seed=int(which[-1]), n_points=400), "grab"
+        n_vertex = np.ones(mesh.n_vertices, dtype=bool)
+        n_vertex[mesh.fixed_ids] = False
+        n_vertex[mesh.contact_regions[region]] = False
+        slot = np.full(mesh.n_vertices, -1)
+        slot[n_vertex] = np.arange(n_vertex.sum())
+        tv = slot[mesh.tets]
+        a, b = np.repeat(tv, 4, axis=1).ravel(), np.tile(tv, (1, 4)).ravel()
+        edge = (a >= 0) & (b >= 0) & (a != b)
+        a, b, n = a[edge], b[edge], int(n_vertex.sum())
+
+        def bandwidth(order):
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            return np.abs(rank[a] - rank[b]).max()
+
+        order = _reverse_cuthill_mckee(a, b, n)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        graph = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+        assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(graph, symmetric_mode=True))
 
     def test_unknown_region(self):
         mesh = fixed_bar()

@@ -238,6 +238,13 @@ class TestBuildDataset:
         save_dataset(parallel, b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, workers):
+        mesh = small_bar()
+        spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
+        with pytest.raises(DatasetError, match="workers must be >= 1"):
+            build_dataset(mesh, D, {"end": spec}, n_steps=1, workers=workers)
+
     def test_multi_region_order(self):
         mesh = generate_rpp(
             51.2,
