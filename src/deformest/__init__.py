@@ -57,7 +57,6 @@ from .nn import (
     train,
 )
 from .evaluation import (
-    FoldPlan,
     SessionReport,
     export_vtk,
     kfold,

@@ -516,7 +516,11 @@ def cmd_predict(args) -> int:
     t0 = time.time()
     out = _resolve_out(args, None)
     model, meta = nn.load_model(args.model)
-    mm_per_unit = float(meta.get("mm_per_unit") or 256.0)
+    mm_per_unit = 256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"]
+    if not (isinstance(mm_per_unit, (int, float)) and 0 < mm_per_unit < np.inf):
+        raise ConfigError(
+            f"{args.model}: mm_per_unit must be positive and finite, got {mm_per_unit!r}"
+        )
     n_obs = model.layer_sizes[0] // 3
     obs_mm = _read_observation_csv(args.observations, n_obs)
     field_units = nn.predict(model, obs_mm / mm_per_unit)

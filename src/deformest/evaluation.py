@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .mesh import ScaleConvention, TetMesh
-from .nn import MlpModel, TrainConfig, forward_batch, train
+from .nn import TrainConfig, forward_batch, train
 
 __all__ = [
-    "FoldPlan",
     "LpeResult",
     "TrialResult",
     "SessionReport",
@@ -32,42 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Partition of sample indices into k test folds from a seeded shuffle."""
+def kfold(n: int, k: int = 5, seed: int = 0) -> tuple:
+    """The k test folds of ``range(n)``: a seeded shuffle cut into k contiguous chunks.
 
-    k: int
-    seed: int
-    folds: tuple
-
-    def __post_init__(self):
-        n = sum(len(f) for f in self.folds)
-        union = np.concatenate(self.folds)
-        if np.unique(union).size != n:
-            raise ValueError("folds overlap or repeat indices")
-        sizes = [len(f) for f in self.folds]
-        if max(sizes) - min(sizes) > 1:
-            raise ValueError(f"fold sizes differ by more than one: {sizes}")
-
-    @property
-    def n(self) -> int:
-        return sum(len(f) for f in self.folds)
-
-    def test_indices(self, fold: int) -> np.ndarray:
-        return self.folds[fold]
-
-    def train_indices(self, fold: int) -> np.ndarray:
-        return np.concatenate([f for i, f in enumerate(self.folds) if i != fold])
-
-
-def kfold(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
-    """Seeded shuffle then contiguous chunking into k nearly equal folds."""
+    Returns a tuple of k index arrays whose sizes differ by at most one; they
+    partition ``range(n)``, and fold f trains on the concatenation of the others.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
         raise ValueError(f"cannot split {n} samples into {k} folds")
-    perm = np.random.default_rng(seed).permutation(n)
-    return FoldPlan(k=k, seed=seed, folds=tuple(np.array_split(perm, k)))
+    return tuple(np.array_split(np.random.default_rng(seed).permutation(n), k))
 
 
 def rmse(pred: np.ndarray, target: np.ndarray, scale: ScaleConvention = ScaleConvention()) -> float:
@@ -84,33 +58,44 @@ def rmse(pred: np.ndarray, target: np.ndarray, scale: ScaleConvention = ScaleCon
 
 @dataclass
 class LpeResult:
-    """Per-vertex positional error of one sample, millimeters."""
+    """Per-vertex positional error, millimeters, of one sample or a batch.
 
-    per_vertex_mm: np.ndarray
-    mean_mm: float
-    max_mm: float
-    argmax_vertex: int          # slot into the field's vertex ordering
-    argmax_true_disp_mm: float  # true displacement magnitude of that vertex
+    For a batch of m samples every field gains a leading axis of length m.
+    """
+
+    per_vertex_mm: np.ndarray        # (n_free,) or (m, n_free)
+    mean_mm: np.ndarray
+    max_mm: np.ndarray
+    argmax_vertex: np.ndarray        # slot into the field's vertex ordering
+    argmax_true_disp_mm: np.ndarray  # true displacement magnitude of that vertex
 
 
 def local_positional_error(
-    pred_sample: np.ndarray,
-    target_sample: np.ndarray,
+    pred: np.ndarray,
+    target: np.ndarray,
     scale: ScaleConvention = ScaleConvention(),
 ) -> LpeResult:
-    """Euclidean coordinate error per vertex for one sample."""
-    pred = np.asarray(pred_sample, dtype=float).reshape(-1, 3)
-    target = np.asarray(target_sample, dtype=float).reshape(-1, 3)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    per_vertex = np.linalg.norm(pred - target, axis=1) * scale.mm_per_unit
-    worst = int(np.argmax(per_vertex))
+    """Euclidean coordinate error per vertex of one (n_free, 3) field or of m stacked
+    as (m, n_free, 3); see :class:`LpeResult` for the shapes of the result."""
+    pred = np.asarray(pred, dtype=float)
+    target = np.asarray(target, dtype=float)
+    if pred.shape != target.shape or pred.ndim not in (2, 3) or pred.shape[-1] != 3:
+        raise ValueError(
+            f"expected (n_free, 3) or (m, n_free, 3) fields of one shape, "
+            f"got {pred.shape} vs {target.shape}"
+        )
+    per_vertex = np.linalg.norm(pred - target, axis=-1) * scale.mm_per_unit
+    worst = np.argmax(per_vertex, axis=-1)
+    v = np.take_along_axis(target, worst[..., None, None], axis=-2)  # (..., 1, 3)
+    # v @ v.T is the dot product np.linalg.norm takes of one vector; an axis
+    # norm sums the squares in another order and can differ by an ulp
+    true_disp = np.sqrt(v @ np.swapaxes(v, -1, -2))[..., 0, 0]
     return LpeResult(
         per_vertex_mm=per_vertex,
-        mean_mm=float(per_vertex.mean()),
-        max_mm=float(per_vertex[worst]),
+        mean_mm=per_vertex.mean(axis=-1),
+        max_mm=per_vertex.max(axis=-1),
         argmax_vertex=worst,
-        argmax_true_disp_mm=float(np.linalg.norm(target[worst]) * scale.mm_per_unit),
+        argmax_true_disp_mm=true_disp * scale.mm_per_unit,
     )
 
 
@@ -156,24 +141,6 @@ class SessionReport:
     trials: list = field(default_factory=list)
 
 
-def _trial_metrics(model: MlpModel, dataset, test_idx, max_disp_mm: float):
-    scale = ScaleConvention(mm_per_unit=dataset.mm_per_unit)
-    x = dataset.inputs()[test_idx]
-    y = dataset.targets()[test_idx]
-    pred = forward_batch(model, x).outputs
-    overall = rmse(pred, y, scale)
-    lpes = [local_positional_error(pred[i], y[i], scale) for i in range(len(test_idx))]
-    pct = 100.0 / max_disp_mm
-    return {
-        "rmse_mm": overall,
-        "rmse_pct": overall * pct,
-        "mean_lpe_mm": float(np.mean([l.mean_mm for l in lpes])),
-        "mean_max_lpe_mm": float(np.mean([l.max_mm for l in lpes])),
-        "sample_max_lpe_mm": [l.max_mm for l in lpes],
-        "sample_max_vertex_disp_mm": [l.argmax_true_disp_mm for l in lpes],
-    }
-
-
 def run_session(
     dataset,
     config: TrainConfig,
@@ -182,7 +149,7 @@ def run_session(
     k: int = 5,
     n_repeats: int = 1,
 ) -> SessionReport:
-    """k-fold cross-validation, repeated with fresh fold plans.
+    """k-fold cross-validation, repeated with freshly shuffled folds.
 
     Repeat r shuffles with seed config.seed + r; the trial for fold f trains
     with seed (config.seed + r) * 1000 + f so every trial draws fresh weights.
@@ -193,19 +160,24 @@ def run_session(
     if not max_disp_mm > 0:
         raise ValueError("dataset has no nonzero contact displacement to normalize against")
 
+    scale = ScaleConvention(mm_per_unit=dataset.mm_per_unit)
+    pct = 100.0 / max_disp_mm
     trials = []
     for repeat in range(n_repeats):
-        plan = kfold(dataset.m, k=k, seed=config.seed + repeat)
-        for fold in range(k):
+        folds = kfold(dataset.m, k=k, seed=config.seed + repeat)
+        for fold, test_idx in enumerate(folds):
             trial_seed = (config.seed + repeat) * 1000 + fold
-            trial_cfg = replace(config, seed=trial_seed)
-            train_idx = plan.train_indices(fold)
-            test_idx = plan.test_indices(fold)
+            train_idx = np.concatenate(folds[:fold] + folds[fold + 1 :])
             model, log = train(
-                dataset, train_idx, trial_cfg, n_hidden1, n_hidden2, test_idx=test_idx
+                dataset, train_idx, replace(config, seed=trial_seed), n_hidden1, n_hidden2,
+                test_idx=test_idx,
             )
-            metrics = _trial_metrics(model, dataset, test_idx, max_disp_mm)
-            pct = 100.0 / max_disp_mm
+            y = dataset.targets()[test_idx]
+            pred = forward_batch(model, dataset.inputs()[test_idx]).outputs
+            rmse_mm = rmse(pred, y, scale)
+            shape = (len(test_idx), -1, 3)
+            lpe = local_positional_error(pred.reshape(shape), y.reshape(shape), scale)
+            mean_lpe, mean_max_lpe = float(lpe.mean_mm.mean()), float(lpe.max_mm.mean())
             trials.append(
                 TrialResult(
                     repeat=repeat,
@@ -213,19 +185,18 @@ def run_session(
                     seed=trial_seed,
                     n_train=len(train_idx),
                     n_test=len(test_idx),
-                    rmse_mm=metrics["rmse_mm"],
-                    rmse_pct=metrics["rmse_pct"],
-                    mean_lpe_mm=metrics["mean_lpe_mm"],
-                    mean_lpe_pct=metrics["mean_lpe_mm"] * pct,
-                    mean_max_lpe_mm=metrics["mean_max_lpe_mm"],
-                    mean_max_lpe_pct=metrics["mean_max_lpe_mm"] * pct,
-                    curve=log.curve(),
-                    sample_max_lpe_mm=metrics["sample_max_lpe_mm"],
-                    sample_max_vertex_disp_mm=metrics["sample_max_vertex_disp_mm"],
+                    rmse_mm=rmse_mm,
+                    rmse_pct=rmse_mm * pct,
+                    mean_lpe_mm=mean_lpe,
+                    mean_lpe_pct=mean_lpe * pct,
+                    mean_max_lpe_mm=mean_max_lpe,
+                    mean_max_lpe_pct=mean_max_lpe * pct,
+                    curve=log.curve,
+                    sample_max_lpe_mm=lpe.max_mm.tolist(),
+                    sample_max_vertex_disp_mm=lpe.argmax_true_disp_mm.tolist(),
                 )
             )
 
-    pct = 100.0 / max_disp_mm
     mean_rmse = float(np.mean([t.rmse_mm for t in trials]))
     # sample-weighted means over every test sample of every trial
     all_mean_lpe = float(

@@ -107,9 +107,11 @@ class TetMesh:
             if not name or any(c.isspace() for c in name):
                 raise MeshError(f"region name {name!r} must be non-empty without whitespace")
 
-        for i, tet in enumerate(tets):
-            if len(set(tet.tolist())) != 4:
-                raise MeshError(f"tetrahedron {i} has repeated vertices: {tet.tolist()}")
+        ordered = np.sort(tets, axis=1)
+        repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if repeated.any():
+            i = int(np.argmax(repeated))
+            raise MeshError(f"tetrahedron {i} has repeated vertices: {tets[i].tolist()}")
         vols = signed_tet_volumes(vertices, tets)
         bad = np.flatnonzero(vols <= 0.0)
         if bad.size:

@@ -18,7 +18,7 @@ lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "AdamState",
     "TrainConfig",
     "TrainingLog",
-    "LogEntry",
     "init_model",
     "relu",
     "relu_grad",
@@ -66,7 +65,11 @@ class MlpModel:
         self.w_hidden2 = np.asarray(self.w_hidden2, dtype=np.float64)
         self.w_out = np.asarray(self.w_out, dtype=np.float64)
         h1, h2, out = self.w_hidden1, self.w_hidden2, self.w_out
-        if h2.shape[1] != h1.shape[0] + 1 or out.shape[1] != h2.shape[0] + 1:
+        if (
+            any(w.ndim != 2 for w in (h1, h2, out))
+            or h2.shape[1] != h1.shape[0] + 1
+            or out.shape[1] != h2.shape[0] + 1
+        ):
             raise ValueError(
                 f"inconsistent layer shapes: {h1.shape}, {h2.shape}, {out.shape}"
             )
@@ -252,7 +255,7 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     seed: int = 0
-    log_every: int = 100  # updates between log entries; 0 disables intermediate logging
+    log_every: int = 100  # updates between curve points; 0 disables intermediate points
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.inner_iters) < 1:
@@ -287,21 +290,17 @@ class TrainConfig:
 
 
 @dataclass
-class LogEntry:
-    t: int
-    epoch: int
-    batch_cost: float
-    test_rmse_mm: float | None = None
-
-
-@dataclass
 class TrainingLog:
-    entries: list = field(default_factory=list)
-    epoch_mean_cost: list = field(default_factory=list)
+    """What :func:`train` records.
 
-    def curve(self) -> list:
-        """(iteration, test RMSE mm) pairs where a test set was evaluated."""
-        return [(e.t, e.test_rmse_mm) for e in self.entries if e.test_rmse_mm is not None]
+    curve holds (update, test RMSE mm) pairs, taken every ``log_every``
+    updates and after the last one, when a test set is given; it stays empty
+    otherwise. epoch_mean_cost holds, per epoch, the mean over its batches of
+    the cost after the batch's last update.
+    """
+
+    curve: list = field(default_factory=list)
+    epoch_mean_cost: list = field(default_factory=list)
 
 
 def _rmse_mm(model: MlpModel, x: np.ndarray, y: np.ndarray, mm_per_unit: float) -> float:
@@ -344,16 +343,6 @@ def train(
     log = TrainingLog()
     total_updates = config.epochs * n_batches * config.inner_iters
 
-    def maybe_log(xb, yb, epoch):
-        t = state.t
-        if config.log_every and (t % config.log_every == 0 or t == total_updates):
-            rmse = None
-            if x_test is not None:
-                rmse = _rmse_mm(model, x_test, y_test, dataset.mm_per_unit)
-            log.entries.append(
-                LogEntry(t=t, epoch=epoch, batch_cost=cost(model, xb, yb, config.lambdas), test_rmse_mm=rmse)
-            )
-
     for epoch in range(1, config.epochs + 1):
         alpha = alpha_schedule(epoch, config.gamma)
         perm = rng.permutation(m)  # remainder after the last full batch is dropped
@@ -367,7 +356,11 @@ def train(
                     state, model, grads, alpha,
                     beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon,
                 )
-                maybe_log(xb, yb, epoch)
+                t = state.t
+                if x_test is not None and config.log_every and (
+                    t % config.log_every == 0 or t == total_updates
+                ):
+                    log.curve.append((t, _rmse_mm(model, x_test, y_test, dataset.mm_per_unit)))
             epoch_costs.append(cost(model, xb, yb, config.lambdas))
         mean_cost = float(np.mean(epoch_costs))
         if not np.isfinite(mean_cost):
@@ -427,13 +420,15 @@ def load_model(path) -> tuple:
     """Returns (model, metadata dict with observation_ids/mesh_hash/etc.)."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != "deformest-model":
+    if not isinstance(doc, dict) or doc.get("format") != "deformest-model":
         raise ValueError(f"{path}: not a model file")
-    model = MlpModel(
-        w_hidden1=np.array(doc["w_hidden1"], dtype=np.float64),
-        w_hidden2=np.array(doc["w_hidden2"], dtype=np.float64),
-        w_out=np.array(doc["w_out"], dtype=np.float64),
-    )
+    missing = [k for k in ("layer_sizes", "w_hidden1", "w_hidden2", "w_out") if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
+    try:
+        model = MlpModel(doc["w_hidden1"], doc["w_hidden2"], doc["w_out"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if list(model.layer_sizes) != list(doc["layer_sizes"]):
         raise ValueError(f"{path}: layer_sizes do not match stored weights")
     meta = {

@@ -36,7 +36,6 @@ __all__ = [
     "build_dataset",
     "save_dataset",
     "load_dataset",
-    "dataset_to_csv",
 ]
 
 _MAGIC = b"DEFDS1\n"
@@ -541,15 +540,3 @@ def load_dataset(path) -> Dataset:
         u=records[:, 4:],
         failures=[SampleFailure(**f) for f in failures],
     )
-
-
-def dataset_to_csv(dataset: Dataset, path):
-    """Plain-text export for inspection: one row per sample."""
-    with open(path, "w", encoding="utf-8") as fh:
-        cols = ["region", "target_x", "target_y", "target_z"]
-        cols += [f"u{i}_{ax}" for i in dataset.free_ids for ax in "xyz"]
-        fh.write(",".join(cols) + "\n")
-        for rid, target, u in zip(dataset.region_id, dataset.target, dataset.u):
-            vals = [dataset.regions[rid]] + [repr(float(v)) for v in target]
-            vals += [repr(float(v)) for v in u]
-            fh.write(",".join(vals) + "\n")

@@ -289,6 +289,42 @@ class TestPredictCommand:
         assert "ConfigError" in err and f"{obs_path}:3" in err and "dx_mm,dy_mm,dz_mm" in err
         assert not (tmp_path / "field.csv").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: {k: v for k, v in d.items() if k != "w_out"}, "lacks w_out"),
+        (lambda d: {**d, "w_out": [0.0] * 5}, "inconsistent layer shapes"),
+        (lambda d: {**d, "w_out": [[0.0] * 5, [0.0] * 4]}, "inhomogeneous"),
+        (lambda d: [d], "not a model file"),
+    ], ids=["missing", "vector", "ragged", "not-object"])
+    def test_malformed_model_file_exits_1(self, tmp_path, capsys, edit, message):
+        model = MlpModel(
+            w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path, mm_per_unit=256.0)
+        model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("0,0,0\n0,0,0\n")
+        assert run(["predict", "--model", model_path, "--observations", obs_path,
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ValueError: {model_path}: ") and message in err
+        assert not (tmp_path / "field.csv").exists()
+
+    @pytest.mark.parametrize("mm_per_unit", [-256.0, 0.0, float("inf"), float("nan"), [256.0]])
+    def test_bad_mm_per_unit_exits_1(self, tmp_path, capsys, mm_per_unit):
+        model = MlpModel(
+            w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path, mm_per_unit=mm_per_unit)
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("0,0,0\n0,0,0\n")
+        assert run(["predict", "--model", model_path, "--observations", obs_path,
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError") and "mm_per_unit must be positive" in err
+        assert not (tmp_path / "field.csv").exists()
+
     def test_predict_with_mesh_writes_vtk(self, config_path, tmp_path):
         out = tmp_path / "run"
         run(["mesh", "--config", config_path, "--out", out])

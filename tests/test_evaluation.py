@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deformest.evaluation import (
-    FoldPlan,
     curves_to_csv,
     export_vtk,
     kfold,
@@ -23,46 +22,42 @@ MM = ScaleConvention(mm_per_unit=256.0)
 
 class TestKFold:
     def test_even_split(self):
-        plan = kfold(10, k=5, seed=0)
-        assert all(len(f) == 2 for f in plan.folds)
+        folds = kfold(10, k=5, seed=0)
+        assert len(folds) == 5
+        assert all(len(f) == 2 for f in folds)
 
     def test_remainder_distribution(self):
-        plan = kfold(11, k=5, seed=3)
-        sizes = sorted(len(f) for f in plan.folds)
+        folds = kfold(11, k=5, seed=3)
+        sizes = sorted(len(f) for f in folds)
         assert sizes == [2, 2, 2, 2, 3]
-        assert sorted(np.concatenate(plan.folds).tolist()) == list(range(11))
+        assert sorted(np.concatenate(folds).tolist()) == list(range(11))
 
     def test_deterministic(self):
         a = kfold(17, k=4, seed=12)
         b = kfold(17, k=4, seed=12)
-        for fa, fb in zip(a.folds, b.folds):
+        assert len(a) == len(b) == 4
+        for fa, fb in zip(a, b):
             assert np.array_equal(fa, fb)
 
     def test_seed_changes_folds(self):
         a = kfold(17, k=4, seed=12)
         b = kfold(17, k=4, seed=13)
-        assert any(not np.array_equal(fa, fb) for fa, fb in zip(a.folds, b.folds))
+        assert any(not np.array_equal(fa, fb) for fa, fb in zip(a, b))
 
     def test_partition_property(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             n = int(rng.integers(5, 60))
             k = int(rng.integers(2, min(n, 8) + 1))
-            plan = kfold(n, k=k, seed=int(rng.integers(1000)))
-            assert sorted(np.concatenate(plan.folds).tolist()) == list(range(n))
-            for fold in range(k):
-                train = set(plan.train_indices(fold).tolist())
-                test = set(plan.test_indices(fold).tolist())
-                assert not train & test
-                assert train | test == set(range(n))
+            folds = kfold(n, k=k, seed=int(rng.integers(1000)))
+            assert len(folds) == k
+            assert sorted(np.concatenate(folds).tolist()) == list(range(n))
+            sizes = [len(f) for f in folds]
+            assert max(sizes) - min(sizes) <= 1
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="cannot split"):
             kfold(3, k=5)
-
-    def test_overlapping_folds_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            FoldPlan(k=2, seed=0, folds=(np.array([0, 1]), np.array([1, 2])))
 
 
 class TestRmse:
@@ -124,6 +119,25 @@ class TestLocalPositionalError:
             dx = pred[i] - target[i]
             acc += np.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2) * 256.0
         assert abs(res.mean_mm - acc / 9) <= 1e-9
+
+    def test_batch_equals_per_sample(self):
+        # 40 vertices: the per-sample mean runs numpy's pairwise summation
+        rng = np.random.default_rng(21)
+        pred, target = rng.normal(size=(2, 60, 40, 3))
+        batch = local_positional_error(pred, target, MM)
+        assert batch.per_vertex_mm.shape == (60, 40)
+        for i in range(60):
+            one = local_positional_error(pred[i], target[i], MM)
+            assert np.array_equal(batch.per_vertex_mm[i], one.per_vertex_mm)
+            for name in ("mean_mm", "max_mm", "argmax_vertex", "argmax_true_disp_mm"):
+                assert getattr(batch, name)[i] == getattr(one, name), name
+            assert one.argmax_true_disp_mm == np.linalg.norm(target[i, one.argmax_vertex]) * 256.0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="fields of one shape"):
+            local_positional_error(np.zeros((2, 4, 3)), np.zeros((2, 5, 3)), MM)
+        with pytest.raises(ValueError, match="fields of one shape"):
+            local_positional_error(np.zeros(12), np.zeros(12), MM)
 
     def test_mean_never_exceeds_max(self):
         rng = np.random.default_rng(13)

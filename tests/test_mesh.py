@@ -88,6 +88,15 @@ class TestTetMeshInvariants:
         with pytest.raises(MeshError, match="non-positive volume"):
             TetMesh(vertices=verts, tets=[[0, 1, 2, 3]])
 
+    def test_repeated_vertex_tet_rejected(self):
+        # the first bad tet is named, also when its repeats are not neighbours
+        verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        tets = [[0, 1, 2, 3], [2, 0, 1, 2], [0, 1, 1, 2]]
+        with pytest.raises(MeshError, match=r"tetrahedron 1 has repeated vertices: \[2, 0, 1, 2\]"):
+            TetMesh(verts, tets)
+        with pytest.raises(MeshError, match=r"tetrahedron 0 has repeated vertices: \[0, 1, 1, 2\]"):
+            TetMesh(verts, [[0, 1, 1, 2]])
+
     def test_fixed_overlap_with_region(self):
         verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
         with pytest.raises(MeshError, match="overlaps fixed"):

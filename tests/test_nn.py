@@ -254,25 +254,25 @@ class TestTrainConfig:
 
 class TestTrain:
     def test_minimal_schedule_single_update(self):
-        ds = synthetic_dataset(m=8)
+        ds = synthetic_dataset(m=10)
         cfg = TrainConfig(epochs=1, batch_size=8, inner_iters=1, seed=1, log_every=1)
-        model, log = train(ds, np.arange(8), cfg, n_hidden1=4, n_hidden2=4)
-        assert len(log.entries) == 1
-        assert log.entries[0].t == 1
+        model, log = train(ds, np.arange(8), cfg, n_hidden1=4, n_hidden2=4, test_idx=[8, 9])
+        assert [t for t, _ in log.curve] == [1]
 
     def test_remainder_samples_dropped(self):
-        # 2850 samples with batches of 1000: 2 batches per epoch, 850 ignored
-        ds = synthetic_dataset(m=2850, n_free=1)
+        # 2850 training samples with batches of 1000: 2 batches per epoch, 850 ignored
+        ds = synthetic_dataset(m=2860, n_free=1)
         cfg = TrainConfig(epochs=2, batch_size=1000, inner_iters=1, seed=0, log_every=1)
-        _, log = train(ds, np.arange(2850), cfg, n_hidden1=2, n_hidden2=2)
-        assert len(log.entries) == 2 * 2
-        assert [e.t for e in log.entries] == [1, 2, 3, 4]
+        _, log = train(ds, np.arange(2850), cfg, n_hidden1=2, n_hidden2=2,
+                       test_idx=np.arange(2850, 2860))
+        assert [t for t, _ in log.curve] == [1, 2, 3, 4]
 
     def test_update_count_with_inner_iterations(self):
-        ds = synthetic_dataset(m=20)
+        ds = synthetic_dataset(m=25)
         cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=5, seed=0, log_every=1)
-        _, log = train(ds, np.arange(20), cfg, n_hidden1=2, n_hidden2=2)
-        assert log.entries[-1].t == 3 * 2 * 5
+        _, log = train(ds, np.arange(20), cfg, n_hidden1=2, n_hidden2=2,
+                       test_idx=np.arange(20, 25))
+        assert [t for t, _ in log.curve] == list(range(1, 3 * 2 * 5 + 1))
 
     def test_too_small_training_set(self):
         ds = synthetic_dataset(m=5)
@@ -299,8 +299,14 @@ class TestTrain:
         ds = synthetic_dataset(m=30)
         cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2)
         _, log = train(ds, np.arange(20), cfg, 3, 3, test_idx=np.arange(20, 30))
-        curve = log.curve()
-        assert curve and all(r is not None and r >= 0 for _, r in curve)
+        assert [t for t, _ in log.curve] == [2, 4]
+        assert all(r >= 0 for _, r in log.curve)
+
+    def test_no_curve_without_test_set(self):
+        ds = synthetic_dataset(m=30)
+        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2)
+        _, log = train(ds, np.arange(20), cfg, 3, 3)
+        assert log.curve == [] and len(log.epoch_mean_cost) == 1
 
     def test_overfit_small_fem_dataset(self):
         # memorization sanity: tiny dataset, no regularization

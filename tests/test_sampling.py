@@ -12,7 +12,6 @@ from deformest.sampling import (
     MeshHashMismatchError,
     SamplingSpec,
     build_dataset,
-    dataset_to_csv,
     ellipsoid_points,
     ellipsoid_spec_for_region,
     fixed_to_contact_direction,
@@ -339,17 +338,6 @@ class TestDatasetFile:
         path.write_bytes(b"not a dataset at all")
         with pytest.raises(DatasetFormatError, match="magic"):
             load_dataset(path)
-
-    def test_csv_export(self, tmp_path):
-        _, ds = self.make_dataset()
-        path = tmp_path / "data.csv"
-        dataset_to_csv(ds, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == ds.m + 1
-        assert lines[0].startswith("region,target_x")
-        first = lines[1].split(",")
-        assert first[0] == "end"
-        assert float(first[1]) == ds.target[0, 0]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DatasetError, match="at least one sample"):
