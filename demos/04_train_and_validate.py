@@ -22,9 +22,10 @@ config = TrainConfig(
     lambdas=(0.1, 0.1, 0.1),
     seed=0,
     log_every=25,
+    hidden=(90, 90),  # hidden layer widths; None would use the free-vertex count
 )
 
-report = run_session(ds, config, n_hidden1=90, n_hidden2=90, k=5, n_repeats=1)
+report = run_session(ds, config, k=5, n_repeats=1)
 print(f"\nmean test RMSE: {report.mean_rmse_mm:.4f} mm "
       f"({report.mean_rmse_pct:.3f}% of {report.max_displacement_mm:.1f} mm)")
 print(f"mean of per-sample max positional error: {report.mean_max_lpe_mm:.4f} mm")
@@ -36,7 +37,7 @@ curves_to_csv(report, "cv_curves.csv")
 print("wrote cv_report.csv, cv_curves.csv")
 
 # a deployable model is trained on everything
-model, _ = train(ds, np.arange(ds.m), config, n_hidden1=90, n_hidden2=90)
+model, _ = train(ds, np.arange(ds.m), config)
 obs = ds.inputs()[0].reshape(-1, 3)  # pretend these were tracked by a camera
 field = predict(model, obs)
 truth = ds.targets()[0].reshape(-1, 3)

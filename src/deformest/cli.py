@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -137,7 +137,6 @@ class PipelineConfig:
     n_steps: int
     region_specs: dict          # region name -> raw spec dict (resolved per mesh)
     train: nn.TrainConfig
-    hidden: tuple | None        # None: size both hidden layers as n_free
     eval_k: int
     eval_repeats: int
     mesh_generator: dict | None
@@ -146,71 +145,91 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         problems: list = []
 
-        def need(section, key, default=None):
-            value = raw.get(section, {}).get(key, default)
-            if value is None and default is None:
-                problems.append(f"missing {section}.{key}")
-            return value
+        def obj(value, where):
+            """value when it is a JSON object; otherwise a problem, and {}."""
+            if isinstance(value, dict):
+                return value
+            problems.append(f"{where} must be a JSON object, got {value!r}")
+            return {}
 
-        scale = ScaleConvention(mm_per_unit=float(raw.get("scale", {}).get("mm_per_unit", 256.0)))
+        def number(parent, where, key, default=None, kind=float):
+            """parent[key] converted by kind, or default when absent; None makes it required."""
+            value = parent.get(key, default)
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                problems.append(f"{where}.{key} must be a number, got {value!r}" if key in parent
+                                else f"missing {where}.{key}")
+                return default
+
+        sec = {name: obj(raw.get(name, {}), name)
+               for name in ("scale", "material", "fem", "sampling", "train", "eval", "mesh")}
+        scale = ScaleConvention(mm_per_unit=number(sec["scale"], "scale", "mm_per_unit", 256.0))
 
         material = None
         try:
             material = MaterialParams(
-                young_modulus=float(need("material", "young_modulus_pa", 1.0e6)),
-                poisson_ratio=float(need("material", "poisson_ratio", 0.40)),
+                young_modulus=number(sec["material"], "material", "young_modulus_pa", 1.0e6),
+                poisson_ratio=number(sec["material"], "material", "poisson_ratio", 0.40),
             )
         except ValueError as exc:
             problems.append(str(exc))
 
-        n_steps = int(raw.get("fem", {}).get("n_steps", 1000))
+        n_steps = number(sec["fem"], "fem", "n_steps", 1000, int)
         if n_steps < 1:
             problems.append(f"fem.n_steps must be >= 1, got {n_steps}")
 
-        regions = raw.get("sampling", {}).get("regions", {})
+        regions = obj(sec["sampling"].get("regions", {}), "sampling.regions")
         if not regions:
             problems.append("missing sampling.regions")
         for name, spec in regions.items():
-            mode = spec.get("mode")
+            where = f"sampling.regions.{name}"
+            mode = obj(spec, where).get("mode")
             if mode == "box":
-                if "extents_mm" not in spec or "spacing_mm" not in spec:
-                    problems.append(f"region {name!r}: box mode needs extents_mm and spacing_mm")
+                number(spec, where, "spacing_mm")
+                extents = spec.get("extents_mm")
+                if not (isinstance(extents, list) and len(extents) == 3
+                        and all(isinstance(e, (int, float)) for e in extents)):
+                    problems.append(f"{where}.extents_mm must be three numbers, got {extents!r}")
             elif mode == "ellipsoid":
-                for k in ("r_para_ratio", "r_perp_ratio", "spacing_ratio"):
-                    if k not in spec:
-                        problems.append(f"region {name!r}: ellipsoid mode needs {k}")
-            else:
+                for key in ("r_para_ratio", "r_perp_ratio", "spacing_ratio"):
+                    number(spec, where, key)
+                if spec.get("reference_length") not in (None, "diameter"):
+                    number(spec, where, "reference_length")
+            elif isinstance(spec, dict):
                 problems.append(f"region {name!r}: unknown mode {mode!r}")
 
-        train_raw = dict(raw.get("train", {}))
-        hidden = train_raw.pop("hidden", [90, 90])
-        if hidden is not None:
-            hidden = tuple(int(h) for h in hidden)
-            if len(hidden) != 2 or min(hidden) < 1:
-                problems.append(f"train.hidden must be two positive sizes, got {hidden}")
         train = None
         try:
-            train = nn.TrainConfig.from_dict(train_raw)
+            train = nn.TrainConfig.from_dict(sec["train"])
         except (TypeError, ValueError) as exc:
             problems.append(f"train: {exc}")
 
-        eval_raw = raw.get("eval", {})
-        eval_k = int(eval_raw.get("k", 5))
-        eval_repeats = int(eval_raw.get("repeats", 1))
+        eval_k = number(sec["eval"], "eval", "k", 5, int)
+        eval_repeats = number(sec["eval"], "eval", "repeats", 1, int)
         if eval_k < 2:
             problems.append(f"eval.k must be >= 2, got {eval_k}")
         if eval_repeats < 1:
             problems.append(f"eval.repeats must be >= 1, got {eval_repeats}")
 
-        mesh_section = raw.get("mesh", {})
-        generator = mesh_section.get("generator")
-        mesh_path = mesh_section.get("path")
+        generator = sec["mesh"].get("generator")
+        mesh_path = sec["mesh"].get("path")
         if generator is None and mesh_path is None:
             problems.append("mesh section needs either a generator or a path")
-        if generator is not None and generator.get("kind") != "rpp":
-            problems.append(f"unknown mesh generator kind {generator.get('kind')!r}")
+        if generator is not None:
+            kind = obj(generator, "mesh.generator").get("kind")
+            if kind == "rpp":
+                for key in ("long_mm", "short_mm", "spacing_mm"):
+                    number(generator, "mesh.generator", key)
+            elif isinstance(generator, dict):
+                problems.append(f"unknown mesh generator kind {kind!r}")
+        for where, value in (("mesh.path", mesh_path), ("out_dir", raw.get("out_dir"))):
+            if value is not None and not isinstance(value, str):
+                problems.append(f"{where} must be a string, got {value!r}")
 
         if problems:
             raise ConfigError("; ".join(problems))
@@ -221,7 +240,6 @@ class PipelineConfig:
             n_steps=n_steps,
             region_specs=regions,
             train=train,
-            hidden=hidden,
             eval_k=eval_k,
             eval_repeats=eval_repeats,
             mesh_generator=generator,
@@ -256,13 +274,13 @@ def build_mesh(cfg: PipelineConfig, mesh_override: str | None = None) -> TetMesh
         ny = nz = round(gen["short_mm"] / gen["spacing_mm"]) + 1
         kwargs["contact_specs"] = rpp6_contact_specs(nx, ny, nz)
     elif isinstance(roles, dict):
-        kwargs["fixed_spec"] = [tuple(c) for c in roles.get("fixed", [])] or None
-        contacts = roles.get("contacts")
-        if contacts:
-            kwargs["contact_specs"] = {k: [tuple(c) for c in v] for k, v in contacts.items()}
-        obs = roles.get("observations")
-        if obs:
-            kwargs["observation_spec"] = [tuple(c) for c in obs]
+        # a missing role keeps the default_rpp_roles choice; an empty list means none
+        if "fixed" in roles:
+            kwargs["fixed_spec"] = [tuple(c) for c in roles["fixed"]]
+        if "contacts" in roles:
+            kwargs["contact_specs"] = {k: [tuple(c) for c in v] for k, v in roles["contacts"].items()}
+        if "observations" in roles:
+            kwargs["observation_spec"] = [tuple(c) for c in roles["observations"]]
     elif roles != "single":
         raise ConfigError(f"mesh.generator.roles must be 'single', 'six', or a mapping, got {roles!r}")
     return generate_rpp(
@@ -347,7 +365,7 @@ def _resolve_out(args, cfg: PipelineConfig | None) -> Path:
 
 def _apply_seed(cfg: PipelineConfig, seed: int | None):
     if seed is not None:
-        cfg.train = nn.TrainConfig.from_dict({**cfg.train.to_dict(), "seed": int(seed)})
+        cfg.train = replace(cfg.train, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -380,16 +398,9 @@ def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
     return dataset, path
 
 
-def _hidden_sizes(cfg: PipelineConfig, dataset) -> tuple:
-    if cfg.hidden is not None:
-        return cfg.hidden
-    return dataset.n_free, dataset.n_free
-
-
 def train_stage(cfg: PipelineConfig, dataset, out: Path) -> Path:
     """Train one estimator on the whole dataset and write <out>/model.json."""
-    h1, h2 = _hidden_sizes(cfg, dataset)
-    model, log = nn.train(dataset, np.arange(dataset.m), cfg.train, h1, h2)
+    model, log = nn.train(dataset, np.arange(dataset.m), cfg.train)
     train_rmse = evaluation.rmse(
         nn.forward_batch(model, dataset.inputs()).outputs,
         dataset.targets(),
@@ -410,10 +421,7 @@ def train_stage(cfg: PipelineConfig, dataset, out: Path) -> Path:
 
 def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
     """Cross-validate, then write and summarize the report files; returns {name: path}."""
-    h1, h2 = _hidden_sizes(cfg, dataset)
-    report = evaluation.run_session(
-        dataset, cfg.train, h1, h2, k=cfg.eval_k, n_repeats=cfg.eval_repeats
-    )
+    report = evaluation.run_session(dataset, cfg.train, k=cfg.eval_k, n_repeats=cfg.eval_repeats)
     outputs = {}
     for name, writer in (
         ("report.json", evaluation.report_to_json),

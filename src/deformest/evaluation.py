@@ -144,8 +144,6 @@ class SessionReport:
 def run_session(
     dataset,
     config: TrainConfig,
-    n_hidden1: int,
-    n_hidden2: int,
     k: int = 5,
     n_repeats: int = 1,
 ) -> SessionReport:
@@ -169,8 +167,7 @@ def run_session(
             trial_seed = (config.seed + repeat) * 1000 + fold
             train_idx = np.concatenate(folds[:fold] + folds[fold + 1 :])
             model, log = train(
-                dataset, train_idx, replace(config, seed=trial_seed), n_hidden1, n_hidden2,
-                test_idx=test_idx,
+                dataset, train_idx, replace(config, seed=trial_seed), test_idx=test_idx
             )
             y = dataset.targets()[test_idx]
             pred = forward_batch(model, dataset.inputs()[test_idx]).outputs
@@ -203,6 +200,7 @@ def run_session(
         np.mean(np.concatenate([[t.mean_lpe_mm] * t.n_test for t in trials]))
     )
     all_max_lpe = float(np.mean(np.concatenate([t.sample_max_lpe_mm for t in trials])))
+    n_hidden1, n_hidden2 = model.layer_sizes[1:3]  # every trial trains the same shape
     return SessionReport(
         k=k,
         n_repeats=n_repeats,

@@ -101,16 +101,22 @@ _B_ROW, _B_COL, _B_GRAD = np.array(
 ).T
 
 
-def _element_matrices(tet_vertices: np.ndarray):
-    """Strain-displacement matrices and volumes for a batch of tetrahedra.
+# Cofactor row r is a x b for a = e_I[r], b = e_J[r]; its entry k is
+# a_I[k] b_J[k] - a_J[k] b_I[k], the products np.cross forms, at a third of its cost.
+_I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])
 
-    tet_vertices: (M, 4, 3). Returns (B, volumes) with B of shape (M, 6, 12),
-    columns grouped per node as (ux, uy, uz). Volumes are signed.
+
+def _checked_geometry(tet_vertices: np.ndarray):
+    """Cofactor rows, determinants and signed volumes of tetrahedra (M, 4, 3).
+
+    Raises DegenerateElementError naming the first non-positive volume.
     """
     edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]  # rows are edge vectors e1, e2, e3
     # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
-    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T)
-    cof = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T). C order,
+    # as np.cross returns them, because einsum's summation order follows it.
+    cof = np.ascontiguousarray(edges[:, _I[:, None], _I] * edges[:, _J[:, None], _J]
+                               - edges[:, _I[:, None], _J] * edges[:, _J[:, None], _I])
     det = np.einsum("mi,mi->m", edges[:, 0], cof[:, 0])
     vols = det / 6.0
     bad = np.flatnonzero(vols <= 0.0)
@@ -119,19 +125,23 @@ def _element_matrices(tet_vertices: np.ndarray):
         raise DegenerateElementError(
             f"tetrahedron {i} has non-positive volume ({vols[i]:.3e})", tet_index=i
         )
+    return cof, det, vols
+
+
+def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Stiffness volume * B^T D B of each tetrahedron in a batch (M, 4, 3).
+
+    B (M, 6, 12) is the strain-displacement matrix, columns grouped per node
+    as (ux, uy, uz).
+    """
+    cof, det, vols = _checked_geometry(tet_vertices)
     g = np.empty((tet_vertices.shape[0], 4, 3))
     g[:, 1:, :] = cof / det[:, None, None]
     g[:, 0, :] = -g[:, 1:, :].sum(axis=1)  # the gradients sum to zero
 
     b = np.zeros((tet_vertices.shape[0], 6, 12))
     b[:, _B_ROW, _B_COL] = g.reshape(-1, 12)[:, _B_GRAD]
-    return b, vols
-
-
-def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray):
-    b, vols = _element_matrices(tet_vertices)
-    ke = (np.transpose(b, (0, 2, 1)) @ (d @ b)) * vols[:, None, None]
-    return ke, vols
+    return (np.transpose(b, (0, 2, 1)) @ (d @ b)) * vols[:, None, None]
 
 
 def element_stiffness(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -140,7 +150,7 @@ def element_stiffness(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
     Raises DegenerateElementError for zero or negative volume.
     """
     tet_vertices = np.asarray(tet_vertices, dtype=np.float64).reshape(1, 4, 3)
-    ke, _ = _element_stiffness_batch(tet_vertices, np.asarray(d, dtype=np.float64))
+    ke = _element_stiffness_batch(tet_vertices, np.asarray(d, dtype=np.float64))
     return ke[0]
 
 
@@ -204,7 +214,7 @@ def assemble(mesh: TetMesh, current_positions: np.ndarray, d: np.ndarray) -> Sti
     n_dofs = 3 * mesh.n_free
     rows, cols = _block_pairs(_element_dofs(mesh))
     valid = (rows >= 0) & (cols >= 0)
-    ke, _ = _element_stiffness_batch(positions[mesh.tets], np.asarray(d, dtype=np.float64))
+    ke = _element_stiffness_batch(positions[mesh.tets], np.asarray(d, dtype=np.float64))
     k = np.bincount(rows[valid] * n_dofs + cols[valid], weights=ke.reshape(-1)[valid],
                     minlength=n_dofs**2)
     return StiffnessSystem(K=k.reshape(n_dofs, n_dofs), free_ids=mesh.free_ids)
@@ -381,20 +391,22 @@ class _SolverPlan:
         start = mesh.vertices[contact_ids].copy()
         update = np.zeros(3 * mesh.n_free)  # contact rows stay 0: those positions are reset below
 
-        for step in range(1, n_steps + 1):
-            try:
-                ke, _ = _element_stiffness_batch(positions[mesh.tets], d)
-            except DegenerateElementError as exc:
-                raise DegenerateElementError(
-                    f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
-                ) from exc
-            desired = start + target * (step / n_steps)
-            u_c = (desired - positions[contact_ids]).reshape(-1)
-            k_nc = self._scatter(self._nc, ke)
-            u_n = self._solve_nn(ke, -(k_nc @ u_c))
-            update[self.n_idx] = u_n[self.n_perm]
-            positions[mesh.free_ids] += update.reshape(-1, 3)
-            positions[contact_ids] = desired  # keep the prescribed path exact
+        try:
+            for step in range(1, n_steps + 1):
+                ke = _element_stiffness_batch(positions[mesh.tets], d)
+                desired = start + target * (step / n_steps)
+                u_c = (desired - positions[contact_ids]).reshape(-1)
+                k_nc = self._scatter(self._nc, ke)
+                u_n = self._solve_nn(ke, -(k_nc @ u_c))
+                update[self.n_idx] = u_n[self.n_perm]
+                positions[mesh.free_ids] += update.reshape(-1, 3)
+                positions[contact_ids] = desired  # keep the prescribed path exact
+            # each step checks the elements it starts from; this checks where the last ended
+            _checked_geometry(positions[mesh.tets])
+        except DegenerateElementError as exc:
+            raise DegenerateElementError(
+                f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
+            ) from exc
 
         f_c = self._scatter(self._cc, ke) @ u_c + k_nc.T @ u_n  # reaction of the last step
         return DeformResult(

@@ -18,7 +18,7 @@ lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,9 +88,6 @@ class MlpModel:
 
     def weights(self) -> tuple:
         return self.w_hidden1, self.w_hidden2, self.w_out
-
-    def copy(self) -> "MlpModel":
-        return MlpModel(self.w_hidden1.copy(), self.w_hidden2.copy(), self.w_out.copy())
 
 
 def init_model(n_in: int, n_hidden1: int, n_hidden2: int, n_out: int, rng) -> MlpModel:
@@ -211,28 +208,25 @@ class AdamState:
         )
 
 
-def adam_step(
-    state: AdamState,
-    model: MlpModel,
-    grads: tuple,
-    alpha: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-):
+# Adam's moment decay rates and denominator guard, at their published values
+# (Kingma & Ba, "Adam", ICLR 2015)
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
+
+def adam_step(state: AdamState, model: MlpModel, grads: tuple, alpha: float):
     """One Adam update, in place on both the state and the model weights."""
     state.t += 1
     t = state.t
     for w, g, m, v in zip(model.weights(), grads, state.first, state.second):
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} != weight shape {w.shape}")
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        w -= alpha * m_hat / (np.sqrt(v_hat) + epsilon)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        w -= alpha * m_hat / (np.sqrt(v_hat) + _EPSILON)
 
 
 def alpha_schedule(epoch: int, gamma: float = 50.0) -> float:
@@ -251,41 +245,34 @@ class TrainConfig:
     inner_iters: int = 10
     gamma: float = 50.0
     lambdas: tuple = (0.1, 0.1, 0.1)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     log_every: int = 100  # updates between curve points; 0 disables intermediate points
+    hidden: tuple | None = (90, 90)  # hidden layer widths; None: both the free-vertex count
 
     def __post_init__(self):
         if min(self.epochs, self.batch_size, self.inner_iters) < 1:
             raise ValueError("epochs, batch_size and inner_iters must be >= 1")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if any(lam < 0 for lam in self.lambdas) or len(self.lambdas) != 3:
             raise ValueError("lambdas must be three non-negative values")
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
+        if self.hidden is not None and (len(self.hidden) != 2 or min(self.hidden) < 1):
+            raise ValueError(f"hidden must be two sizes >= 1 or None, got {self.hidden}")
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "inner_iters": self.inner_iters,
-            "gamma": self.gamma,
-            "lambdas": list(self.lambdas),
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "log_every": self.log_every,
-        }
+        d = asdict(self)
+        d["lambdas"] = list(self.lambdas)
+        if self.hidden is not None:
+            d["hidden"] = list(self.hidden)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         if "lambdas" in d:
             d["lambdas"] = tuple(d["lambdas"])
+        if d.get("hidden") is not None:
+            d["hidden"] = tuple(int(h) for h in d["hidden"])
         return cls(**d)
 
 
@@ -308,18 +295,13 @@ def _rmse_mm(model: MlpModel, x: np.ndarray, y: np.ndarray, mm_per_unit: float) 
     return float(np.sqrt(np.mean((out - y) ** 2)) * mm_per_unit)
 
 
-def train(
-    dataset,
-    train_idx,
-    config: TrainConfig,
-    n_hidden1: int,
-    n_hidden2: int,
-    test_idx=None,
-) -> tuple:
+def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
     """Train an estimator on the given dataset rows; returns (model, log).
 
-    Weight initialization and the per-epoch shuffles come from one generator
-    seeded with config.seed, so identical inputs give identical weights.
+    The hidden layers are config.hidden wide, or dataset.n_free each when it
+    is None. Weight initialization and the per-epoch shuffles come from one
+    generator seeded with config.seed, so identical inputs give identical
+    weights.
     """
     x_all = dataset.inputs()
     y_all = dataset.targets()
@@ -337,8 +319,9 @@ def train(
             f"training set of {m} samples cannot fill one batch of {config.batch_size}"
         )
 
+    hidden = (dataset.n_free, dataset.n_free) if config.hidden is None else config.hidden
     rng = np.random.default_rng(config.seed)
-    model = init_model(x_all.shape[1], n_hidden1, n_hidden2, y_all.shape[1], rng)
+    model = init_model(x_all.shape[1], *hidden, y_all.shape[1], rng)
     state = AdamState.zeros(model)
     log = TrainingLog()
     total_updates = config.epochs * n_batches * config.inner_iters
@@ -352,10 +335,7 @@ def train(
             xb, yb = x_train[sel], y_train[sel]
             for _ in range(config.inner_iters):
                 grads = gradients(model, xb, yb, config.lambdas)
-                adam_step(
-                    state, model, grads, alpha,
-                    beta1=config.beta1, beta2=config.beta2, epsilon=config.epsilon,
-                )
+                adam_step(state, model, grads, alpha)
                 t = state.t
                 if x_test is not None and config.log_every and (
                     t % config.log_every == 0 or t == total_updates

@@ -278,13 +278,13 @@ class TestCriterion6OverfitSanity:
         ds = load_dataset(desk_run / "dataset.ds")
         subset_idx = np.arange(20)
         cfg = TrainConfig(epochs=500, batch_size=20, inner_iters=10,
-                          lambdas=(0, 0, 0), seed=7, log_every=0)
+                          lambdas=(0, 0, 0), seed=7, log_every=0, hidden=(50, 50))
         # rebuild the untouched initial model to measure the starting error
         x = ds.inputs()[subset_idx]
         y = ds.targets()[subset_idx]
         virgin = init_model(x.shape[1], 50, 50, y.shape[1], np.random.default_rng(cfg.seed))
 
-        model, _ = train(ds, subset_idx, cfg, n_hidden1=50, n_hidden2=50)
+        model, _ = train(ds, subset_idx, cfg)
 
         def rmse_of(m):
             return float(np.sqrt(np.mean((forward_batch(m, x).outputs - y) ** 2)))

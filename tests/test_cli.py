@@ -41,11 +41,23 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def changed(path, value):
+    """A copy of SMALL_CONFIG with the entry at the key path set to value."""
+    if not path:
+        return value
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
 class TestConfig:
     def test_valid_config_parses(self):
         cfg = PipelineConfig.from_dict(SMALL_CONFIG)
         assert cfg.n_steps == 2
-        assert cfg.hidden == (8, 8)
+        assert cfg.train.hidden == (8, 8)
         assert cfg.eval_k == 2
 
     def test_problems_are_collected(self):
@@ -65,6 +77,30 @@ class TestConfig:
         broken["mesh"] = {}
         with pytest.raises(ConfigError, match="mesh section"):
             PipelineConfig.from_dict(broken)
+
+    @pytest.mark.parametrize("path, value, message", [
+        ((), [SMALL_CONFIG], "config must be a JSON object"),
+        (("sampling", "regions"), ["end"], "sampling.regions must be a JSON object"),
+        (("scale",), 5, "scale must be a JSON object"),
+        (("sampling", "regions", "end"), "box", "sampling.regions.end must be a JSON object"),
+        (("material", "young_modulus_pa"), None, "material.young_modulus_pa must be a number"),
+    ])
+    def test_wrong_json_type_exits_1(self, tmp_path, capsys, path, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(changed(path, value)))
+        assert run(["mesh", "--config", cfg_path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("hidden", [[90], [0, 5], "ab"])
+    def test_bad_hidden_is_a_train_problem(self, hidden):
+        with pytest.raises(ConfigError, match="train: "):
+            PipelineConfig.from_dict(changed(("train", "hidden"), hidden))
+
+    def test_adam_constants_are_not_config_keys(self):
+        with pytest.raises(ConfigError, match="train: .*beta1"):
+            PipelineConfig.from_dict(changed(("train", "beta1"), 0.9))
 
     def test_profiles_parse(self):
         for name, raw in PROFILES.items():
@@ -102,6 +138,13 @@ class TestMeshCommand:
         out = tmp_path / "run"
         assert run(["mesh", "--config", path, "--out", out]) == 0
         assert load_mesh(out / "mesh.txt").n_vertices == 99
+
+    @pytest.mark.parametrize("roles, fixed", [({"fixed": []}, []), ({}, [0, 1, 2, 3])])
+    def test_only_a_missing_role_takes_the_default(self, tmp_path, roles, fixed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(changed(("mesh", "generator", "roles"), roles)))
+        assert run(["mesh", "--config", path, "--out", tmp_path]) == 0
+        assert load_mesh(tmp_path / "mesh.txt").fixed_ids.tolist() == fixed
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -187,6 +230,17 @@ class TestPipelineCommands:
                     "--mesh", out2 / "mesh.txt"])
         assert code == 1
         assert "mesh hash mismatch" in capsys.readouterr().err
+
+    def test_hidden_null_sizes_layers_by_free_vertices(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(changed(("train", "hidden"), None)))
+        out = tmp_path / "run"
+        for stage in ("mesh", "sample", "train"):
+            assert run([stage, "--config", path, "--out", out]) == 0
+        n_free = load_dataset(out / "dataset.ds").n_free
+        model = json.loads((out / "model.json").read_text())
+        assert model["layer_sizes"][1:3] == [n_free, n_free]
+        assert model["train_config"]["hidden"] is None
 
     def test_diverging_training_exits_1_without_model(self, tmp_path, capsys):
         raw = json.loads(json.dumps(SMALL_CONFIG))

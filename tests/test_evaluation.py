@@ -148,8 +148,8 @@ class TestLocalPositionalError:
 
 def tiny_session(k=2, n_repeats=1, m=30):
     ds = make_synthetic_dataset(m=m, n_free=4, seed=2)
-    cfg = TrainConfig(epochs=2, batch_size=5, inner_iters=2, seed=11, log_every=2)
-    return ds, run_session(ds, cfg, n_hidden1=6, n_hidden2=6, k=k, n_repeats=n_repeats)
+    cfg = TrainConfig(epochs=2, batch_size=5, inner_iters=2, seed=11, log_every=2, hidden=(6, 6))
+    return ds, run_session(ds, cfg, k=k, n_repeats=n_repeats)
 
 
 class TestRunSession:
@@ -159,6 +159,7 @@ class TestRunSession:
         assert report.k == 2 and report.n_repeats == 1
         assert report.sample_count == ds.m
         assert report.n_free == 4 and report.n_obs == 2
+        assert report.n_hidden1 == report.n_hidden2 == 6
         assert report.mean_rmse_mm > 0
         assert report.max_displacement_mm > 0
         for t in report.trials:

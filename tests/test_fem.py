@@ -18,6 +18,7 @@ from deformest.fem import (
     element_stiffness,
     elasticity_matrix,
     solve_forced_displacement,
+    _checked_geometry,
     _reverse_cuthill_mckee,
 )
 from deformest.mesh import TetMesh, generate_rpp
@@ -126,6 +127,18 @@ class TestElementStiffness:
         ke = element_stiffness(UNIT_TET, material_d())
         s = np.linalg.svd(ke, compute_uv=False)
         assert np.sum(s < 1e-9 * s[0]) == 6
+
+    def test_geometry_bitwise_equals_np_cross(self):
+        # the cofactor products are np.cross's, so stiffness and volumes keep their bits
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        rng = np.random.default_rng(4)
+        tv = (mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape))[mesh.tets]
+        edges = tv[:, 1:] - tv[:, :1]
+        cof_ref = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+        det_ref = np.einsum("mi,mi->m", edges[:, 0], cof_ref[:, 0])
+        cof, det, vols = _checked_geometry(tv)
+        assert np.array_equal(cof, cof_ref)
+        assert np.array_equal(det, det_ref) and np.array_equal(vols, det_ref / 6.0)
 
     def test_degenerate_rejected(self):
         flat = UNIT_TET.copy()
@@ -489,3 +502,25 @@ class TestDeform:
             deform(mesh, material_d(), "end", (-0.5, 0.0, 0.0), n_steps=4)
         assert err.value.step is not None and err.value.step >= 2
         assert "step" in str(err.value)
+
+    @pytest.mark.parametrize("target, n_steps", [((-1.5, 0, 0), 1), ((-3.0, 0, 0), 1),
+                                                 ((-1.5, 0, 0), 2), ((-1.5, 0, 0), 5)])
+    def test_inverted_final_configuration_raises_at_last_step(self, paper_rpp, target, n_steps):
+        # these pushes invert elements during the last step, which no later
+        # reassembly would see
+        with pytest.raises(DegenerateElementError, match="non-positive volume") as err:
+            deform(paper_rpp, material_d(), "end", target, n_steps=n_steps)
+        assert err.value.step == n_steps
+        assert f"step {n_steps}/{n_steps}" in str(err.value)
+        assert 0 <= err.value.tet_index < paper_rpp.n_tets
+
+    def test_build_dataset_records_final_inversion(self, paper_rpp):
+        # two targets: (-1.5, 0, 0) inverts at its only step; (0, 0, 0) stays at rest
+        centroid = paper_rpp.vertices[paper_rpp.contact_regions["end"]].mean(axis=0)
+        spec = SamplingSpec(mode="box", spacing=1.5, extents=(1.5, 0.0, 0.0),
+                            center=tuple(centroid - (0.75, 0.0, 0.0)))
+        ds = build_dataset(paper_rpp, material_d(), {"end": spec}, n_steps=1)
+        assert ds.m == 1 and np.allclose(ds.target[0], (0.0, 0.0, 0.0))
+        [failure] = ds.failures
+        assert failure.region == "end" and failure.point_index == 0
+        assert "step 1/1" in failure.reason and "non-positive volume" in failure.reason

@@ -1,3 +1,6 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -240,73 +243,101 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
+        for hidden in ((90,), (0, 5), (4, 4, 4)):
+            with pytest.raises(ValueError, match="hidden"):
+                TrainConfig(hidden=hidden)
         with pytest.raises(ValueError):
             TrainConfig(lambdas=(-0.1, 0.1, 0.1))
         with pytest.raises(ValueError):
             TrainConfig(gamma=0.0)
 
     def test_dict_roundtrip(self):
-        cfg = TrainConfig(epochs=3, batch_size=7, lambdas=(0.0, 0.1, 0.2), seed=9)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        for hidden in (None, (12, 7)):
+            cfg = TrainConfig(epochs=3, batch_size=7, lambdas=(0.0, 0.1, 0.2), seed=9,
+                              hidden=hidden)
+            d = json.loads(json.dumps(cfg.to_dict()))
+            assert d["hidden"] == (None if hidden is None else list(hidden))
+            assert TrainConfig.from_dict(d) == cfg
+
+    def test_from_dict_coerces_hidden(self):
+        assert TrainConfig.from_dict({"hidden": [8.0, 9]}).hidden == (8, 9)
+        with pytest.raises(ValueError):
+            TrainConfig.from_dict({"hidden": "ab"})
+
+    def test_fields(self):
+        assert [f.name for f in fields(TrainConfig)] == [
+            "epochs", "batch_size", "inner_iters", "gamma", "lambdas", "seed", "log_every",
+            "hidden",
+        ]
 
 
 class TestTrain:
     def test_minimal_schedule_single_update(self):
         ds = synthetic_dataset(m=10)
-        cfg = TrainConfig(epochs=1, batch_size=8, inner_iters=1, seed=1, log_every=1)
-        model, log = train(ds, np.arange(8), cfg, n_hidden1=4, n_hidden2=4, test_idx=[8, 9])
+        cfg = TrainConfig(epochs=1, batch_size=8, inner_iters=1, seed=1, log_every=1,
+                          hidden=(4, 4))
+        model, log = train(ds, np.arange(8), cfg, test_idx=[8, 9])
+        assert model.layer_sizes[1:3] == (4, 4)
         assert [t for t, _ in log.curve] == [1]
 
     def test_remainder_samples_dropped(self):
         # 2850 training samples with batches of 1000: 2 batches per epoch, 850 ignored
         ds = synthetic_dataset(m=2860, n_free=1)
-        cfg = TrainConfig(epochs=2, batch_size=1000, inner_iters=1, seed=0, log_every=1)
-        _, log = train(ds, np.arange(2850), cfg, n_hidden1=2, n_hidden2=2,
-                       test_idx=np.arange(2850, 2860))
+        cfg = TrainConfig(epochs=2, batch_size=1000, inner_iters=1, seed=0, log_every=1,
+                          hidden=(2, 2))
+        _, log = train(ds, np.arange(2850), cfg, test_idx=np.arange(2850, 2860))
         assert [t for t, _ in log.curve] == [1, 2, 3, 4]
 
     def test_update_count_with_inner_iterations(self):
         ds = synthetic_dataset(m=25)
-        cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=5, seed=0, log_every=1)
-        _, log = train(ds, np.arange(20), cfg, n_hidden1=2, n_hidden2=2,
-                       test_idx=np.arange(20, 25))
+        cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=5, seed=0, log_every=1,
+                          hidden=(2, 2))
+        _, log = train(ds, np.arange(20), cfg, test_idx=np.arange(20, 25))
         assert [t for t, _ in log.curve] == list(range(1, 3 * 2 * 5 + 1))
 
     def test_too_small_training_set(self):
         ds = synthetic_dataset(m=5)
-        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=1)
+        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=1, hidden=(2, 2))
         with pytest.raises(ValueError, match="cannot fill one batch"):
-            train(ds, np.arange(5), cfg, 2, 2)
+            train(ds, np.arange(5), cfg)
 
     def test_diverging_run_stops_with_epoch(self):
         # alpha = 1 / (gamma * epoch) = 1e300: the first epoch already overflows
         ds = synthetic_dataset(m=30)
-        cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=2, gamma=1e-300, seed=0)
+        cfg = TrainConfig(epochs=3, batch_size=10, inner_iters=2, gamma=1e-300, seed=0,
+                          hidden=(4, 4))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1 "):
-            train(ds, np.arange(30), cfg, 4, 4)
+            train(ds, np.arange(30), cfg)
 
     def test_deterministic(self):
         ds = synthetic_dataset(m=24)
-        cfg = TrainConfig(epochs=3, batch_size=8, inner_iters=2, seed=42, log_every=0)
-        m1, _ = train(ds, np.arange(24), cfg, 5, 5)
-        m2, _ = train(ds, np.arange(24), cfg, 5, 5)
+        cfg = TrainConfig(epochs=3, batch_size=8, inner_iters=2, seed=42, log_every=0,
+                          hidden=(5, 5))
+        m1, _ = train(ds, np.arange(24), cfg)
+        m2, _ = train(ds, np.arange(24), cfg)
         for a, b in zip(m1.weights(), m2.weights()):
             assert np.array_equal(a, b)
 
     def test_test_rmse_logged(self):
         ds = synthetic_dataset(m=30)
-        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2)
-        _, log = train(ds, np.arange(20), cfg, 3, 3, test_idx=np.arange(20, 30))
+        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2,
+                          hidden=(3, 3))
+        _, log = train(ds, np.arange(20), cfg, test_idx=np.arange(20, 30))
         assert [t for t, _ in log.curve] == [2, 4]
         assert all(r >= 0 for _, r in log.curve)
 
     def test_no_curve_without_test_set(self):
         ds = synthetic_dataset(m=30)
-        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2)
-        _, log = train(ds, np.arange(20), cfg, 3, 3)
+        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=2, seed=0, log_every=2,
+                          hidden=(3, 3))
+        _, log = train(ds, np.arange(20), cfg)
         assert log.curve == [] and len(log.epoch_mean_cost) == 1
+
+    def test_hidden_none_uses_free_vertex_count(self):
+        ds = synthetic_dataset(m=20, n_free=7)
+        cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=1, seed=0, hidden=None)
+        model, _ = train(ds, np.arange(20), cfg)
+        assert model.layer_sizes == (ds.n_obs * 3, 7, 7, 21)
 
     def test_overfit_small_fem_dataset(self):
         # memorization sanity: tiny dataset, no regularization
@@ -316,10 +347,11 @@ class TestTrain:
         ds = build_dataset(mesh, d, {"end": spec}, n_steps=2)
         assert ds.m == 20
         cfg = TrainConfig(
-            epochs=500, batch_size=20, inner_iters=10, lambdas=(0, 0, 0), seed=3, log_every=0
+            epochs=500, batch_size=20, inner_iters=10, lambdas=(0, 0, 0), seed=3, log_every=0,
+            hidden=(50, 50),
         )
         idx = np.arange(ds.m)
-        model, log = train(ds, idx, cfg, n_hidden1=50, n_hidden2=50)
+        model, log = train(ds, idx, cfg)
 
         init_rng = np.random.default_rng(cfg.seed)
         x, y = ds.inputs(), ds.targets()

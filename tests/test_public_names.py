@@ -1,17 +1,21 @@
-"""Every name the package exports, and every function the benchmark traces, exists.
+"""Every name the package exports, and every function the benchmark traces, exists;
+every shipped config parses.
 
 ``perfbench/bench.py`` wraps the attributes in its ``TRACE_TARGETS`` by name,
-and the suite does not run the benchmark, so a deleted or renamed function
-would otherwise break only traced benchmark runs.
+and the suite does not run the benchmark, so a deleted or renamed function,
+or a config key the parser no longer accepts, would otherwise break only
+benchmark runs.
 """
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
 import deformest
+from deformest import cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ["cli", "evaluation", "fem", "mesh", "nn", "sampling"]
@@ -52,3 +56,21 @@ def test_perfbench_trace_targets_resolve(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"perfbench TRACE_TARGETS that do not resolve: {missing}"
+
+
+@pytest.mark.parametrize("name", sorted(cli.PROFILES))
+def test_profiles_parse(name):
+    raw = json.loads(json.dumps(cli.PROFILES[name]))
+    if raw["mesh"].get("generator") is None:
+        raw["mesh"] = {"path": "mesh.txt"}  # as ``repro --mesh`` supplies it
+    cli.PipelineConfig.from_dict(raw)
+
+
+def test_perfbench_workload_configs_parse(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert workloads.WORKLOADS
+    for w in workloads.WORKLOADS.values():
+        cli.PipelineConfig.from_dict(workloads.check_config(w))
+        if w.primary == "learn":  # only these have a learn lattice
+            cli.PipelineConfig.from_dict(workloads.learn_config(w))
