@@ -157,12 +157,19 @@ class PipelineConfig:
             return {}
 
         def number(parent, where, key, default=None, kind=float):
-            """parent[key] converted by kind, or default when absent; None makes it required."""
+            """parent[key] converted by kind, or default when absent; None makes it required.
+
+            kind int takes what TrainConfig takes for its counts: an integer or
+            an integral float, never a truncated one.
+            """
             value = parent.get(key, default)
             try:
+                if kind is int and not nn._is_integer(value):
+                    raise ValueError
                 return kind(value)
             except (TypeError, ValueError, OverflowError):
-                problems.append(f"{where}.{key} must be a number, got {value!r}" if key in parent
+                what = "an integer" if kind is int else "a number"
+                problems.append(f"{where}.{key} must be {what}, got {value!r}" if key in parent
                                 else f"missing {where}.{key}")
                 return default
 

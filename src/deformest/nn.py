@@ -18,6 +18,8 @@ lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -162,43 +164,84 @@ def cost(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1))
     return float(data_term + reg)
 
 
-def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1)) -> tuple:
+class _GradientWorkspace:
+    """The arrays one :func:`gradients` call writes, for one shape and batch size.
+
+    Column 0 of the bias-augmented input and activations holds the constant 1.
+    """
+
+    def __init__(self, model: MlpModel, m: int):
+        n_in, h1, h2, n_out = model.layer_sizes
+        self.x, self.a1, self.a2 = (np.ones((m, n + 1)) for n in (n_in, h1, h2))
+        self.z1, self.d1, self.z2, self.d2 = (np.empty((m, n)) for n in (h1, h1, h2, h2))
+        self.mask1, self.mask2 = np.empty((m, h1), bool), np.empty((m, h2), bool)
+        self.out = np.empty((m, n_out))  # outputs, then the output error
+        self.grads = tuple(np.empty_like(w) for w in model.weights())
+        self.l2 = np.empty(max(w[:, 1:].size for w in model.weights()))
+
+
+def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1),
+              work: _GradientWorkspace | None = None) -> tuple:
     """Exact gradients of :func:`cost` for each weight matrix.
 
     The output-layer error is (output - target); it back-propagates through
     the linear output layer and the ReLU masks. Regularization gradients
-    touch non-bias entries only.
+    touch non-bias entries only. The gradients are arrays of ``work`` (a
+    fresh workspace when None) and stay valid until its next use.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape != (x.shape[0], model.layer_sizes[3]):
-        raise ValueError(f"target shape {y.shape} != ({x.shape[0]}, {model.layer_sizes[3]})")
+    n_in, _, _, n_out = model.layer_sizes
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"expected ({n_in},) or (m, {n_in}) inputs, got {x.shape}")
+    if y.shape != (x.shape[0], n_out):
+        raise ValueError(f"target shape {y.shape} != ({x.shape[0]}, {n_out})")
     m = x.shape[0]
-    cache = forward_batch(model, x)
+    if work is None:
+        work = _GradientWorkspace(model, m)
+    elif work.x.shape[0] != m:
+        raise ValueError(f"workspace holds {work.x.shape[0]} rows, the batch {m}")
+    w_h1, w_h2, w_out = model.weights()
 
-    delta_out = cache.outputs - y                                   # (m, n_out)
-    delta_h2 = (delta_out @ model.w_out[:, 1:]) * relu_grad(cache.z_hidden2)
-    delta_h1 = (delta_h2 @ model.w_hidden2[:, 1:]) * relu_grad(cache.z_hidden1)
+    # the forward pass of forward_batch
+    np.copyto(work.x[:, 1:], x)
+    np.matmul(work.x, w_h1.T, out=work.z1)
+    np.maximum(work.z1, 0.0, out=work.a1[:, 1:])
+    np.matmul(work.a1, w_h2.T, out=work.z2)
+    np.maximum(work.z2, 0.0, out=work.a2[:, 1:])
+    delta_out = np.matmul(work.a2, w_out.T, out=work.out)
 
-    g_out = delta_out.T @ _with_bias(cache.a_hidden2) / m
-    g_h2 = delta_h2.T @ _with_bias(cache.a_hidden1) / m
-    g_h1 = delta_h1.T @ _with_bias(cache.inputs) / m
+    np.subtract(delta_out, y, out=delta_out)                       # (m, n_out)
+    delta_h2 = np.matmul(delta_out, w_out[:, 1:], out=work.d2)
+    np.multiply(delta_h2, np.greater(work.z2, 0.0, out=work.mask2), out=delta_h2)
+    delta_h1 = np.matmul(delta_h2, w_h2[:, 1:], out=work.d1)
+    np.multiply(delta_h1, np.greater(work.z1, 0.0, out=work.mask1), out=delta_h1)
 
-    for g, lam, n, w in zip(
-        (g_h1, g_h2, g_out), lambdas, _regularizer_counts(model), model.weights()
-    ):
+    for g, delta, a in zip(work.grads, (delta_h1, delta_h2, delta_out), (work.x, work.a1, work.a2)):
+        np.matmul(delta.T, a, out=g)
+        np.divide(g, m, out=g)
+
+    for g, lam, n, w in zip(work.grads, lambdas, _regularizer_counts(model), model.weights()):
         if lam:
-            g[:, 1:] += (lam / n) * w[:, 1:]
-    return g_h1, g_h2, g_out
+            g[:, 1:] += np.multiply(lam / n, w[:, 1:], out=work.l2[:n].reshape(w.shape[0], -1))
+    return work.grads
 
 
 @dataclass
 class AdamState:
-    """Per-matrix first and second moment accumulators and the step counter."""
+    """Per-matrix first and second moment accumulators and the step counter.
+
+    scratch holds two arrays per matrix for the intermediate terms of
+    :func:`adam_step`.
+    """
 
     first: tuple
     second: tuple
     t: int = 0
+    scratch: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = tuple((np.empty_like(m), np.empty_like(m)) for m in self.first)
 
     @classmethod
     def zeros(cls, model: MlpModel) -> "AdamState":
@@ -214,19 +257,34 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
 def adam_step(state: AdamState, model: MlpModel, grads: tuple, alpha: float):
-    """One Adam update, in place on both the state and the model weights."""
+    """One Adam update, in place on both the state and the model weights.
+
+    w -= alpha * m_hat / (sqrt(v_hat) + epsilon), each operation written into
+    the state's scratch arrays.
+    """
     state.t += 1
     t = state.t
-    for w, g, m, v in zip(model.weights(), grads, state.first, state.second):
+    for w, g, m, v, (s, r) in zip(model.weights(), grads, state.first, state.second,
+                                  state.scratch):
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} != weight shape {w.shape}")
         m *= _BETA1
-        m += (1.0 - _BETA1) * g
+        m += np.multiply(1.0 - _BETA1, g, out=s)
         v *= _BETA2
-        v += (1.0 - _BETA2) * g * g
-        m_hat = m / (1.0 - _BETA1**t)
-        v_hat = v / (1.0 - _BETA2**t)
-        w -= alpha * m_hat / (np.sqrt(v_hat) + _EPSILON)
+        v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
+        m_hat = np.divide(m, 1.0 - _BETA1**t, out=s)
+        v_hat = np.divide(v, 1.0 - _BETA2**t, out=r)
+        denom = np.add(np.sqrt(v_hat, out=r), _EPSILON, out=r)
+        w -= np.divide(np.multiply(alpha, m_hat, out=s), denom, out=s)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """An integer, or a float with an integral value (JSON may write 3 as 3.0)."""
+    return _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
 
 
 def alpha_schedule(epoch: int, gamma: float = 50.0) -> float:
@@ -250,14 +308,28 @@ class TrainConfig:
     hidden: tuple | None = (90, 90)  # hidden layer widths; None: both the free-vertex count
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "inner_iters", "seed", "log_every"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if min(self.epochs, self.batch_size, self.inner_iters) < 1:
             raise ValueError("epochs, batch_size and inner_iters must be >= 1")
-        if any(lam < 0 for lam in self.lambdas) or len(self.lambdas) != 3:
-            raise ValueError("lambdas must be three non-negative values")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.hidden is not None and (len(self.hidden) != 2 or min(self.hidden) < 1):
-            raise ValueError(f"hidden must be two sizes >= 1 or None, got {self.hidden}")
+        if min(self.seed, self.log_every) < 0:
+            raise ValueError("seed and log_every must be >= 0")
+        lambdas = self.lambdas
+        if not (isinstance(lambdas, (list, tuple)) and len(lambdas) == 3
+                and all(_is_real(lam) and 0 <= lam < math.inf for lam in lambdas)):
+            raise ValueError(f"lambdas must be three finite non-negative numbers, got {lambdas!r}")
+        object.__setattr__(self, "lambdas", tuple(lambdas))
+        if not (_is_real(self.gamma) and 0 < self.gamma < math.inf):
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        hidden = self.hidden
+        if hidden is not None:
+            if not (isinstance(hidden, (list, tuple)) and len(hidden) == 2
+                    and all(_is_integer(h) and h >= 1 for h in hidden)):
+                raise ValueError(f"hidden must be two integers >= 1 or None, got {hidden!r}")
+            object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -268,11 +340,6 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "lambdas" in d:
-            d["lambdas"] = tuple(d["lambdas"])
-        if d.get("hidden") is not None:
-            d["hidden"] = tuple(int(h) for h in d["hidden"])
         return cls(**d)
 
 
@@ -323,6 +390,7 @@ def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
     rng = np.random.default_rng(config.seed)
     model = init_model(x_all.shape[1], *hidden, y_all.shape[1], rng)
     state = AdamState.zeros(model)
+    work = _GradientWorkspace(model, config.batch_size)
     log = TrainingLog()
     total_updates = config.epochs * n_batches * config.inner_iters
 
@@ -334,7 +402,7 @@ def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
             sel = perm[b * config.batch_size : (b + 1) * config.batch_size]
             xb, yb = x_train[sel], y_train[sel]
             for _ in range(config.inner_iters):
-                grads = gradients(model, xb, yb, config.lambdas)
+                grads = gradients(model, xb, yb, config.lambdas, work)
                 adam_step(state, model, grads, alpha)
                 t = state.t
                 if x_test is not None and config.log_every and (

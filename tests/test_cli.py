@@ -98,6 +98,51 @@ class TestConfig:
         with pytest.raises(ConfigError, match="train: "):
             PipelineConfig.from_dict(changed(("train", "hidden"), hidden))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("epochs", 2.7, "epochs must be an integer"),
+        ("batch_size", 4.5, "batch_size must be an integer"),
+        ("inner_iters", "2", "inner_iters must be an integer"),
+        ("seed", 5.5, "seed must be an integer"),
+        ("log_every", True, "log_every must be an integer"),
+        ("hidden", "12", "hidden must be two integers"),
+        ("hidden", [8.5, 8], "hidden must be two integers"),
+        ("lambdas", [0.1, float("nan"), 0.1], "lambdas must be three finite"),
+        ("lambdas", [0.1, 0.1, float("inf")], "lambdas must be three finite"),
+        ("gamma", float("inf"), "gamma must be positive and finite"),
+        ("gamma", float("nan"), "gamma must be positive and finite"),
+    ])
+    def test_bad_train_field_exits_1(self, tmp_path, capsys, key, value, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(changed(("train", key), value)))  # NaN/Infinity literals
+        assert run(["train", "--config", cfg_path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: train: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("fem", "n_steps"), 2.7),
+        (("eval", "k"), 2.5),
+        (("eval", "repeats"), 1.5),
+        (("eval", "k"), "3"),
+        (("fem", "n_steps"), True),
+    ])
+    def test_non_integral_count_exits_1(self, tmp_path, capsys, path, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(changed(path, value)))
+        assert run(["mesh", "--config", cfg_path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert f"{'.'.join(path)} must be an integer, got {value!r}" in err
+
+    def test_integral_floats_are_counts(self):
+        raw = changed(("fem", "n_steps"), 3.0)
+        raw["eval"] = {"k": 4.0, "repeats": 2.0}
+        raw["train"].update(epochs=3.0, batch_size=4.0, hidden=[8.0, 6])
+        cfg = PipelineConfig.from_dict(raw)
+        assert (cfg.n_steps, cfg.eval_k, cfg.eval_repeats) == (3, 4, 2)
+        assert all(type(v) is int for v in (cfg.n_steps, cfg.eval_k, cfg.eval_repeats))
+        assert (cfg.train.epochs, cfg.train.batch_size, cfg.train.hidden) == (3, 4, (8, 6))
+        assert type(cfg.train.epochs) is int and cfg.train.to_dict()["epochs"] == 3
+
     def test_adam_constants_are_not_config_keys(self):
         with pytest.raises(ConfigError, match="train: .*beta1"):
             PipelineConfig.from_dict(changed(("train", "beta1"), 0.9))

@@ -1,9 +1,11 @@
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from deformest import nn
+from deformest.evaluation import run_session
 from deformest.fem import MaterialParams, elasticity_matrix
 from deformest.mesh import generate_rpp
 from deformest.nn import (
@@ -243,7 +245,19 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-        for hidden in ((90,), (0, 5), (4, 4, 4)):
+        for key, value in (("epochs", 2.7), ("batch_size", "10"), ("seed", True),
+                           ("log_every", np.float64(2.5)), ("inner_iters", None)):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                TrainConfig(**{key: value})
+        with pytest.raises(ValueError, match="seed and log_every"):
+            TrainConfig(seed=-1)
+        for lambdas in ((0.1, np.nan, 0.1), (np.inf, 0.1, 0.1), (0.1, "a", 0.1), 0.1):
+            with pytest.raises(ValueError, match="lambdas"):
+                TrainConfig(lambdas=lambdas)
+        for gamma in (np.inf, np.nan, "50"):
+            with pytest.raises(ValueError, match="gamma"):
+                TrainConfig(gamma=gamma)
+        for hidden in ((90,), (0, 5), (4, 4, 4), "12", (8.5, 8)):
             with pytest.raises(ValueError, match="hidden"):
                 TrainConfig(hidden=hidden)
         with pytest.raises(ValueError):
@@ -261,8 +275,15 @@ class TestTrainConfig:
 
     def test_from_dict_coerces_hidden(self):
         assert TrainConfig.from_dict({"hidden": [8.0, 9]}).hidden == (8, 9)
-        with pytest.raises(ValueError):
-            TrainConfig.from_dict({"hidden": "ab"})
+        for hidden in ("ab", "12"):
+            with pytest.raises(ValueError, match="hidden"):
+                TrainConfig.from_dict({"hidden": hidden})
+
+    def test_integral_floats_become_ints(self):
+        cfg = TrainConfig(epochs=3.0, batch_size=np.int64(7), seed=2.0)
+        assert (cfg.epochs, cfg.batch_size, cfg.seed) == (3, 7, 2)
+        assert all(type(v) is int for v in (cfg.epochs, cfg.batch_size, cfg.seed))
+        assert TrainConfig(lambdas=[0, 0.5, 1]).lambdas == (0, 0.5, 1)
 
     def test_fields(self):
         assert [f.name for f in fields(TrainConfig)] == [
@@ -441,3 +462,134 @@ class TestModelFile:
         save_model(model, a)
         save_model(model, b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the allocating update as it was before the reusable workspace. The
+# in-place kernels must reproduce its every bit.
+# ---------------------------------------------------------------------------
+
+def _with_bias(x):
+    return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def reference_gradients(model, x, y, lambdas=(0.1, 0.1, 0.1), work=None):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    m = x.shape[0]
+    cache = forward_batch(model, x)
+    delta_out = cache.outputs - y
+    delta_h2 = (delta_out @ model.w_out[:, 1:]) * relu_grad(cache.z_hidden2)
+    delta_h1 = (delta_h2 @ model.w_hidden2[:, 1:]) * relu_grad(cache.z_hidden1)
+    g_out = delta_out.T @ _with_bias(cache.a_hidden2) / m
+    g_h2 = delta_h2.T @ _with_bias(cache.a_hidden1) / m
+    g_h1 = delta_h1.T @ _with_bias(cache.inputs) / m
+    for g, lam, w in zip((g_h1, g_h2, g_out), lambdas, model.weights()):
+        if lam:
+            g[:, 1:] += (lam / w[:, 1:].size) * w[:, 1:]
+    return g_h1, g_h2, g_out
+
+
+def reference_adam_step(state, model, grads, alpha):
+    state.t += 1
+    t = state.t
+    for w, g, m, v in zip(model.weights(), grads, state.first, state.second):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9**t)
+        v_hat = v / (1.0 - 0.999**t)
+        w -= alpha * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+@pytest.fixture()
+def reference_update(monkeypatch):
+    """Make train() run the reference kernels; yields a function that undoes it."""
+    monkeypatch.setattr(nn, "gradients", reference_gradients)
+    monkeypatch.setattr(nn, "adam_step", reference_adam_step)
+    yield monkeypatch.undo
+
+
+def assert_same_bits(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.shape == y.shape and np.array_equal(x, y)
+        assert np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestAllocationFreeUpdate:
+    @pytest.mark.parametrize("batch_size, hidden, lambdas", [
+        (1, (6, 5), (0.1, 0.1, 0.1)),
+        (7, (5, 4), (0.0, 0.3, 0.1)),
+        (10, None, (0.1, 0.1, 0.1)),
+    ])
+    def test_train_matches_reference(self, reference_update, batch_size, hidden, lambdas):
+        ds = synthetic_dataset(m=40, n_free=5)
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, inner_iters=3, lambdas=lambdas,
+                          seed=4, log_every=5, hidden=hidden)
+        ref_model, ref_log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
+        reference_update()
+        model, log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
+        assert_same_bits(model.weights(), ref_model.weights())
+        assert log.epoch_mean_cost == ref_log.epoch_mean_cost
+        assert log.curve == ref_log.curve
+
+    def test_session_report_matches_reference(self, reference_update):
+        ds = synthetic_dataset(m=30, n_free=4)
+        cfg = TrainConfig(epochs=2, batch_size=6, inner_iters=2, seed=3, log_every=4,
+                          hidden=(5, 5))
+        ref = asdict(run_session(ds, cfg, k=3, n_repeats=2))
+        reference_update()
+        report = asdict(run_session(ds, cfg, k=3, n_repeats=2))
+        assert report.keys() == ref.keys()
+        for key in ref:
+            assert report[key] == ref[key], key
+
+    def test_reused_workspace_matches_fresh_calls(self):
+        rng = np.random.default_rng(11)
+        model = init_model(4, 6, 5, 3, rng)
+        work = nn._GradientWorkspace(model, 5)
+        for lambdas in ((0.1, 0.2, 0.3), (0.0, 0.0, 0.0)):
+            for _ in range(2):  # two different batches through one workspace
+                x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+                reused = gradients(model, x, y, lambdas, work)
+                assert_same_bits(reused, gradients(model, x, y, lambdas))
+                assert_same_bits(reused, reference_gradients(model, x, y, lambdas))
+                assert (work.x[:, 0] == 1).all() and (work.a1[:, 0] == 1).all()
+                assert (work.a2[:, 0] == 1).all()
+
+    def test_workspace_of_other_batch_size_rejected(self):
+        model = init_model(4, 6, 5, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="workspace"):
+            gradients(model, np.zeros((3, 4)), np.zeros((3, 3)), work=nn._GradientWorkspace(model, 5))
+
+    def test_adam_step_matches_reference(self):
+        rng = np.random.default_rng(12)
+        model = init_model(3, 4, 4, 6, rng)
+        ref_model = MlpModel(*(w.copy() for w in model.weights()))
+        state, ref_state = AdamState.zeros(model), AdamState.zeros(ref_model)
+        for step in range(1, 6):
+            grads = tuple(rng.normal(size=w.shape) for w in model.weights())
+            adam_step(state, model, grads, alpha=0.02 / step)
+            reference_adam_step(ref_state, ref_model, grads, alpha=0.02 / step)
+        assert_same_bits(model.weights(), ref_model.weights())
+        assert_same_bits(state.first, ref_state.first)
+        assert_same_bits(state.second, ref_state.second)
+        assert state.t == ref_state.t == 5
+
+    def test_one_gradient_and_one_adam_call_per_update(self, monkeypatch):
+        # the benchmark's traced run divides train time by the nn.gradients span count
+        calls = {"gradients": 0, "adam_step": 0}
+        for name in calls:
+            original = getattr(nn, name)
+
+            def counted(*args, __name=name, __original=original, **kwargs):
+                calls[__name] += 1
+                return __original(*args, **kwargs)
+
+            monkeypatch.setattr(nn, name, counted)
+        ds = synthetic_dataset(m=23)
+        cfg = TrainConfig(epochs=3, batch_size=5, inner_iters=4, seed=0, hidden=(3, 3))
+        train(ds, np.arange(23), cfg)
+        assert calls == {"gradients": 3 * 4 * 4, "adam_step": 3 * 4 * 4}
