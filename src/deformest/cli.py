@@ -33,6 +33,7 @@ from .mesh import (
     MeshError,
     ScaleConvention,
     TetMesh,
+    _lattice_count,
     generate_rpp,
     load_mesh,
     rpp6_contact_specs,
@@ -131,15 +132,17 @@ PROFILES: dict = {
 
 @dataclass
 class PipelineConfig:
+    """A checked pipeline config; from_dict is the only code that reads the raw JSON."""
+
     raw: dict
     scale: ScaleConvention
     material: MaterialParams
     n_steps: int
-    region_specs: dict          # region name -> raw spec dict (resolved per mesh)
+    region_specs: dict          # region name -> box SamplingSpec, or ellipsoid_spec_for_region kwargs
     train: nn.TrainConfig
     eval_k: int
     eval_repeats: int
-    mesh_generator: dict | None
+    mesh_generator: dict | None  # generate_rpp keyword arguments but scale; lengths in mm
     mesh_path: str | None
     out_dir: str | None
 
@@ -156,65 +159,81 @@ class PipelineConfig:
             problems.append(f"{where} must be a JSON object, got {value!r}")
             return {}
 
-        def number(parent, where, key, default=None, kind=float):
-            """parent[key] converted by kind, or default when absent; None makes it required.
+        def finite(value) -> bool:  # False for NaN, inf and an int beyond the float range
+            return nn._is_real(value) and abs(value) <= sys.float_info.max
 
-            kind int takes what TrainConfig takes for its counts: an integer or
-            an integral float, never a truncated one.
+        def number(parent, where, key, default=None, kind=float):
+            """parent[key], a finite JSON number, as kind; default when absent or wrong.
+
+            A default of None makes the key required. kind int takes what
+            TrainConfig takes for its counts: an integer or an integral float,
+            never a truncated one.
             """
             value = parent.get(key, default)
-            try:
-                if kind is int and not nn._is_integer(value):
-                    raise ValueError
+            if finite(value) and (kind is float or nn._is_integer(value)):
                 return kind(value)
-            except (TypeError, ValueError, OverflowError):
-                what = "an integer" if kind is int else "a number"
-                problems.append(f"{where}.{key} must be {what}, got {value!r}" if key in parent
-                                else f"missing {where}.{key}")
-                return default
+            what = "an integer" if kind is int else "a number"
+            problems.append(f"{where}.{key} must be {what}, got {value!r}" if key in parent
+                            else f"missing {where}.{key}")
+            return default
+
+        def triples(value, where):
+            """value as a list of (ix, iy, iz) tuples; otherwise a problem, and []."""
+            if isinstance(value, list) and all(isinstance(c, list) and len(c) == 3
+                                               and all(map(nn._is_integer, c)) for c in value):
+                return [tuple(map(int, c)) for c in value]
+            problems.append(f"{where} must be a list of [ix, iy, iz] integer triples, got {value!r}")
+            return []
+
+        def build(where, make, *args, **kwargs):
+            """make(*args, **kwargs), or None and a problem when it rejects them."""
+            try:
+                return make(*args, **kwargs)
+            except (TypeError, ValueError) as exc:
+                problems.append(f"{where}: {exc}")
+                return None
 
         sec = {name: obj(raw.get(name, {}), name)
                for name in ("scale", "material", "fem", "sampling", "train", "eval", "mesh")}
-        scale = ScaleConvention(mm_per_unit=number(sec["scale"], "scale", "mm_per_unit", 256.0))
-
-        material = None
-        try:
-            material = MaterialParams(
-                young_modulus=number(sec["material"], "material", "young_modulus_pa", 1.0e6),
-                poisson_ratio=number(sec["material"], "material", "poisson_ratio", 0.40),
-            )
-        except ValueError as exc:
-            problems.append(str(exc))
+        scale = build("scale", ScaleConvention, number(sec["scale"], "scale", "mm_per_unit", 256.0))
+        # a wrong scale is already a problem; any scale then serves to check the rest
+        to_units = (scale or ScaleConvention()).to_units
+        material = build("material", MaterialParams,
+                         young_modulus=number(sec["material"], "material", "young_modulus_pa", 1.0e6),
+                         poisson_ratio=number(sec["material"], "material", "poisson_ratio", 0.40))
 
         n_steps = number(sec["fem"], "fem", "n_steps", 1000, int)
         if n_steps < 1:
             problems.append(f"fem.n_steps must be >= 1, got {n_steps}")
 
-        regions = obj(sec["sampling"].get("regions", {}), "sampling.regions")
-        if not regions:
+        regions = {}
+        if not sec["sampling"].get("regions"):
             problems.append("missing sampling.regions")
-        for name, spec in regions.items():
+        for name, spec in obj(sec["sampling"].get("regions", {}), "sampling.regions").items():
             where = f"sampling.regions.{name}"
             mode = obj(spec, where).get("mode")
             if mode == "box":
-                number(spec, where, "spacing_mm")
+                spacing = number(spec, where, "spacing_mm")
                 extents = spec.get("extents_mm")
-                if not (isinstance(extents, list) and len(extents) == 3
-                        and all(isinstance(e, (int, float)) for e in extents)):
+                if not (isinstance(extents, list) and len(extents) == 3 and all(map(finite, extents))):
                     problems.append(f"{where}.extents_mm must be three numbers, got {extents!r}")
+                elif spacing is not None:
+                    regions[name] = build(where, SamplingSpec, mode="box",
+                                          extents=tuple(to_units(extents).tolist()),
+                                          spacing=float(to_units(spacing)))
             elif mode == "ellipsoid":
-                for key in ("r_para_ratio", "r_perp_ratio", "spacing_ratio"):
-                    number(spec, where, key)
-                if spec.get("reference_length") not in (None, "diameter"):
-                    number(spec, where, "reference_length")
+                # ellipsoid_spec_for_region checks the normal filter and resolves "diameter"
+                regions[name] = {key: number(spec, where, key)
+                                 for key in ("r_para_ratio", "r_perp_ratio", "spacing_ratio")}
+                ref = spec.get("reference_length")
+                if ref not in (None, "diameter"):
+                    ref = float(to_units(number(spec, where, "reference_length", 0.0)))
+                regions[name].update(reference_length=ref,
+                                     normal_filter=spec.get("normal_filter", "auto"))
             elif isinstance(spec, dict):
                 problems.append(f"region {name!r}: unknown mode {mode!r}")
 
-        train = None
-        try:
-            train = nn.TrainConfig.from_dict(sec["train"])
-        except (TypeError, ValueError) as exc:
-            problems.append(f"train: {exc}")
+        train = build("train", nn.TrainConfig.from_dict, sec["train"])
 
         eval_k = number(sec["eval"], "eval", "k", 5, int)
         eval_repeats = number(sec["eval"], "eval", "repeats", 1, int)
@@ -223,16 +242,38 @@ class PipelineConfig:
         if eval_repeats < 1:
             problems.append(f"eval.repeats must be >= 1, got {eval_repeats}")
 
-        generator = sec["mesh"].get("generator")
+        generator = None
+        gen = sec["mesh"].get("generator")
         mesh_path = sec["mesh"].get("path")
-        if generator is None and mesh_path is None:
+        if gen is None and not mesh_path:
             problems.append("mesh section needs either a generator or a path")
-        if generator is not None:
-            kind = obj(generator, "mesh.generator").get("kind")
+        if gen is not None:
+            kind = obj(gen, "mesh.generator").get("kind")
             if kind == "rpp":
-                for key in ("long_mm", "short_mm", "spacing_mm"):
-                    number(generator, "mesh.generator", key)
-            elif isinstance(generator, dict):
+                size = {key: number(gen, "mesh.generator", key)
+                        for key in ("long_mm", "short_mm", "spacing_mm")}
+                generator = dict(zip(("long_side_mm", "short_side_mm", "spacing_mm"), size.values()))
+                # the lattice counts check the lengths now, not when the mesh is built
+                cells = None not in size.values() and build("mesh.generator", lambda: [
+                    _lattice_count(size[key], size["spacing_mm"], key) for key in ("long_mm", "short_mm")])
+                roles = gen.get("roles", "single")
+                if roles == "six":
+                    if cells:
+                        nx, ny = (c + 1 for c in cells)
+                        generator["contact_specs"] = rpp6_contact_specs(nx, ny, ny)
+                elif isinstance(roles, dict):
+                    # a missing role keeps the default_rpp_roles choice; an empty list means none
+                    where = "mesh.generator.roles"
+                    for key, arg in (("fixed", "fixed_spec"), ("observations", "observation_spec")):
+                        if key in roles:
+                            generator[arg] = triples(roles[key], f"{where}.{key}")
+                    if "contacts" in roles:
+                        generator["contact_specs"] = {
+                            region: triples(ids, f"{where}.contacts.{region}")
+                            for region, ids in obj(roles["contacts"], f"{where}.contacts").items()}
+                elif roles != "single":
+                    problems.append(f"mesh.generator.roles must be 'single', 'six', or a mapping, got {roles!r}")
+            elif isinstance(gen, dict):
                 problems.append(f"unknown mesh generator kind {kind!r}")
         for where, value in (("mesh.path", mesh_path), ("out_dir", raw.get("out_dir"))):
             if value is not None and not isinstance(value, str):
@@ -266,70 +307,18 @@ def load_config(path) -> PipelineConfig:
     return PipelineConfig.from_dict(raw)
 
 
-def build_mesh(cfg: PipelineConfig, mesh_override: str | None = None) -> TetMesh:
-    if mesh_override:
-        return load_mesh(mesh_override)
+def build_mesh(cfg: PipelineConfig) -> TetMesh:
+    """The mesh file at mesh.path, or else the generated RPP mesh."""
     if cfg.mesh_path:
         return load_mesh(cfg.mesh_path)
-    gen = cfg.mesh_generator
-    if gen is None:
-        raise ConfigError("no mesh source: supply mesh.generator, mesh.path, or --mesh")
-    roles = gen.get("roles", "single")
-    kwargs = {}
-    if roles == "six":
-        nx = round(gen["long_mm"] / gen["spacing_mm"]) + 1
-        ny = nz = round(gen["short_mm"] / gen["spacing_mm"]) + 1
-        kwargs["contact_specs"] = rpp6_contact_specs(nx, ny, nz)
-    elif isinstance(roles, dict):
-        # a missing role keeps the default_rpp_roles choice; an empty list means none
-        if "fixed" in roles:
-            kwargs["fixed_spec"] = [tuple(c) for c in roles["fixed"]]
-        if "contacts" in roles:
-            kwargs["contact_specs"] = {k: [tuple(c) for c in v] for k, v in roles["contacts"].items()}
-        if "observations" in roles:
-            kwargs["observation_spec"] = [tuple(c) for c in roles["observations"]]
-    elif roles != "single":
-        raise ConfigError(f"mesh.generator.roles must be 'single', 'six', or a mapping, got {roles!r}")
-    return generate_rpp(
-        gen["long_mm"], gen["short_mm"], gen["spacing_mm"], scale=cfg.scale, **kwargs
-    )
+    return generate_rpp(**cfg.mesh_generator, scale=cfg.scale)
 
 
 def resolve_sampling_specs(cfg: PipelineConfig, mesh: TetMesh) -> dict:
-    """Convert config units (mm, ratios) into simulation-unit SamplingSpecs."""
-    specs = {}
-    for name, spec in cfg.region_specs.items():
-        if name not in mesh.contact_regions:
-            raise ConfigError(
-                f"sampling region {name!r} not in mesh regions {list(mesh.contact_regions)}"
-            )
-        if spec["mode"] == "box":
-            specs[name] = SamplingSpec(
-                mode="box",
-                extents=tuple(cfg.scale.to_units(e) for e in spec["extents_mm"]),
-                spacing=float(cfg.scale.to_units(spec["spacing_mm"])),
-            )
-        else:
-            ref = spec.get("reference_length")
-            if ref == "diameter":
-                # imported here: scipy.spatial adds ~9 MB and ~0.1 s to every command
-                from scipy.spatial import ConvexHull
-                from scipy.spatial.distance import pdist
-
-                # the farthest vertex pair lies on the convex hull
-                ref = float(pdist(mesh.vertices[ConvexHull(mesh.vertices).vertices]).max())
-            elif ref is not None:
-                ref = float(cfg.scale.to_units(ref))
-            specs[name] = sampling.ellipsoid_spec_for_region(
-                mesh,
-                name,
-                r_para_ratio=float(spec["r_para_ratio"]),
-                r_perp_ratio=float(spec["r_perp_ratio"]),
-                spacing_ratio=float(spec["spacing_ratio"]),
-                reference_length=ref,
-                normal_filter=spec.get("normal_filter", "auto"),
-            )
-    return specs
+    """The config's regions as simulation-unit SamplingSpecs on this mesh."""
+    return {name: spec if isinstance(spec, SamplingSpec)
+            else sampling.ellipsoid_spec_for_region(mesh, name, **spec)
+            for name, spec in cfg.region_specs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +368,9 @@ def _apply_seed(cfg: PipelineConfig, seed: int | None):
 # Commands
 # ---------------------------------------------------------------------------
 
-def mesh_stage(cfg: PipelineConfig, out: Path, mesh_override: str | None):
+def mesh_stage(cfg: PipelineConfig, out: Path):
     """Build (or load) the mesh and write <out>/mesh.txt; returns (mesh, path)."""
-    mesh = build_mesh(cfg, mesh_override)
+    mesh = build_mesh(cfg)
     path = out / "mesh.txt"
     save_mesh(mesh, path)
     return mesh, path
@@ -447,8 +436,10 @@ def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
 def cmd_mesh(args) -> int:
     t0 = time.time()
     cfg = load_config(args.config)
+    if args.mesh:
+        cfg.mesh_path = args.mesh
     out = _resolve_out(args, cfg)
-    _, path = mesh_stage(cfg, out, args.mesh)
+    _, path = mesh_stage(cfg, out)
     write_manifest(out, "mesh", cfg.raw, cfg.train.seed, None,
                    inputs={}, outputs={"mesh": path}, elapsed=time.time() - t0)
     print(path)
@@ -585,7 +576,7 @@ def cmd_repro(args) -> int:
     _apply_seed(cfg, args.seed)
     out = _resolve_out(args, cfg)
 
-    mesh, mesh_path = mesh_stage(cfg, out, args.mesh)
+    mesh, mesh_path = mesh_stage(cfg, out)
     dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
     model_path = train_stage(cfg, dataset, out)
     report_paths = eval_stage(cfg, dataset, out)

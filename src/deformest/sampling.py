@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -65,7 +65,9 @@ class SamplingSpec:
     (contact centroid when None). Ellipsoid mode: cubic lattice inside a
     spheroid with radius r_para along the fixed-to-contact direction and
     r_perp orthogonal to it; when normal_filter is a vector, only offsets at
-    a strictly acute angle to it survive. All lengths in simulation units.
+    a strictly acute angle to it survive. normal_filter is None or a vector,
+    never "auto": :func:`ellipsoid_spec_for_region` resolves that. All
+    lengths in simulation units.
     """
 
     mode: str
@@ -74,7 +76,7 @@ class SamplingSpec:
     r_para: float | None = None
     r_perp: float | None = None
     center: tuple | None = None
-    normal_filter: object = None  # None, "auto", or a 3-vector
+    normal_filter: object = None  # None or a 3-vector
     reference_length: float | None = None
 
     def __post_init__(self):
@@ -90,7 +92,9 @@ class SamplingSpec:
                 raise DatasetError(
                     f"ellipsoid mode needs positive radii, got r_para={self.r_para} r_perp={self.r_perp}"
                 )
-        if self.normal_filter is not None and not isinstance(self.normal_filter, str):
+        if isinstance(self.normal_filter, str):
+            raise DatasetError(f"normal_filter must be None or a vector, got {self.normal_filter!r}")
+        if self.normal_filter is not None:
             v = np.asarray(self.normal_filter, dtype=float).reshape(3)
             norm = np.linalg.norm(v)
             if not norm > 0:
@@ -148,8 +152,6 @@ def ellipsoid_points(spec: SamplingSpec, contact_centroid, v_fc) -> np.ndarray:
     """
     if spec.mode != "ellipsoid":
         raise DatasetError(f"expected ellipsoid spec, got mode {spec.mode!r}")
-    if isinstance(spec.normal_filter, str):
-        raise DatasetError(f"unresolved normal_filter {spec.normal_filter!r}; resolve it first")
     centroid = np.asarray(contact_centroid, dtype=float).reshape(3)
     frame = _orthonormal_frame(v_fc)
     h = spec.spacing
@@ -208,18 +210,26 @@ def ellipsoid_spec_for_region(
     r_para_ratio: float,
     r_perp_ratio: float,
     spacing_ratio: float = 0.01,
-    reference_length: float | None = None,
+    reference_length: float | str | None = None,
     normal_filter="auto",
 ) -> SamplingSpec:
     """Ellipsoid spec with radii and spacing given as ratios of the reference length.
 
-    The reference length defaults to the fixed-to-contact distance; pass it
-    explicitly (e.g. an object diameter) to override. normal_filter "auto"
-    averages the surface normals of the region's vertices; a vector overrides
-    the direction; None disables the filter.
+    The reference length defaults to the fixed-to-contact distance; a length
+    overrides it, and "diameter" takes the largest vertex-pair distance of
+    the mesh. normal_filter "auto" averages the surface normals of the
+    region's vertices; a vector overrides the direction; None disables the
+    filter.
     """
     _, l = fixed_to_contact_direction(mesh, region)
-    if reference_length is not None:
+    if reference_length == "diameter":
+        # imported here: scipy.spatial adds ~9 MB and ~0.1 s to every command
+        from scipy.spatial import ConvexHull
+        from scipy.spatial.distance import pdist
+
+        # the farthest vertex pair lies on the convex hull
+        l = float(pdist(mesh.vertices[ConvexHull(mesh.vertices).vertices]).max())
+    elif reference_length is not None:
         l = reference_length
     if isinstance(normal_filter, str):
         if normal_filter != "auto":
@@ -362,13 +372,8 @@ def sample_points_for_region(mesh: TetMesh, region: str, spec: SamplingSpec) -> 
     if spec.mode == "box":
         center = centroid if spec.center is None else np.asarray(spec.center, dtype=float)
         return grid_points(center, spec.extents, spec.spacing)
-    resolved = spec
-    if isinstance(spec.normal_filter, str):
-        if spec.normal_filter != "auto":
-            raise DatasetError(f"unknown normal_filter {spec.normal_filter!r}")
-        resolved = replace(spec, normal_filter=tuple(region_surface_normal(mesh, region)))
     v_fc, _ = fixed_to_contact_direction(mesh, region)
-    return ellipsoid_points(resolved, centroid, v_fc)
+    return ellipsoid_points(spec, centroid, v_fc)
 
 
 def build_dataset(

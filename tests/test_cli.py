@@ -64,12 +64,14 @@ class TestConfig:
         broken = json.loads(json.dumps(SMALL_CONFIG))
         broken["material"]["poisson_ratio"] = 0.7
         broken["eval"]["k"] = 1
+        broken["scale"]["mm_per_unit"] = 0.0
         del broken["sampling"]["regions"]["end"]["spacing_mm"]
         with pytest.raises(ConfigError) as err:
             PipelineConfig.from_dict(broken)
         message = str(err.value)
         assert "poisson_ratio" in message
         assert "eval.k" in message
+        assert "mm_per_unit must be positive" in message
         assert "spacing_mm" in message
 
     def test_mesh_source_required(self):
@@ -84,6 +86,21 @@ class TestConfig:
         (("scale",), 5, "scale must be a JSON object"),
         (("sampling", "regions", "end"), "box", "sampling.regions.end must be a JSON object"),
         (("material", "young_modulus_pa"), None, "material.young_modulus_pa must be a number"),
+        (("mesh", "generator", "roles"), {"fixed": 5},
+         "mesh.generator.roles.fixed must be a list of [ix, iy, iz] integer triples"),
+        (("mesh", "generator", "roles"), {"contacts": [[0, 0, 0]]},
+         "mesh.generator.roles.contacts must be a JSON object"),
+        (("mesh", "generator", "long_mm"), "256", "mesh.generator.long_mm must be a number"),
+        (("mesh", "generator"), {"kind": "rpp", "long_mm": 51.2, "short_mm": 25.6,
+                                 "spacing_mm": 0, "roles": "six"},
+         "mesh.generator: spacing must be positive"),
+        (("sampling", "regions", "end", "spacing_mm"), "102.4",
+         "sampling.regions.end.spacing_mm must be a number"),
+        (("sampling", "regions", "end"), {"mode": "ellipsoid", "r_para_ratio": "0.05",
+                                          "r_perp_ratio": 0.2, "spacing_ratio": 0.04},
+         "sampling.regions.end.r_para_ratio must be a number"),
+        (("sampling", "regions", "end", "extents_mm"), [True, 204.8, 102.4],
+         "sampling.regions.end.extents_mm must be three numbers"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, capsys, path, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -91,7 +108,7 @@ class TestConfig:
         assert run(["mesh", "--config", cfg_path, "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and message in err
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("hidden", [[90], [0, 5], "ab"])
     def test_bad_hidden_is_a_train_problem(self, hidden):

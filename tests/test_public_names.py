@@ -1,5 +1,6 @@
 """Every name the package exports, and every function the benchmark traces, exists;
-every shipped config parses.
+every shipped config parses; the benchmark's check targets still come out of the
+config path it calls.
 
 ``perfbench/bench.py`` wraps the attributes in its ``TRACE_TARGETS`` by name,
 and the suite does not run the benchmark, so a deleted or renamed function,
@@ -74,3 +75,16 @@ def test_perfbench_workload_configs_parse(monkeypatch):
         cli.PipelineConfig.from_dict(workloads.check_config(w))
         if w.primary == "learn":  # only these have a learn lattice
             cli.PipelineConfig.from_dict(workloads.learn_config(w))
+
+
+def test_perfbench_check_targets_match_reference(monkeypatch):
+    """make_reference builds its meshes and check targets through cli; the
+    targets must still be the ones its stored reference fields were computed for."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    make_reference = importlib.import_module("make_reference")
+    fields = json.loads((PERFBENCH / "reference.json").read_text())["fields"]
+    for w in workloads.WORKLOADS.values():
+        cfg = cli.PipelineConfig.from_dict(workloads.check_config(w))
+        targets = make_reference.check_targets(cli.build_mesh(cfg), cfg)
+        assert targets.tolist() == fields[workloads.mesh_key(w.spacing_mm)]["targets"], w.name

@@ -21,6 +21,8 @@ from deformest.sampling import (
     save_dataset,
 )
 
+from conftest import make_blob_mesh
+
 D = elasticity_matrix(MaterialParams())
 
 
@@ -139,6 +141,13 @@ class TestEllipsoidPoints:
                 mode="ellipsoid", spacing=1.0, r_para=1.0, r_perp=1.0, normal_filter=(0, 0, 0)
             )
 
+    def test_unresolved_normal_filter_rejected(self):
+        # only ellipsoid_spec_for_region resolves "auto"
+        with pytest.raises(DatasetError, match="normal_filter must be None or a vector"):
+            SamplingSpec(
+                mode="ellipsoid", spacing=1.0, r_para=1.0, r_perp=1.0, normal_filter="auto"
+            )
+
 
 class TestRegionGeometry:
     def test_fixed_to_contact_direction(self, paper_rpp):
@@ -162,6 +171,17 @@ class TestRegionGeometry:
         assert abs(spec.r_perp - 0.2 * l) <= 1e-15
         assert abs(spec.spacing - 0.01 * l) <= 1e-15
         assert spec.normal_filter is not None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diameter_reference_length_matches_brute_force(self, seed):
+        mesh = make_blob_mesh(seed=seed, n_points=200)
+        spec = ellipsoid_spec_for_region(
+            mesh, "grab", r_para_ratio=0.2, r_perp_ratio=0.3, spacing_ratio=0.05,
+            reference_length="diameter", normal_filter=None,
+        )
+        diffs = mesh.vertices[:, None, :] - mesh.vertices[None, :, :]
+        assert spec.reference_length == np.sqrt((diffs**2).sum(axis=2)).max()
+        assert spec.r_para == 0.2 * spec.reference_length
 
     def test_direction_requires_fixed_vertices(self):
         mesh = generate_rpp(51.2, 25.6, 25.6, fixed_spec=[], observation_spec=[])
