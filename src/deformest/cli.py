@@ -30,7 +30,6 @@ import numpy as np
 from . import evaluation, nn, sampling
 from .fem import FemError, MaterialParams, elasticity_matrix
 from .mesh import (
-    MeshError,
     ScaleConvention,
     TetMesh,
     _lattice_count,
@@ -39,7 +38,7 @@ from .mesh import (
     rpp6_contact_specs,
     save_mesh,
 )
-from .sampling import DatasetError, SamplingSpec
+from .sampling import SamplingSpec
 
 ENV_OUT = "DEFORMEST_OUT"
 
@@ -130,6 +129,18 @@ PROFILES: dict = {
 # Configuration
 # ---------------------------------------------------------------------------
 
+# The keys each config object may hold; train's are TrainConfig's to check.
+_SECTION_KEYS = {"scale": {"mm_per_unit"}, "material": {"young_modulus_pa", "poisson_ratio"},
+                 "fem": {"n_steps"}, "sampling": {"regions"}, "train": None,
+                 "eval": {"k", "repeats"}, "mesh": {"generator", "path"}}
+_TOP_KEYS = {*_SECTION_KEYS, "out_dir", "reference"}  # the paper profiles carry a reference
+_REGION_KEYS = {"box": {"mode", "extents_mm", "spacing_mm"},
+                "ellipsoid": {"mode", "r_para_ratio", "r_perp_ratio", "spacing_ratio",
+                              "normal_filter", "reference_length"}}
+_GENERATOR_KEYS = {"kind", "long_mm", "short_mm", "spacing_mm", "roles"}
+_ROLE_KEYS = {"fixed", "observations", "contacts"}
+
+
 @dataclass
 class PipelineConfig:
     """A checked pipeline config; from_dict is the only code that reads the raw JSON."""
@@ -150,14 +161,19 @@ class PipelineConfig:
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {raw!r}")
-        problems: list = []
+        problems = [f"unknown key {key}" for key in raw if key not in _TOP_KEYS]
 
-        def obj(value, where):
-            """value when it is a JSON object; otherwise a problem, and {}."""
-            if isinstance(value, dict):
-                return value
-            problems.append(f"{where} must be a JSON object, got {value!r}")
-            return {}
+        def obj(value, where, keys=None):
+            """value when it is a JSON object; otherwise a problem, and {}.
+
+            Each key of the object outside keys, when given, is a problem too.
+            """
+            if not isinstance(value, dict):
+                problems.append(f"{where} must be a JSON object, got {value!r}")
+                return {}
+            problems.extend(f"unknown key {where}.{key}" for key in value
+                            if keys is not None and key not in keys)
+            return value
 
         def finite(value) -> bool:  # False for NaN, inf and an int beyond the float range
             return nn._is_real(value) and abs(value) <= sys.float_info.max
@@ -193,8 +209,7 @@ class PipelineConfig:
                 problems.append(f"{where}: {exc}")
                 return None
 
-        sec = {name: obj(raw.get(name, {}), name)
-               for name in ("scale", "material", "fem", "sampling", "train", "eval", "mesh")}
+        sec = {name: obj(raw.get(name, {}), name, keys) for name, keys in _SECTION_KEYS.items()}
         scale = build("scale", ScaleConvention, number(sec["scale"], "scale", "mm_per_unit", 256.0))
         # a wrong scale is already a problem; any scale then serves to check the rest
         to_units = (scale or ScaleConvention()).to_units
@@ -211,7 +226,8 @@ class PipelineConfig:
             problems.append("missing sampling.regions")
         for name, spec in obj(sec["sampling"].get("regions", {}), "sampling.regions").items():
             where = f"sampling.regions.{name}"
-            mode = obj(spec, where).get("mode")
+            mode = spec.get("mode") if isinstance(spec, dict) else None
+            obj(spec, where, _REGION_KEYS.get(mode))
             if mode == "box":
                 spacing = number(spec, where, "spacing_mm")
                 extents = spec.get("extents_mm")
@@ -222,14 +238,20 @@ class PipelineConfig:
                                           extents=tuple(to_units(extents).tolist()),
                                           spacing=float(to_units(spacing)))
             elif mode == "ellipsoid":
-                # ellipsoid_spec_for_region checks the normal filter and resolves "diameter"
-                regions[name] = {key: number(spec, where, key)
-                                 for key in ("r_para_ratio", "r_perp_ratio", "spacing_ratio")}
+                # ellipsoid_spec_for_region resolves "auto" and "diameter" on the mesh
+                ratios = {key: number(spec, where, key)
+                          for key in ("r_para_ratio", "r_perp_ratio", "spacing_ratio")}
                 ref = spec.get("reference_length")
                 if ref not in (None, "diameter"):
-                    ref = float(to_units(number(spec, where, "reference_length", 0.0)))
-                regions[name].update(reference_length=ref,
-                                     normal_filter=spec.get("normal_filter", "auto"))
+                    ref = number(spec, where, "reference_length", 1.0)  # mm; 1.0 after a problem
+                normal_filter = spec.get("normal_filter", "auto")
+                regions[name] = {**ratios, "normal_filter": normal_filter, "reference_length":
+                                 float(to_units(ref)) if isinstance(ref, float) else ref}
+                if None not in ratios.values():  # the spec at a unit reference length
+                    build(where, SamplingSpec, mode="ellipsoid", spacing=ratios["spacing_ratio"],
+                          r_para=ratios["r_para_ratio"], r_perp=ratios["r_perp_ratio"],
+                          normal_filter=None if normal_filter == "auto" else normal_filter,
+                          reference_length=ref if isinstance(ref, float) else None)
             elif isinstance(spec, dict):
                 problems.append(f"region {name!r}: unknown mode {mode!r}")
 
@@ -248,7 +270,7 @@ class PipelineConfig:
         if gen is None and not mesh_path:
             problems.append("mesh section needs either a generator or a path")
         if gen is not None:
-            kind = obj(gen, "mesh.generator").get("kind")
+            kind = obj(gen, "mesh.generator", _GENERATOR_KEYS).get("kind")
             if kind == "rpp":
                 size = {key: number(gen, "mesh.generator", key)
                         for key in ("long_mm", "short_mm", "spacing_mm")}
@@ -264,6 +286,7 @@ class PipelineConfig:
                 elif isinstance(roles, dict):
                     # a missing role keeps the default_rpp_roles choice; an empty list means none
                     where = "mesh.generator.roles"
+                    obj(roles, where, _ROLE_KEYS)
                     for key, arg in (("fixed", "fixed_spec"), ("observations", "observation_spec")):
                         if key in roles:
                             generator[arg] = triples(roles[key], f"{where}.{key}")
@@ -359,9 +382,11 @@ def _resolve_out(args, cfg: PipelineConfig | None) -> Path:
     return path
 
 
-def _apply_seed(cfg: PipelineConfig, seed: int | None):
-    if seed is not None:
-        cfg.train = replace(cfg.train, seed=int(seed))
+def _seeded(cfg: PipelineConfig, args) -> PipelineConfig:
+    """cfg, with its training seed replaced by --seed when given."""
+    if args.seed is not None:
+        cfg.train = replace(cfg.train, seed=args.seed)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -433,60 +458,45 @@ def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
     return outputs
 
 
-def cmd_mesh(args) -> int:
-    t0 = time.time()
+# Each cmd_* returns what its manifest records: (output directory, config
+# snapshot, seed, {name: input path}, {name: output path}).
+
+def cmd_mesh(args):
     cfg = load_config(args.config)
     if args.mesh:
         cfg.mesh_path = args.mesh
     out = _resolve_out(args, cfg)
     _, path = mesh_stage(cfg, out)
-    write_manifest(out, "mesh", cfg.raw, cfg.train.seed, None,
-                   inputs={}, outputs={"mesh": path}, elapsed=time.time() - t0)
     print(path)
-    return 0
+    return out, cfg.raw, cfg.train.seed, {}, {"mesh": path}
 
 
-def cmd_sample(args) -> int:
-    t0 = time.time()
+def cmd_sample(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     mesh_path = args.mesh or (out / "mesh.txt")
     _, path = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
-    write_manifest(out, "sample", cfg.raw, cfg.train.seed, args.workers,
-                   inputs={"mesh": mesh_path}, outputs={"dataset": path},
-                   elapsed=time.time() - t0)
     print(path)
-    return 0
+    return out, cfg.raw, cfg.train.seed, {"mesh": mesh_path}, {"dataset": path}
 
 
-def cmd_train(args) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    _apply_seed(cfg, args.seed)
+def cmd_train(args):
+    cfg = _seeded(load_config(args.config), args)
     out = _resolve_out(args, cfg)
     dataset_path = args.dataset or (out / "dataset.ds")
     path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
-    write_manifest(out, "train", cfg.raw, cfg.train.seed, None,
-                   inputs={"dataset": dataset_path}, outputs={"model": path},
-                   elapsed=time.time() - t0)
     print(path)
-    return 0
+    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, {"model": path}
 
 
-def cmd_eval(args) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    _apply_seed(cfg, args.seed)
+def cmd_eval(args):
+    cfg = _seeded(load_config(args.config), args)
     out = _resolve_out(args, cfg)
     dataset_path = args.dataset or (out / "dataset.ds")
     dataset = sampling.load_dataset(dataset_path)
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
-    outputs = eval_stage(cfg, dataset, out)
-    write_manifest(out, "eval", cfg.raw, cfg.train.seed, None,
-                   inputs={"dataset": dataset_path}, outputs=outputs,
-                   elapsed=time.time() - t0)
-    return 0
+    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, eval_stage(cfg, dataset, out)
 
 
 def _read_observation_csv(path, n_obs: int) -> np.ndarray:
@@ -518,8 +528,7 @@ def _read_observation_csv(path, n_obs: int) -> np.ndarray:
     return arr
 
 
-def cmd_predict(args) -> int:
-    t0 = time.time()
+def cmd_predict(args):
     out = _resolve_out(args, None)
     model, meta = nn.load_model(args.model)
     mm_per_unit = 256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"]
@@ -556,15 +565,12 @@ def cmd_predict(args) -> int:
         )
         outputs["field_vtk"] = vtk_path
 
-    write_manifest(out, "predict", {"model": str(args.model)}, None, None,
-                   inputs={"model": args.model, "observations": args.observations},
-                   outputs=outputs, elapsed=time.time() - t0)
     print(csv_path)
-    return 0
+    return (out, {"model": str(args.model)}, None,
+            {"model": args.model, "observations": args.observations}, outputs)
 
 
-def cmd_repro(args) -> int:
-    t0 = time.time()
+def cmd_repro(args):
     if args.profile not in PROFILES:
         raise ConfigError(f"unknown profile {args.profile!r}; have {sorted(PROFILES)}")
     raw = json.loads(json.dumps(PROFILES[args.profile]))  # deep copy
@@ -572,22 +578,15 @@ def cmd_repro(args) -> int:
         raw["mesh"] = {"path": str(args.mesh)}
     if raw["mesh"].get("generator") is None and not raw["mesh"].get("path"):
         raise ConfigError(f"profile {args.profile!r} needs a mesh file: pass --mesh")
-    cfg = PipelineConfig.from_dict(raw)
-    _apply_seed(cfg, args.seed)
+    cfg = _seeded(PipelineConfig.from_dict(raw), args)
     out = _resolve_out(args, cfg)
 
     mesh, mesh_path = mesh_stage(cfg, out)
     dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
     model_path = train_stage(cfg, dataset, out)
     report_paths = eval_stage(cfg, dataset, out)
-    write_manifest(
-        out, "repro", cfg.raw, cfg.train.seed, args.workers,
-        inputs={},
-        outputs={"mesh": mesh_path, "dataset": dataset_path, "model": model_path,
-                 **report_paths},
-        elapsed=time.time() - t0,
-    )
-    return 0
+    return out, cfg.raw, cfg.train.seed, {}, {"mesh": mesh_path, "dataset": dataset_path,
+                                              "model": model_path, **report_paths}
 
 
 # ---------------------------------------------------------------------------
@@ -652,17 +651,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    t0 = time.time()
     try:
-        return args.fn(args)
-    except (ConfigError, MeshError, DatasetError, ValueError) as exc:
+        out, config, seed, inputs, outputs = args.fn(args)
+        write_manifest(out, args.command, config, seed, getattr(args, "workers", None),
+                       inputs, outputs, time.time() - t0)
+        return 0
+    except (ValueError, OSError) as exc:  # ConfigError, MeshError and DatasetError too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (FemError, BrokenProcessPool, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -313,9 +313,9 @@ class _SolverPlan:
     def __init__(self, mesh: TetMesh, region: str):
         self.mesh = mesh
         self.contact_ids = mesh.contact_regions[region]
+        self.contact_slots = mesh.free_index_of()[self.contact_ids]  # their rows in a free field
         n_dofs = 3 * mesh.n_free
-        contact_dofs = (3 * mesh.free_index_of()[self.contact_ids][:, None]
-                        + np.arange(3)).reshape(-1)
+        contact_dofs = (3 * self.contact_slots[:, None] + np.arange(3)).reshape(-1)
         in_n = np.ones(n_dofs, dtype=bool)
         in_n[contact_dofs] = False
         self.n_idx = np.flatnonzero(in_n)

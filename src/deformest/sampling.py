@@ -92,10 +92,11 @@ class SamplingSpec:
                 raise DatasetError(
                     f"ellipsoid mode needs positive radii, got r_para={self.r_para} r_perp={self.r_perp}"
                 )
-        if isinstance(self.normal_filter, str):
-            raise DatasetError(f"normal_filter must be None or a vector, got {self.normal_filter!r}")
         if self.normal_filter is not None:
-            v = np.asarray(self.normal_filter, dtype=float).reshape(3)
+            if np.shape(self.normal_filter) != (3,):  # a string too, such as "auto"
+                raise DatasetError(
+                    f"normal_filter must be None or a vector of 3 numbers, got {self.normal_filter!r}")
+            v = np.asarray(self.normal_filter, dtype=float)
             norm = np.linalg.norm(v)
             if not norm > 0:
                 raise DatasetError("normal_filter vector must be nonzero")
@@ -355,15 +356,20 @@ def _worker_init(mesh, d, n_steps):
 
 
 def _run_sample(task):
-    region, target = task
+    """The sample's flat field, or the SampleFailure that says why there is none."""
+    region, point_index, target = task
     plans = _WORKER_CTX["plans"]
     if region not in plans:
         plans[region] = _SolverPlan(_WORKER_CTX["mesh"], region)
+    plan = plans[region]
     try:
-        result = plans[region].deform(_WORKER_CTX["d"], target, _WORKER_CTX["n_steps"])
-        return "ok", result.flat_displacements
+        u = plan.deform(_WORKER_CTX["d"], target, _WORKER_CTX["n_steps"]).flat_displacements
     except FemError as exc:
-        return "fail", str(exc)
+        return SampleFailure(region, point_index, str(exc))
+    miss = np.abs(u.reshape(-1, 3)[plan.contact_slots] - target).max()
+    if miss > 1e-9:
+        return SampleFailure(region, point_index, f"contact displacement echo off by {miss:.2e}")
+    return u
 
 
 def sample_points_for_region(mesh: TetMesh, region: str, spec: SamplingSpec) -> np.ndarray:
@@ -387,8 +393,9 @@ def build_dataset(
     """Run the FEM once per (region, sample point) and collect the fields.
 
     Targets are point - contact centroid, generated region by region in spec
-    order, lattice points in lexicographic order. FEM failures are recorded
-    and skipped; results do not depend on the worker count.
+    order, lattice points in lexicographic order. A sample fails when the FEM
+    raises or its contact rows miss the target by more than 1e-9; failures
+    are recorded and skipped. Results do not depend on the worker count.
     """
     if workers < 1:
         raise DatasetError(f"workers must be >= 1, got {workers}")
@@ -396,11 +403,11 @@ def build_dataset(
     if unknown:
         raise DatasetError(f"specs reference unknown regions {unknown}; have {list(mesh.contact_regions)}")
 
-    tasks = []
+    tasks = []  # (region, lattice index, target)
     for region, spec in specs.items():
         centroid = mesh.vertices[mesh.contact_regions[region]].mean(axis=0)
-        for point in sample_points_for_region(mesh, region, spec):
-            tasks.append((region, point - centroid))
+        for index, point in enumerate(sample_points_for_region(mesh, region, spec)):
+            tasks.append((region, index, point - centroid))
 
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
@@ -415,30 +422,15 @@ def build_dataset(
         finally:
             _WORKER_CTX.clear()  # release the mesh and its plans
 
-    free_index = mesh.free_index_of()
     region_slot: dict = {}  # region -> id, in order of the first successful sample
     region_id, targets, fields, failures = [], [], [], []
-    point_counter: dict = {}
-    for (region, target), (status, payload) in zip(tasks, outcomes):
-        idx = point_counter.get(region, 0)
-        point_counter[region] = idx + 1
-        if status == "fail":
-            failures.append(SampleFailure(region=region, point_index=idx, reason=payload))
-            continue
-        slots = free_index[mesh.contact_regions[region]]
-        echo = payload.reshape(-1, 3)[slots]
-        if np.abs(echo - target).max() > 1e-9:
-            failures.append(
-                SampleFailure(
-                    region=region,
-                    point_index=idx,
-                    reason=f"contact displacement echo off by {np.abs(echo - target).max():.2e}",
-                )
-            )
+    for (region, _, target), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, SampleFailure):
+            failures.append(outcome)
             continue
         region_id.append(region_slot.setdefault(region, len(region_slot)))
         targets.append(target)
-        fields.append(payload)
+        fields.append(outcome)
 
     return Dataset(
         mesh_hash=mesh.content_hash(),

@@ -5,6 +5,7 @@ Criterion 5 runs the full rpp1-desk pipeline through the CLI and takes a few
 minutes; everything else finishes in seconds.
 """
 
+import hashlib
 import json
 import os
 
@@ -251,6 +252,15 @@ class TestCriterion5DeskScaleEndToEnd:
         ]
         check("criterion-5", "reproduction run writes every pipeline artifact",
               not missing, f"missing {missing}" if missing else "all present")
+        manifest = json.loads((desk_run / "repro.manifest.json").read_text())
+        files = {"mesh": "mesh.txt", "dataset": "dataset.ds", "model": "model.json",
+                 "report_json": "report.json", "report_csv": "report.csv",
+                 "curves_csv": "curves.csv"}
+        hashes = {name: hashlib.sha256((desk_run / f).read_bytes()).hexdigest()
+                  for name, f in files.items()}
+        recorded = (manifest["outputs"], manifest["seed"], manifest["workers"])
+        check("criterion-5", "reproduction manifest hashes every artifact, with seed and workers",
+              recorded == (hashes, 0, WORKERS), f"recorded {recorded}")
 
     def test_model_records_training_metrics(self, desk_run):
         metrics = json.loads((desk_run / "model.json").read_text())["metrics"]

@@ -41,11 +41,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
-def changed(path, value):
-    """A copy of SMALL_CONFIG with the entry at the key path set to value."""
+def changed(path, value, base=SMALL_CONFIG):
+    """A copy of base with the entry at the key path set to value."""
     if not path:
         return value
-    raw = json.loads(json.dumps(SMALL_CONFIG))
+    raw = json.loads(json.dumps(base))
     node = raw
     for key in path[:-1]:
         node = node[key]
@@ -109,6 +109,45 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: ") and message in err
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("profile, path, value, message", [
+        ("rpp1-desk", ("mesh", "generator", "roles"), {"fixd": []},
+         "unknown key mesh.generator.roles.fixd"),
+        ("rpp1-desk", ("fem",), {"nsteps": 5}, "unknown key fem.nsteps"),
+        ("rpp1-desk", ("trian",), {}, "unknown key trian"),
+        ("rpp1-desk", ("sampling", "regions", "end", "spacing"), 20.48,
+         "unknown key sampling.regions.end.spacing"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "r_para_ratio"), 0,
+         "sampling.regions.c0: ellipsoid mode needs positive radii"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "r_para_ratio"), -0.05,
+         "sampling.regions.c0: ellipsoid mode needs positive radii"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "normal_filter"), "up",
+         "sampling.regions.c0: normal_filter must be None or a vector"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "normal_filter"), [0, 0, 0],
+         "sampling.regions.c0: normal_filter vector must be nonzero"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "normal_filter"), [1, 2],
+         "sampling.regions.c0: normal_filter must be None or a vector"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "reference_length"), -10,
+         "sampling.regions.c0: reference_length must be positive, got -10"),
+    ])
+    def test_unknown_key_or_bad_ellipsoid_exits_1(self, tmp_path, capsys, profile, path, value,
+                                                  message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(changed(path, value, PROFILES[profile])))
+        assert run(["mesh", "--config", cfg_path, "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: ") and message in err
+        assert len(err.splitlines()) == 1 and "; " not in err
+        assert not (tmp_path / "mesh.txt").exists()
+
+    @pytest.mark.parametrize("ratio", ["0.05", "missing"])
+    def test_bad_ellipsoid_ratio_is_one_problem(self, ratio):
+        raw = changed(("sampling", "regions", "c0", "r_para_ratio"), ratio, PROFILES["rpp6-desk"])
+        if ratio == "missing":
+            del raw["sampling"]["regions"]["c0"]["r_para_ratio"]
+        with pytest.raises(ConfigError) as err:
+            PipelineConfig.from_dict(raw)
+        assert "sampling.regions.c0.r_para_ratio" in str(err.value) and "; " not in str(err.value)
 
     @pytest.mark.parametrize("hidden", [[90], [0, 5], "ab"])
     def test_bad_hidden_is_a_train_problem(self, hidden):
@@ -234,11 +273,24 @@ class TestPipelineCommands:
         assert (out / "curves.csv").exists()
         err = capsys.readouterr()
         assert "mean RMSE" in err.out
+        obs_path = tmp_path / "obs.csv"
+        obs_path.write_text("0,0,0\n" * 3)
+        assert run(["predict", "--model", out / "model.json", "--observations", obs_path,
+                    "--out", out]) == 0
         # every manifest keeps both keys; workers is null where the flag is absent
-        for command, workers in (("mesh", None), ("sample", 1), ("train", None), ("eval", None)):
+        seed = SMALL_CONFIG["train"]["seed"]
+        for command, manifest_seed, workers, inputs, outputs in (
+            ("mesh", seed, None, [], ["mesh"]),
+            ("sample", seed, 1, ["mesh"], ["dataset"]),
+            ("train", seed, None, ["dataset"], ["model"]),
+            ("eval", seed, None, ["dataset"], ["curves_csv", "report_csv", "report_json"]),
+            ("predict", None, None, ["model", "observations"], ["field_csv"]),
+        ):
             manifest = json.loads((out / f"{command}.manifest.json").read_text())
-            assert manifest["workers"] == workers
-            assert manifest["seed"] == SMALL_CONFIG["train"]["seed"]
+            assert manifest["command"] == command
+            assert (manifest["seed"], manifest["workers"]) == (manifest_seed, workers)
+            assert sorted(manifest["inputs"]) == inputs
+            assert sorted(manifest["outputs"]) == outputs
 
     @pytest.mark.parametrize("argv", [
         ["mesh", "--config", "c.json", "--seed", "1"],

@@ -1,6 +1,6 @@
 """Every name the package exports, and every function the benchmark traces, exists;
-every shipped config parses; the benchmark's check targets still come out of the
-config path it calls.
+every shipped config and the README's config example parse; the benchmark's
+check targets still come out of the config path it calls.
 
 ``perfbench/bench.py`` wraps the attributes in its ``TRACE_TARGETS`` by name,
 and the suite does not run the benchmark, so a deleted or renamed function,
@@ -11,6 +11,7 @@ benchmark runs.
 import ast
 import importlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,14 @@ def test_profiles_parse(name):
     if raw["mesh"].get("generator") is None:
         raw["mesh"] = {"path": "mesh.txt"}  # as ``repro --mesh`` supplies it
     cli.PipelineConfig.from_dict(raw)
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert examples
+    for example in examples:
+        cli.PipelineConfig.from_dict(json.loads(example))
 
 
 def test_perfbench_workload_configs_parse(monkeypatch):

@@ -3,6 +3,7 @@ import struct
 import numpy as np
 import pytest
 
+from deformest import fem
 from deformest.fem import MaterialParams, elasticity_matrix
 from deformest.mesh import generate_rpp
 from deformest.sampling import (
@@ -212,6 +213,24 @@ class TestBuildDataset:
             echo = u.reshape(-1, 3)[slots]
             assert np.abs(echo - target).max() <= 1e-9
 
+    def test_contact_rows_that_miss_the_target_fail_the_sample(self, monkeypatch):
+        mesh = small_bar()
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.0, 0.0))
+        deform = fem._SolverPlan.deform
+
+        def shifted(plan, d, target, n_steps):
+            result = deform(plan, d, target, n_steps)
+            if target[0] > 0:  # only the last of the three lattice points
+                result.displacements[plan.contact_slots] += 1e-6
+            return result
+
+        monkeypatch.setattr(fem._SolverPlan, "deform", shifted)
+        ds = build_dataset(mesh, D, {"end": spec}, n_steps=2)
+        assert [(f.region, f.point_index) for f in ds.failures] == [("end", 2)]
+        assert ds.failures[0].reason == "contact displacement echo off by 1.00e-06"
+        assert ds.m == 2 and ds.regions == ["end"]
+        assert np.allclose(ds.target[:, 0], [-0.02, 0.0])
+
     def test_inputs_slice_matches_u_all(self):
         mesh = small_bar()
         spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.0, 0.0))
@@ -249,13 +268,18 @@ class TestBuildDataset:
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         mesh = small_bar()
-        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0))
-        serial = build_dataset(mesh, D, {"end": spec}, n_steps=2, workers=1)
-        parallel = build_dataset(mesh, D, {"end": spec}, n_steps=2, workers=2)
-        a, b = tmp_path / "serial.ds", tmp_path / "parallel.ds"
-        save_dataset(serial, a)
-        save_dataset(parallel, b)
-        assert a.read_bytes() == b.read_bytes()
+        for spec, n_steps, failed in (
+            (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 2, []),
+            # the compressed bar of test_failed_samples_recorded_and_skipped
+            (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 4, [0]),
+        ):
+            serial = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=1)
+            parallel = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=2)
+            assert [f.point_index for f in parallel.failures] == failed
+            a, b = tmp_path / "serial.ds", tmp_path / "parallel.ds"
+            save_dataset(serial, a)
+            save_dataset(parallel, b)
+            assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, workers):
