@@ -227,7 +227,7 @@ class PipelineConfig:
         for name, spec in obj(sec["sampling"].get("regions", {}), "sampling.regions").items():
             where = f"sampling.regions.{name}"
             mode = spec.get("mode") if isinstance(spec, dict) else None
-            obj(spec, where, _REGION_KEYS.get(mode))
+            obj(spec, where, _REGION_KEYS.get(mode) if isinstance(mode, str) else None)
             if mode == "box":
                 spacing = number(spec, where, "spacing_mm")
                 extents = spec.get("extents_mm")

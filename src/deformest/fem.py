@@ -13,7 +13,8 @@ region): a reverse Cuthill-McKee ordering of the non-contact DOFs (Cuthill &
 McKee, 1969; George & Liu, 1981) and scatter indices that send element
 stiffness entries straight into LAPACK lower-band storage of ``K_nn``. Each
 step then costs a banded Cholesky, O(n bw^2) for half-bandwidth bw, and never
-forms an n^2 matrix.
+forms an n^2 matrix. The steps run with scipy's OpenBLAS on one thread, which
+factors these bands faster than several threads do.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -22,6 +23,10 @@ with engineering shear strains, matching the constitutive matrix from
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,6 +303,62 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return order[::-1]
 
 
+@functools.cache
+def _lapack_threads():
+    """(get, set) thread-count functions of the OpenBLAS that scipy.linalg runs on, or None.
+
+    Looked up once, among the shared objects this process has mapped (Linux
+    only): scipy's wheels bundle libscipy_openblas, whose symbols carry a
+    ``scipy_openblas_`` prefix, and a system OpenBLAS exports plain
+    ``openblas_`` ones. numpy's bundled copy exports only ``..._64_`` names,
+    so it is never picked; it runs only the step's small products.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    # a line's sixth field is the mapped file, listed once per mapped segment
+    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6)
+    libs = []
+    for path in paths:
+        if "blas" in os.path.basename(path).lower():
+            try:
+                libs.append(ctypes.CDLL(path))
+            except OSError:
+                continue
+    for prefix in ("scipy_openblas", "openblas"):  # scipy's own copy first
+        for lib in libs:
+            get = getattr(lib, f"{prefix}_get_num_threads", None)
+            put = getattr(lib, f"{prefix}_set_num_threads", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_lapack_thread():
+    """Run the body with scipy's OpenBLAS on one thread; restore the caller's count after.
+
+    At the half-bandwidths of these meshes a threaded band Cholesky is slower
+    than a serial one, and pool workers that each thread it oversubscribe the
+    cores. Does nothing where no OpenBLAS is found.
+    """
+    found = _lapack_threads()
+    if found is None:
+        yield
+        return
+    get, put = found
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
@@ -392,17 +453,18 @@ class _SolverPlan:
         update = np.zeros(3 * mesh.n_free)  # contact rows stay 0: those positions are reset below
 
         try:
-            for step in range(1, n_steps + 1):
-                ke = _element_stiffness_batch(positions[mesh.tets], d)
-                desired = start + target * (step / n_steps)
-                u_c = (desired - positions[contact_ids]).reshape(-1)
-                k_nc = self._scatter(self._nc, ke)
-                u_n = self._solve_nn(ke, -(k_nc @ u_c))
-                update[self.n_idx] = u_n[self.n_perm]
-                positions[mesh.free_ids] += update.reshape(-1, 3)
-                positions[contact_ids] = desired  # keep the prescribed path exact
-            # each step checks the elements it starts from; this checks where the last ended
-            _checked_geometry(positions[mesh.tets])
+            with _one_lapack_thread():
+                for step in range(1, n_steps + 1):
+                    ke = _element_stiffness_batch(positions[mesh.tets], d)
+                    desired = start + target * (step / n_steps)
+                    u_c = (desired - positions[contact_ids]).reshape(-1)
+                    k_nc = self._scatter(self._nc, ke)
+                    u_n = self._solve_nn(ke, -(k_nc @ u_c))
+                    update[self.n_idx] = u_n[self.n_perm]
+                    positions[mesh.free_ids] += update.reshape(-1, 3)
+                    positions[contact_ids] = desired  # keep the prescribed path exact
+                # each step checks the elements it starts from; this checks where the last ended
+                _checked_geometry(positions[mesh.tets])
         except DegenerateElementError as exc:
             raise DegenerateElementError(
                 f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step

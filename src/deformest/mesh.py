@@ -373,15 +373,14 @@ def vertex_normals(mesh: TetMesh, zero_area_tol: float = 1e-14) -> dict[int, np.
 #   obs <i> ...              (observation order is meaningful)
 
 def serialize_mesh(mesh: TetMesh) -> str:
+    # .tolist() yields Python floats and ints, whose repr and str are the file's text
     lines = [f"tetmesh {mesh.n_vertices} {mesh.n_tets}"]
-    for v in mesh.vertices:
-        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
-    for t in mesh.tets:
-        lines.append("t " + " ".join(str(int(i)) for i in t))
-    lines.append(("fixed " + " ".join(str(int(i)) for i in mesh.fixed_ids)).rstrip())
+    lines += [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += ["t %d %d %d %d" % tuple(t) for t in mesh.tets.tolist()]
+    lines.append(" ".join(["fixed", *map(str, mesh.fixed_ids.tolist())]))
     for name, ids in mesh.contact_regions.items():
-        lines.append(f"region {name} " + " ".join(str(int(i)) for i in ids))
-    lines.append(("obs " + " ".join(str(int(i)) for i in mesh.observation_ids)).rstrip())
+        lines.append(" ".join(["region", name, *map(str, ids.tolist())]))
+    lines.append(" ".join(["obs", *map(str, mesh.observation_ids.tolist())]))
     return "\n".join(lines) + "\n"
 
 

@@ -475,9 +475,9 @@ def load_model(path) -> tuple:
         raise ValueError(f"{path}: model file lacks {', '.join(missing)}")
     try:
         model = MlpModel(doc["w_hidden1"], doc["w_hidden2"], doc["w_out"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a weight that is a JSON object
         raise ValueError(f"{path}: {exc}") from None
-    if list(model.layer_sizes) != list(doc["layer_sizes"]):
+    if list(model.layer_sizes) != doc["layer_sizes"]:
         raise ValueError(f"{path}: layer_sizes do not match stored weights")
     meta = {
         "observation_ids": doc.get("observation_ids"),

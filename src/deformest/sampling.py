@@ -93,10 +93,13 @@ class SamplingSpec:
                     f"ellipsoid mode needs positive radii, got r_para={self.r_para} r_perp={self.r_perp}"
                 )
         if self.normal_filter is not None:
-            if np.shape(self.normal_filter) != (3,):  # a string too, such as "auto"
+            try:  # a string, such as "auto", or a ragged list fails here
+                v = np.asarray(self.normal_filter, dtype=float)
+            except (TypeError, ValueError):
+                v = None
+            if v is None or v.shape != (3,):
                 raise DatasetError(
                     f"normal_filter must be None or a vector of 3 numbers, got {self.normal_filter!r}")
-            v = np.asarray(self.normal_filter, dtype=float)
             norm = np.linalg.norm(v)
             if not norm > 0:
                 raise DatasetError("normal_filter vector must be nonzero")

@@ -1,7 +1,11 @@
+import os
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.spatial import Delaunay
 
+from deformest import fem
 from deformest.mesh import TetMesh, generate_rpp
 from deformest.sampling import Dataset
 
@@ -66,3 +70,54 @@ def unit_cube() -> TetMesh:
 @pytest.fixture(scope="session")
 def blob_mesh() -> TetMesh:
     return make_blob_mesh(seed=7)
+
+
+@pytest.fixture(autouse=True)
+def lapack_thread_count_kept():
+    """Fail any test that leaves scipy's OpenBLAS on another thread count than it found.
+
+    fem.deform pins the band factorization to one thread for its steps; this
+    keeps the pin from leaking into training or into the code that calls it.
+    """
+    found = fem._lapack_threads()
+    before = found[0]() if found else None
+    yield
+    if found:
+        after = found[0]()
+        assert after == before, f"the test left the LAPACK thread count at {after}, not {before}"
+
+
+@pytest.fixture
+def lapack_threads():
+    """The thread-count getter of scipy's OpenBLAS, with the count set to 2 for the test.
+
+    2 stands for a caller's own setting that deform must give back. Skips
+    where no OpenBLAS is found.
+    """
+    found = fem._lapack_threads()
+    if found is None:
+        pytest.skip("no OpenBLAS found for scipy.linalg")
+    get, put = found
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+@pytest.fixture
+def factor_threads(lapack_threads, monkeypatch, tmp_path):
+    """A function listing (process id, thread count) as seen by each cholesky_banded call.
+
+    The calls append to a file, so forked pool workers report theirs too.
+    """
+    log = tmp_path / "factor-threads.txt"
+    factor = scipy.linalg.cholesky_banded
+
+    def recording(*args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {lapack_threads()}\n")
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    return lambda: [tuple(map(int, line.split())) for line in
+                    (log.read_text().splitlines() if log.exists() else [])]

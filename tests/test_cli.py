@@ -101,6 +101,8 @@ class TestConfig:
          "sampling.regions.end.r_para_ratio must be a number"),
         (("sampling", "regions", "end", "extents_mm"), [True, 204.8, 102.4],
          "sampling.regions.end.extents_mm must be three numbers"),
+        (("sampling", "regions", "end", "mode"), [], "region 'end': unknown mode []"),
+        (("sampling", "regions", "end", "mode"), {}, "region 'end': unknown mode {}"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, capsys, path, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -129,6 +131,8 @@ class TestConfig:
          "sampling.regions.c0: normal_filter must be None or a vector"),
         ("rpp6-desk", ("sampling", "regions", "c0", "reference_length"), -10,
          "sampling.regions.c0: reference_length must be positive, got -10"),
+        ("rpp6-desk", ("sampling", "regions", "c0", "normal_filter"), [[1], [1, 2]],
+         "sampling.regions.c0: normal_filter must be None or a vector"),
     ])
     def test_unknown_key_or_bad_ellipsoid_exits_1(self, tmp_path, capsys, profile, path, value,
                                                   message):
@@ -462,7 +466,9 @@ class TestPredictCommand:
         (lambda d: {**d, "w_out": [0.0] * 5}, "inconsistent layer shapes"),
         (lambda d: {**d, "w_out": [[0.0] * 5, [0.0] * 4]}, "inhomogeneous"),
         (lambda d: [d], "not a model file"),
-    ], ids=["missing", "vector", "ragged", "not-object"])
+        (lambda d: {**d, "w_out": [{"": "x"}]}, "not 'dict'"),
+        (lambda d: {**d, "layer_sizes": None}, "layer_sizes do not match"),
+    ], ids=["missing", "vector", "ragged", "not-object", "object-row", "null-layer-sizes"])
     def test_malformed_model_file_exits_1(self, tmp_path, capsys, edit, message):
         model = MlpModel(
             w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))
@@ -476,6 +482,7 @@ class TestPredictCommand:
                     "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: ValueError: {model_path}: ") and message in err
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "field.csv").exists()
 
     @pytest.mark.parametrize("mm_per_unit", [-256.0, 0.0, float("inf"), float("nan"), [256.0]])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from deformest import fem
 from deformest.fem import (
     DegenerateElementError,
     FemError,
@@ -524,3 +525,35 @@ class TestDeform:
         [failure] = ds.failures
         assert failure.region == "end" and failure.point_index == 0
         assert "step 1/1" in failure.reason and "non-positive volume" in failure.reason
+
+
+class TestLapackThreadPin:
+    """deform factors on one LAPACK thread and gives the caller's count back."""
+
+    def test_deform_factors_on_one_thread(self, factor_threads, lapack_threads):
+        deform(fixed_bar(), material_d(), "end", (0.01, 0.02, 0.0), n_steps=3)
+        assert [threads for _, threads in factor_threads()] == [1, 1, 1]
+        assert lapack_threads() == 2
+
+    @pytest.mark.parametrize("case", ["inverted", "floating"])
+    def test_count_restored_when_deform_raises(self, case, factor_threads, lapack_threads,
+                                               paper_rpp):
+        if case == "inverted":  # the last step inverts elements
+            mesh, region, target, error = paper_rpp, "end", (-1.5, 0.0, 0.0), DegenerateElementError
+        else:  # K_nn of a floating tet is singular
+            mesh = TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]], contact_regions={"a": [0]})
+            region, target, error = "a", (0.1, 0.0, 0.0), SingularSystemError
+        with pytest.raises(error):
+            deform(mesh, material_d(), region, target, n_steps=1)
+        assert [threads for _, threads in factor_threads()] == [1]
+        assert lapack_threads() == 2
+
+    def test_same_fields_where_no_openblas_is_found(self, lapack_threads, monkeypatch):
+        # the unpinned run factors on the caller's two threads
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        target = (0.2, 0.1, 0.05)
+        pinned = deform(mesh, material_d(), "end", target, n_steps=2)
+        monkeypatch.setattr(fem, "_lapack_threads", lambda: None)
+        unpinned = deform(mesh, material_d(), "end", target, n_steps=2)
+        assert_rel_close(unpinned.displacements, pinned.displacements)
+        assert_rel_close(unpinned.contact_forces, pinned.contact_forces)

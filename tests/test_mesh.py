@@ -274,6 +274,35 @@ class TestMeshFile:
     def test_serialization_stable(self, blob_mesh):
         assert serialize_mesh(blob_mesh) == serialize_mesh(blob_mesh)
 
+    @pytest.mark.parametrize("which", [25.6, 12.8, 6.4, "blob", "no-roles"])
+    def test_serialization_matches_per_index_writer(self, which, blob_mesh, unit_cube):
+        if which == "blob":
+            mesh = blob_mesh
+        elif which == "no-roles":
+            mesh = unit_cube
+        else:  # the RPP at this spacing in mm
+            mesh = generate_rpp(256.0, 51.2, which)
+        assert serialize_mesh(mesh) == per_index_serialize_mesh(mesh)
+
+    def test_paper_box_hash_is_pinned(self, paper_rpp):
+        # the SHA-256 that datasets and models built from the paper box record
+        assert paper_rpp.content_hash() == (
+            "ac3994f485137ae7edb2f57a85892ef251c00b25423db552aa1a2481e927da70")
+
+
+def per_index_serialize_mesh(mesh: TetMesh) -> str:
+    """The mesh file text, one number at a time: the reference for serialize_mesh."""
+    lines = [f"tetmesh {mesh.n_vertices} {mesh.n_tets}"]
+    for v in mesh.vertices:
+        lines.append(f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}")
+    for t in mesh.tets:
+        lines.append("t " + " ".join(str(int(i)) for i in t))
+    lines.append(("fixed " + " ".join(str(int(i)) for i in mesh.fixed_ids)).rstrip())
+    for name, ids in mesh.contact_regions.items():
+        lines.append(f"region {name} " + " ".join(str(int(i)) for i in ids))
+    lines.append(("obs " + " ".join(str(int(i)) for i in mesh.observation_ids)).rstrip())
+    return "\n".join(lines) + "\n"
+
 
 def test_blob_helper_is_deterministic():
     a = make_blob_mesh(seed=11)

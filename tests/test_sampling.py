@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import struct
 
 import numpy as np
@@ -280,6 +282,19 @@ class TestBuildDataset:
             save_dataset(serial, a)
             save_dataset(parallel, b)
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_factor_runs_on_one_thread(self, workers, factor_threads, lapack_threads):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the recording wrapper reaches pool workers only through fork")
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0))
+        ds = build_dataset(small_bar(), D, {"end": spec}, n_steps=2, workers=workers)
+        seen = factor_threads()
+        assert ds.m == 6 and len(seen) == 2 * ds.m
+        assert {threads for _, threads in seen} == {1}
+        pids = {pid for pid, _ in seen}
+        assert (pids == {os.getpid()}) if workers == 1 else (os.getpid() not in pids)
+        assert lapack_threads() == 2
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_below_one_rejected(self, workers):
