@@ -245,6 +245,11 @@ class PipelineConfig:
                 if ref not in (None, "diameter"):
                     ref = number(spec, where, "reference_length", 1.0)  # mm; 1.0 after a problem
                 normal_filter = spec.get("normal_filter", "auto")
+                if isinstance(normal_filter, list) and not all(map(finite, normal_filter)):
+                    # np.asarray would take "1" or true for a number
+                    problems.append(f"{where}: normal_filter must be None or a vector of 3 "
+                                    f"numbers, got {normal_filter!r}")
+                    normal_filter = None
                 regions[name] = {**ratios, "normal_filter": normal_filter, "reference_length":
                                  float(to_units(ref)) if isinstance(ref, float) else ref}
                 if None not in ratios.values():  # the spec at a unit reference length

@@ -8,13 +8,18 @@ Fixed vertices are removed from the system by row/column elimination.
 Two paths compute the same solve. :func:`assemble` and
 :func:`solve_forced_displacement` build the dense reduced ``K`` and factor its
 non-contact block with a dense Cholesky; they are the public oracle the tests
-compare against. :func:`deform` instead builds one solver plan per (mesh,
+compare against. :func:`deform` instead uses one solver plan per (mesh,
 region): a reverse Cuthill-McKee ordering of the non-contact DOFs (Cuthill &
 McKee, 1969; George & Liu, 1981) and scatter indices that send element
-stiffness entries straight into LAPACK lower-band storage of ``K_nn``. Each
-step then costs a banded Cholesky, O(n bw^2) for half-bandwidth bw, and never
-forms an n^2 matrix. The steps run with scipy's OpenBLAS on one thread, which
-factors these bands faster than several threads do.
+stiffness entries straight into LAPACK lower-band storage of ``K_nn``. The
+plan is built on the region's first solve and kept with the mesh object for
+as long as that lives; it holds no reference to the mesh and stays out of a
+pickled mesh. Each step then costs a banded Cholesky, O(n bw^2) for
+half-bandwidth bw, and never forms an n^2 matrix. Each call runs its steps
+in a workspace of its own, allocated once and overwritten step after step,
+so calls on a shared mesh may run in threads. The steps run with scipy's
+OpenBLAS on one thread, which factors these bands faster than several
+threads do.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -27,6 +32,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,54 +105,83 @@ def elasticity_matrix(mat: MaterialParams) -> np.ndarray:
 # Nonzeros of B for one node: (strain row, displacement component, gradient axis).
 _B_PATTERN = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0),
               (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0)]
-# ... for all four nodes: row of B, column of B, column of the (M, 12) gradients
-_B_ROW, _B_COL, _B_GRAD = np.array(
-    [(r, 3 * node + comp, 3 * node + axis)
-     for node in range(4) for r, comp, axis in _B_PATTERN]
-).T
 
 
 # Cofactor row r is a x b for a = e_I[r], b = e_J[r]; its entry k is
-# a_I[k] b_J[k] - a_J[k] b_I[k], the products np.cross forms, at a third of its cost.
+# a_I[k] b_J[k] - a_J[k] b_I[k], the products np.cross forms, at a third of its
+# cost. The four factors as columns of the flattened (M, 9) edge rows:
 _I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COF_II, _COF_JJ, _COF_IJ, _COF_JI = ((3 * a[:, None] + b).ravel()
+                                      for a, b in ((_I, _I), (_J, _J), (_I, _J), (_J, _I)))
 
 
-def _checked_geometry(tet_vertices: np.ndarray):
+class _StiffnessWork:
+    """Buffers of :func:`_element_stiffness_batch` and :func:`_checked_geometry`
+    for M tetrahedra, reusable call after call.
+
+    B starts at zero and each call writes only its 36 non-zeros, so the
+    zeros carry over from call to call.
+    """
+
+    def __init__(self, m: int):
+        self.edges, self.cof, self.p, self.q = np.empty((4, m, 3, 3))
+        self.det, self.vols = np.empty((2, m))
+        self.g = np.empty((m, 4, 3))
+        self.b = np.zeros((m, 6, 12))
+        self.db = np.empty((m, 6, 12))
+        self.ke = np.empty((m, 12, 12))
+
+
+def _checked_geometry(tet_vertices: np.ndarray, work: _StiffnessWork | None = None):
     """Cofactor rows, determinants and signed volumes of tetrahedra (M, 4, 3).
 
-    Raises DegenerateElementError naming the first non-positive volume.
+    The arrays returned are work's, fresh ones when work is None. Raises
+    DegenerateElementError naming the first non-positive volume.
     """
-    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]  # rows are edge vectors e1, e2, e3
+    work = _StiffnessWork(tet_vertices.shape[0]) if work is None else work
+    # rows are edge vectors e1, e2, e3
+    edges = np.subtract(tet_vertices[:, 1:, :], tet_vertices[:, :1, :], out=work.edges)
     # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
     # shape-function gradients of nodes 1..3 (the rows of inv(E)^T). C order,
     # as np.cross returns them, because einsum's summation order follows it.
-    cof = np.ascontiguousarray(edges[:, _I[:, None], _I] * edges[:, _J[:, None], _J]
-                               - edges[:, _I[:, None], _J] * edges[:, _J[:, None], _I])
-    det = np.einsum("mi,mi->m", edges[:, 0], cof[:, 0])
-    vols = det / 6.0
-    bad = np.flatnonzero(vols <= 0.0)
-    if bad.size:
-        i = int(bad[0])
+    # mode="clip" lets np.take write straight into out; the indices are in range.
+    flat, cof, p, q = (a.reshape(-1, 9) for a in (edges, work.cof, work.p, work.q))
+    np.multiply(np.take(flat, _COF_II, axis=1, out=cof, mode="clip"),
+                np.take(flat, _COF_JJ, axis=1, out=p, mode="clip"), out=cof)
+    np.multiply(np.take(flat, _COF_IJ, axis=1, out=p, mode="clip"),
+                np.take(flat, _COF_JI, axis=1, out=q, mode="clip"), out=p)
+    np.subtract(cof, p, out=cof)
+    det = np.einsum("mi,mi->m", edges[:, 0], work.cof[:, 0], out=work.det)
+    vols = np.divide(det, 6.0, out=work.vols)
+    if np.fmin.reduce(vols, initial=np.inf) <= 0.0:  # fmin skips NaN, as vols <= 0 does
+        i = int(np.argmax(vols <= 0.0))
         raise DegenerateElementError(
             f"tetrahedron {i} has non-positive volume ({vols[i]:.3e})", tet_index=i
         )
-    return cof, det, vols
+    return work.cof, det, vols
 
 
-def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray,
+                             work: _StiffnessWork | None = None) -> np.ndarray:
     """Stiffness volume * B^T D B of each tetrahedron in a batch (M, 4, 3).
 
     B (M, 6, 12) is the strain-displacement matrix, columns grouped per node
-    as (ux, uy, uz).
+    as (ux, uy, uz). The (M, 12, 12) result is work's ke, valid until work's
+    next use; work None computes it in a fresh workspace.
     """
-    cof, det, vols = _checked_geometry(tet_vertices)
-    g = np.empty((tet_vertices.shape[0], 4, 3))
-    g[:, 1:, :] = cof / det[:, None, None]
-    g[:, 0, :] = -g[:, 1:, :].sum(axis=1)  # the gradients sum to zero
+    work = _StiffnessWork(tet_vertices.shape[0]) if work is None else work
+    cof, det, vols = _checked_geometry(tet_vertices, work)
+    g = work.g
+    np.divide(cof, det[:, None, None], out=g[:, 1:, :])
+    # the gradients sum to zero
+    np.negative(np.sum(g[:, 1:, :], axis=1, out=g[:, 0, :]), out=g[:, 0, :])
 
-    b = np.zeros((tet_vertices.shape[0], 6, 12))
-    b[:, _B_ROW, _B_COL] = g.reshape(-1, 12)[:, _B_GRAD]
-    return (np.transpose(b, (0, 2, 1)) @ (d @ b)) * vols[:, None, None]
+    b = work.b.reshape(-1, 6, 4, 3)  # (tet, strain row, node, displacement component)
+    for row, comp, axis in _B_PATTERN:
+        b[:, row, :, comp] = g[:, :, axis]
+    ke = np.matmul(np.transpose(work.b, (0, 2, 1)), np.matmul(d, work.b, out=work.db),
+                   out=work.ke)
+    return np.multiply(ke, vols[:, None, None], out=ke)
 
 
 def element_stiffness(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -338,25 +373,37 @@ def _lapack_threads():
     return None
 
 
+_pin_lock = threading.Lock()
+_pin = {"depth": 0, "before": None}  # bodies running under the pin; the count to restore
+
+
 @contextlib.contextmanager
 def _one_lapack_thread():
     """Run the body with scipy's OpenBLAS on one thread; restore the caller's count after.
 
     At the half-bandwidths of these meshes a threaded band Cholesky is slower
     than a serial one, and pool workers that each thread it oversubscribe the
-    cores. Does nothing where no OpenBLAS is found.
+    cores. Threads may overlap here: the first to enter sets one thread and
+    the last to leave restores the count. Does nothing where no OpenBLAS is
+    found.
     """
     found = _lapack_threads()
     if found is None:
         yield
         return
     get, put = found
-    before = get()
-    put(1)
+    with _pin_lock:
+        if _pin["depth"] == 0:
+            _pin["before"] = get()
+            put(1)
+        _pin["depth"] += 1
     try:
         yield
     finally:
-        put(before)
+        with _pin_lock:
+            _pin["depth"] -= 1
+            if _pin["depth"] == 0:
+                put(_pin["before"])
 
 
 class _SolverPlan:
@@ -366,13 +413,16 @@ class _SolverPlan:
     step of every sample of the region: the contact (c) / remaining free (n)
     DOF partition, a reverse Cuthill-McKee ordering of the n-partition (per
     vertex, so that a vertex's three DOFs stay adjacent), its half-bandwidth
-    ``bw``, and flat scatter indices from the element blocks into K_nn's
-    lower band in LAPACK storage ``(bw + 1, n)``, a dense ``(n, c)`` K_nc
-    and a dense ``(c, c)`` K_cc.
+    ``bw``, and one flat scatter of the element blocks into three matrices
+    laid end to end: K_nn's lower band in LAPACK storage ``(bw + 1, n)``,
+    column-major so that LAPACK factors it in place, a dense ``(n, c)`` K_nc
+    and a dense ``(c, c)`` K_cc. The plan keeps the mesh's arrays, never the
+    mesh, and is read-only once built: :func:`_plan` keeps one on the mesh,
+    and threads may share it.
     """
 
     def __init__(self, mesh: TetMesh, region: str):
-        self.mesh = mesh
+        self.vertices, self.tets, self.free_ids = mesh.vertices, mesh.tets, mesh.free_ids
         self.contact_ids = mesh.contact_regions[region]
         self.contact_slots = mesh.free_index_of()[self.contact_ids]  # their rows in a free field
         n_dofs = 3 * mesh.n_free
@@ -398,28 +448,50 @@ class _SolverPlan:
         n_pos[self.n_idx] = self.n_perm
         c_pos = np.full(n_dofs + 1, -1)
         c_pos[contact_dofs] = np.arange(self.c)
-        dofs = _element_dofs(mesh)
+        src, dst = self._scatter_index(_element_dofs(mesh), n_pos, c_pos)
+        # Copied once the temporaries that made them are freed, so that the
+        # copies fill the heap below them and the heap can shrink back; kept
+        # above the freed temporaries, they held about 15 MB resident at 1425
+        # reduced DOFs.
+        self._src, self._dst = src.copy(), dst.copy()
+
+    def _scatter_index(self, dofs: np.ndarray, n_pos: np.ndarray, c_pos: np.ndarray):
+        """Sets bw and the slot ends; returns (src, dst), the element block
+        entries that are summed, as flat indices of ke, and their flat slots
+        in [band | K_nc | K_cc]."""
         ni, nj = _block_pairs(n_pos[dofs])
         ci, cj = _block_pairs(c_pos[dofs])
         lower = (nj >= 0) & (ni >= nj)
         self.bw = int((ni - nj)[lower].max(initial=0))
-        self._band = (np.flatnonzero(lower), ((ni - nj) * self.n + nj)[lower], (self.bw + 1, self.n))
+        self._ends = np.cumsum([(self.bw + 1) * self.n, self.n * self.c, self.c * self.c])
+        slot = np.full(ni.size, -1)  # -1: an entry no matrix needs
+        slot[lower] = (nj * (self.bw + 1) + ni - nj)[lower]
         nc = (ni >= 0) & (cj >= 0)
-        self._nc = (np.flatnonzero(nc), (ni * self.c + cj)[nc], (self.n, self.c))
+        slot[nc] = self._ends[0] + (ni * self.c + cj)[nc]
         cc = (ci >= 0) & (cj >= 0)
-        self._cc = (np.flatnonzero(cc), (ci * self.c + cj)[cc], (self.c, self.c))
+        slot[cc] = self._ends[1] + (ci * self.c + cj)[cc]
+        src = np.flatnonzero(slot >= 0)
+        return src, slot[src]
 
-    @staticmethod
-    def _scatter(pattern, ke: np.ndarray) -> np.ndarray:
-        src, dst, shape = pattern
-        k = np.bincount(dst, weights=ke.reshape(-1)[src], minlength=shape[0] * shape[1])
-        return k.reshape(shape)
+    def _solve(self, ke: np.ndarray, gathered: np.ndarray, u_c: np.ndarray, reaction: bool):
+        """One step's u_n, in plan order, and the contact reaction when asked, else None.
 
-    def _solve_nn(self, ke: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """K_nn^-1 rhs, both in plan order, with K_nn summed from the element blocks."""
+        K_nn's band, K_nc and K_cc are summed from the element blocks ke into
+        one array, which is freed on return, before the next step sums its
+        own; gathered is scratch for the entries summed.
+        """
+        k = np.bincount(self._dst, weights=np.take(ke.reshape(-1), self._src, out=gathered,
+                                                   mode="clip"),
+                        minlength=self._ends[-1])
+        band, k_nc, k_cc = np.split(k, self._ends[:-1])
+        k_nc = k_nc.reshape(self.n, self.c)
+        u_n = self._solve_nn(band.reshape(self.n, self.bw + 1).T, -(k_nc @ u_c))
+        return u_n, (k_cc.reshape(self.c, self.c) @ u_c + k_nc.T @ u_n) if reaction else None
+
+    def _solve_nn(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """K_nn^-1 rhs, both in plan order; factors the band of K_nn in place."""
         if self.n == 0:
             return rhs
-        band = self._scatter(self._band, ke)
         k_diag = band[0].copy()
         try:
             chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
@@ -446,38 +518,48 @@ class _SolverPlan:
         if not np.isfinite(target).all():
             raise FemError("target_disp contains non-finite values")
 
-        mesh, contact_ids = self.mesh, self.contact_ids
+        contact_ids, free_ids = self.contact_ids, self.free_ids
         d = np.asarray(d, dtype=np.float64)
-        positions = mesh.vertices.copy()
-        start = mesh.vertices[contact_ids].copy()
-        update = np.zeros(3 * mesh.n_free)  # contact rows stay 0: those positions are reset below
+        positions = self.vertices.copy()
+        start = positions[contact_ids].copy()
+        update = np.zeros(3 * free_ids.size)  # contact rows stay 0: those positions are reset below
+        # The call's own workspace, reused by every step. mode="clip" lets
+        # np.take write straight into its out; every index is in range.
+        work = _StiffnessWork(self.tets.shape[0])
+        tet_vertices = np.empty(self.tets.shape + (3,))
+        gathered = np.empty(self._src.size)
 
         try:
             with _one_lapack_thread():
                 for step in range(1, n_steps + 1):
-                    ke = _element_stiffness_batch(positions[mesh.tets], d)
+                    np.take(positions, self.tets, axis=0, out=tet_vertices, mode="clip")
+                    ke = _element_stiffness_batch(tet_vertices, d, work)
                     desired = start + target * (step / n_steps)
                     u_c = (desired - positions[contact_ids]).reshape(-1)
-                    k_nc = self._scatter(self._nc, ke)
-                    u_n = self._solve_nn(ke, -(k_nc @ u_c))
+                    u_n, f_c = self._solve(ke, gathered, u_c, reaction=step == n_steps)
                     update[self.n_idx] = u_n[self.n_perm]
-                    positions[mesh.free_ids] += update.reshape(-1, 3)
+                    positions[free_ids] += update.reshape(-1, 3)
                     positions[contact_ids] = desired  # keep the prescribed path exact
                 # each step checks the elements it starts from; this checks where the last ended
-                _checked_geometry(positions[mesh.tets])
+                _checked_geometry(np.take(positions, self.tets, axis=0, out=tet_vertices,
+                                          mode="clip"), work)
         except DegenerateElementError as exc:
             raise DegenerateElementError(
                 f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
             ) from exc
 
-        f_c = self._scatter(self._cc, ke) @ u_c + k_nc.T @ u_n  # reaction of the last step
         return DeformResult(
-            displacements=positions[mesh.free_ids] - mesh.vertices[mesh.free_ids],
+            displacements=positions[free_ids] - self.vertices[free_ids],
             contact_forces=f_c.reshape(-1, 3),
             contact_ids=contact_ids,
-            free_ids=mesh.free_ids,
+            free_ids=free_ids,
             n_steps=n_steps,
         )
+
+
+def _plan(mesh: TetMesh, region: str) -> _SolverPlan:
+    """The solver plan of (mesh, region): built on first use, then kept with the mesh."""
+    return mesh._cached(("solver plan", region), lambda: _SolverPlan(mesh, region))
 
 
 @dataclass
@@ -515,13 +597,13 @@ def deform(
     reassembled at the updated positions and the reduced system is solved
     with the contact DOFs prescribed.
 
-    The solve uses a banded plan built for (mesh, region): an RCM-ordered
-    band Cholesky of K_nn, scattered from the element blocks without forming
-    the dense K. It agrees with :func:`assemble` + :func:`solve_forced_displacement`
-    to rounding. Raises SingularSystemError when K_nn is not numerically
-    positive definite, and DegenerateElementError naming the step at which
-    an element inverted.
+    The solve uses the banded plan of (mesh, region), built on first use and
+    kept with the mesh: an RCM-ordered band Cholesky of K_nn, scattered from
+    the element blocks without forming the dense K. It agrees with
+    :func:`assemble` + :func:`solve_forced_displacement` to rounding. Raises
+    SingularSystemError when K_nn is not numerically positive definite, and
+    DegenerateElementError naming the step at which an element inverted.
     """
     if region not in mesh.contact_regions:
         raise FemError(f"unknown contact region {region!r}; have {list(mesh.contact_regions)}")
-    return _SolverPlan(mesh, region).deform(d, target_disp, n_steps)
+    return _plan(mesh, region).deform(d, target_disp, n_steps)

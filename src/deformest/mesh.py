@@ -141,6 +141,27 @@ class TetMesh:
         object.__setattr__(self, "observation_ids", obs)
         object.__setattr__(self, "contact_regions", dict(regions))
         object.__setattr__(self, "_free_ids", free)
+        object.__setattr__(self, "_cache", {})
+
+    # What the mesh derives from itself on first use, its content hash and
+    # the fem solver plans, stays in _cache, which no pickle or copy carries.
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_cache"}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _cache={})
+
+    def _cached(self, key, make):
+        """make(), computed on first use of key and kept as long as this mesh lives.
+
+        What make returns must not refer to the mesh: then dropping the mesh
+        frees it at once, without waiting for the garbage collector. Threads
+        that race on a key each compute it, and all get the first result.
+        """
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache.setdefault(key, make())
+        return value
 
     @staticmethod
     def _check_range(ids: np.ndarray, n: int, what: str):
@@ -181,8 +202,9 @@ class TetMesh:
         return full
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical text serialization."""
-        return hashlib.sha256(serialize_mesh(self).encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical text serialization, computed once per mesh."""
+        return self._cached("content_hash", lambda: hashlib.sha256(
+            serialize_mesh(self).encode("utf-8")).hexdigest())
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fem import FemError, _SolverPlan
+from .fem import FemError, _plan
 from .mesh import ScaleConvention, TetMesh, vertex_normals
 
 __all__ = [
@@ -355,16 +355,12 @@ def _worker_init(mesh, d, n_steps):
     _WORKER_CTX["mesh"] = mesh
     _WORKER_CTX["d"] = d
     _WORKER_CTX["n_steps"] = n_steps
-    _WORKER_CTX["plans"] = {}  # region -> solver plan, built on the region's first sample
 
 
 def _run_sample(task):
     """The sample's flat field, or the SampleFailure that says why there is none."""
     region, point_index, target = task
-    plans = _WORKER_CTX["plans"]
-    if region not in plans:
-        plans[region] = _SolverPlan(_WORKER_CTX["mesh"], region)
-    plan = plans[region]
+    plan = _plan(_WORKER_CTX["mesh"], region)  # a worker's mesh keeps its own plans
     try:
         u = plan.deform(_WORKER_CTX["d"], target, _WORKER_CTX["n_steps"]).flat_displacements
     except FemError as exc:
@@ -423,7 +419,7 @@ def build_dataset(
         try:
             outcomes = [_run_sample(t) for t in tasks]
         finally:
-            _WORKER_CTX.clear()  # release the mesh and its plans
+            _WORKER_CTX.clear()  # release the mesh
 
     region_slot: dict = {}  # region -> id, in order of the first successful sample
     region_id, targets, fields, failures = [], [], [], []

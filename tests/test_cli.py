@@ -103,6 +103,14 @@ class TestConfig:
          "sampling.regions.end.extents_mm must be three numbers"),
         (("sampling", "regions", "end", "mode"), [], "region 'end': unknown mode []"),
         (("sampling", "regions", "end", "mode"), {}, "region 'end': unknown mode {}"),
+        (("sampling", "regions", "end"), {"mode": "ellipsoid", "r_para_ratio": 0.05,
+                                          "r_perp_ratio": 0.2, "spacing_ratio": 0.04,
+                                          "normal_filter": [0, "1", 0]},
+         "sampling.regions.end: normal_filter must be None or a vector of 3 numbers"),
+        (("sampling", "regions", "end"), {"mode": "ellipsoid", "r_para_ratio": 0.05,
+                                          "r_perp_ratio": 0.2, "spacing_ratio": 0.04,
+                                          "normal_filter": [True, 0, 0]},
+         "sampling.regions.end: normal_filter must be None or a vector of 3 numbers"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, capsys, path, value, message):
         cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,11 @@
+import gc
 import os
+import pickle
 import subprocess
 import sys
+import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +145,19 @@ class TestElementStiffness:
         cof, det, vols = _checked_geometry(tv)
         assert np.array_equal(cof, cof_ref)
         assert np.array_equal(det, det_ref) and np.array_equal(vols, det_ref / 6.0)
+
+    def test_reused_workspace_matches_a_fresh_one(self):
+        # two position sets in a row through one workspace: nothing of the
+        # first may leak into the second
+        mesh = generate_rpp(256.0, 51.2, 25.6)
+        rng = np.random.default_rng(7)
+        work = fem._StiffnessWork(mesh.n_tets)
+        for scale in (2e-3, 5e-3):
+            tv = (mesh.vertices + rng.normal(scale=scale, size=mesh.vertices.shape))[mesh.tets]
+            fresh = fem._element_stiffness_batch(tv, material_d(), work=None)
+            reused = fem._element_stiffness_batch(tv, material_d(), work)
+            assert reused is work.ke
+            assert np.array_equal(reused, fresh)
 
     def test_degenerate_rejected(self):
         flat = UNIT_TET.copy()
@@ -527,6 +545,102 @@ class TestDeform:
         assert "step 1/1" in failure.reason and "non-positive volume" in failure.reason
 
 
+class TestSolverPlanCache:
+    """deform keeps one solver plan per (mesh, region), on the mesh."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The regions of the plans built from now on, in order."""
+        regions = []
+
+        class Counted(fem._SolverPlan):
+            def __init__(self, mesh, region):
+                regions.append(region)
+                super().__init__(mesh, region)
+
+        monkeypatch.setattr(fem, "_SolverPlan", Counted)
+        return regions
+
+    def test_one_plan_per_region_and_fresh_plan_bits(self, built):
+        mesh = generate_rpp(51.2, 25.6, 25.6, contact_specs={"tip": [(2, 1, 1)],
+                                                             "side": [(1, 1, 0), (2, 1, 0)]})
+        target, d = (0.01, 0.02, -0.01), material_d()
+        runs = [deform(mesh, d, region, target, n_steps=3)
+                for region in ("tip", "side", "tip", "side", "tip")]
+        assert built == ["tip", "side"]
+        assert fem._plan(mesh, "tip") is fem._plan(mesh, "tip")
+        for region, run in zip(("tip", "side", "tip", "side", "tip"), runs):
+            fresh = fem._SolverPlan(mesh, region).deform(d, target, 3)
+            assert np.array_equal(run.displacements, fresh.displacements)
+            assert np.array_equal(run.contact_forces, fresh.contact_forces)
+
+    def test_build_dataset_uses_the_mesh_plan(self, built):
+        mesh = fixed_bar()
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.02, 0.0, 0.0))
+        for _ in range(2):
+            build_dataset(mesh, material_d(), {"end": spec}, n_steps=2)
+        deform(mesh, material_d(), "end", (0.01, 0.0, 0.0), n_steps=2)
+        assert built == ["end"]
+
+    def test_dropping_the_mesh_frees_it_and_its_plan(self):
+        gc.disable()  # only reference counting may free them
+        try:
+            mesh = fixed_bar()
+            deform(mesh, material_d(), "end", (0.01, 0.02, 0.0), n_steps=2)
+            mesh_ref, plan_ref = weakref.ref(mesh), weakref.ref(fem._plan(mesh, "end"))
+            del mesh
+            assert mesh_ref() is None and plan_ref() is None
+        finally:
+            gc.enable()
+
+    def test_plans_stay_out_of_a_pickle(self):
+        mesh = fixed_bar()
+        size = len(pickle.dumps(mesh))
+        first = deform(mesh, material_d(), "end", (0.01, 0.02, 0.0), n_steps=2)
+        assert len(pickle.dumps(mesh)) == size
+        copy = pickle.loads(pickle.dumps(mesh))
+        again = deform(copy, material_d(), "end", (0.01, 0.02, 0.0), n_steps=2)
+        assert fem._plan(copy, "end") is not fem._plan(mesh, "end")
+        assert np.array_equal(again.displacements, first.displacements)
+
+    def test_threads_share_a_mesh(self):
+        # More threads than cores race to build the plan, each call with its
+        # own workspace; the autouse fixture checks that the LAPACK thread
+        # count they pin comes back.
+        mesh = generate_rpp(256.0, 51.2, 25.6)
+        targets = [(0.05 * i, 0.05, -0.02 * i) for i in range(12)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                threaded = list(pool.map(
+                    lambda t: deform(mesh, material_d(), "end", t, n_steps=2), targets,
+                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for target, res in zip(targets, threaded):
+            serial = fem._SolverPlan(mesh, "end").deform(material_d(), target, 2)
+            assert_rel_close(res.displacements, serial.displacements)
+
+    def test_warm_deform_peak_memory(self):
+        # A warm deform on the 12.8 mm RPP (1425 reduced DOFs) holds its
+        # workspace (6.3 MB) and one step's K_nn band, K_nc and K_cc (2 MB),
+        # however many steps it runs. Building the plan on every call, with
+        # fresh element arrays at every step, peaked at 14.3 MB.
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        deform(mesh, material_d(), "end", (0.2, 0.1, 0.05), n_steps=1)  # builds the plan
+        peaks = []
+        for n_steps in (1, 10):
+            tracemalloc.start()
+            try:
+                deform(mesh, material_d(), "end", (0.2, 0.1, 0.05), n_steps=n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2**16
+        assert peaks[1] < 9 * 2**20
+
+
 class TestLapackThreadPin:
     """deform factors on one LAPACK thread and gives the caller's count back."""
 
@@ -546,6 +660,16 @@ class TestLapackThreadPin:
         with pytest.raises(error):
             deform(mesh, material_d(), region, target, n_steps=1)
         assert [threads for _, threads in factor_threads()] == [1]
+        assert lapack_threads() == 2
+
+    def test_overlapping_pins_restore_the_count_once(self, lapack_threads):
+        # two threads' deform calls, the first to enter leaving first
+        first, second = fem._one_lapack_thread(), fem._one_lapack_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert lapack_threads() == 1
+        second.__exit__(None, None, None)
         assert lapack_threads() == 2
 
     def test_same_fields_where_no_openblas_is_found(self, lapack_threads, monkeypatch):

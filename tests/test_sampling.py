@@ -233,6 +233,26 @@ class TestBuildDataset:
         assert ds.m == 2 and ds.regions == ["end"]
         assert np.allclose(ds.target[:, 0], [-0.02, 0.0])
 
+    def test_mesh_serialized_once_per_mesh(self, monkeypatch):
+        # the content hash is kept with the mesh; a pickled copy hashes once itself
+        import hashlib
+        import pickle
+
+        from deformest import mesh as mesh_module
+
+        serialized = []
+        serialize = mesh_module.serialize_mesh
+        monkeypatch.setattr(mesh_module, "serialize_mesh",
+                            lambda m: serialized.append(m) or serialize(m))
+        mesh = small_bar()
+        want = hashlib.sha256(serialize(mesh).encode("utf-8")).hexdigest()
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.02, 0.0, 0.0))
+        hashes = [build_dataset(mesh, D, {"end": spec}, n_steps=1).mesh_hash for _ in range(2)]
+        assert hashes + [mesh.content_hash()] == [want] * 3
+        copy = pickle.loads(pickle.dumps(mesh))
+        assert copy.content_hash() == copy.content_hash() == want
+        assert serialized == [mesh, copy]
+
     def test_inputs_slice_matches_u_all(self):
         mesh = small_bar()
         spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.0, 0.0))
