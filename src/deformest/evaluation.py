@@ -4,15 +4,24 @@ A session runs k train/test trials per repeat (each fold serving once as the
 test set) and aggregates root-mean-square error plus per-vertex positional
 error, reported in millimeters and as percentages of the largest contact
 displacement in the dataset.
+
+The trials of a session run concurrently in threads: numpy releases the GIL
+in its BLAS calls and ufunc loops, and threads share the dataset instead of
+copying it. numpy's OpenBLAS runs on one thread throughout a session, so
+that every trial computes the same bits however many trials run at once.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
+import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import _blas
 from .mesh import ScaleConvention, TetMesh
 from .nn import TrainConfig, forward_batch, train
 
@@ -141,6 +150,54 @@ class SessionReport:
     trials: list = field(default_factory=list)
 
 
+def _runners(n_trials: int) -> int:
+    """Threads that run a session's trials: the calling thread and one helper per
+    further core this process may use, or the calling thread alone where numpy's
+    OpenBLAS is not found (and so cannot be pinned)."""
+    if _blas.threads("numpy") is None:
+        return 1
+    return min(n_trials, len(os.sched_getaffinity(0)))
+
+
+def _in_threads(run, n: int, runners: int) -> list:
+    """[run(0), ..., run(n - 1)], computed by the calling thread and runners - 1 helpers.
+
+    Each thread takes the next index until none is left. After a failure no
+    further index is handed out, and once every thread has stopped the error
+    of the lowest failing index is raised: the one a serial loop would raise.
+    """
+    results, errors = [None] * n, {}
+    indices = iter(range(n))
+    lock, halt = threading.Lock(), threading.Event()
+
+    def work():
+        while not halt.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = run(i)
+            except Exception as exc:
+                errors[i] = exc
+                halt.set()
+
+    # each helper runs in a copy of the caller's context: np.errstate holds for every trial
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+               for _ in range(runners - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        halt.set()  # stops the helpers after their current index, also on KeyboardInterrupt
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_session(
     dataset,
     config: TrainConfig,
@@ -152,7 +209,16 @@ def run_session(
     Repeat r shuffles with seed config.seed + r; the trial for fold f trains
     with seed (config.seed + r) * 1000 + f so every trial draws fresh weights.
     Metrics are averaged over all trials of all repeats.
+
+    The trials run in threads, one per core this process may use, with numpy's
+    OpenBLAS on one thread for the whole session; each running trial holds
+    its own model, optimizer state and batch workspace. The results are
+    collected in trial order, so the report does not depend on the thread
+    count. If trials fail, the error of the first failing one in trial order
+    is raised.
     """
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
     max_disp_units = dataset.max_contact_displacement()
     max_disp_mm = max_disp_units * dataset.mm_per_unit
     if not max_disp_mm > 0:
@@ -160,39 +226,42 @@ def run_session(
 
     scale = ScaleConvention(mm_per_unit=dataset.mm_per_unit)
     pct = 100.0 / max_disp_mm
-    trials = []
-    for repeat in range(n_repeats):
-        folds = kfold(dataset.m, k=k, seed=config.seed + repeat)
-        for fold, test_idx in enumerate(folds):
-            trial_seed = (config.seed + repeat) * 1000 + fold
-            train_idx = np.concatenate(folds[:fold] + folds[fold + 1 :])
-            model, log = train(
-                dataset, train_idx, replace(config, seed=trial_seed), test_idx=test_idx
-            )
-            y = dataset.targets()[test_idx]
-            pred = forward_batch(model, dataset.inputs()[test_idx]).outputs
-            rmse_mm = rmse(pred, y, scale)
-            shape = (len(test_idx), -1, 3)
-            lpe = local_positional_error(pred.reshape(shape), y.reshape(shape), scale)
-            mean_lpe, mean_max_lpe = float(lpe.mean_mm.mean()), float(lpe.max_mm.mean())
-            trials.append(
-                TrialResult(
-                    repeat=repeat,
-                    fold=fold,
-                    seed=trial_seed,
-                    n_train=len(train_idx),
-                    n_test=len(test_idx),
-                    rmse_mm=rmse_mm,
-                    rmse_pct=rmse_mm * pct,
-                    mean_lpe_mm=mean_lpe,
-                    mean_lpe_pct=mean_lpe * pct,
-                    mean_max_lpe_mm=mean_max_lpe,
-                    mean_max_lpe_pct=mean_max_lpe * pct,
-                    curve=log.curve,
-                    sample_max_lpe_mm=lpe.max_mm.tolist(),
-                    sample_max_vertex_disp_mm=lpe.argmax_true_disp_mm.tolist(),
-                )
-            )
+    x_all, y_all = dataset.inputs(), dataset.targets()
+    repeat_folds = [kfold(dataset.m, k=k, seed=config.seed + r) for r in range(n_repeats)]
+
+    def trial(index: int) -> TrialResult:
+        repeat, fold = divmod(index, k)
+        folds = repeat_folds[repeat]
+        test_idx = folds[fold]
+        trial_seed = (config.seed + repeat) * 1000 + fold
+        train_idx = np.concatenate(folds[:fold] + folds[fold + 1 :])
+        model, log = train(dataset, train_idx, replace(config, seed=trial_seed), test_idx=test_idx)
+        y = y_all[test_idx]
+        pred = forward_batch(model, x_all[test_idx]).outputs
+        rmse_mm = rmse(pred, y, scale)
+        shape = (len(test_idx), -1, 3)
+        lpe = local_positional_error(pred.reshape(shape), y.reshape(shape), scale)
+        mean_lpe, mean_max_lpe = float(lpe.mean_mm.mean()), float(lpe.max_mm.mean())
+        return TrialResult(
+            repeat=repeat,
+            fold=fold,
+            seed=trial_seed,
+            n_train=len(train_idx),
+            n_test=len(test_idx),
+            rmse_mm=rmse_mm,
+            rmse_pct=rmse_mm * pct,
+            mean_lpe_mm=mean_lpe,
+            mean_lpe_pct=mean_lpe * pct,
+            mean_max_lpe_mm=mean_max_lpe,
+            mean_max_lpe_pct=mean_max_lpe * pct,
+            curve=log.curve,
+            sample_max_lpe_mm=lpe.max_mm.tolist(),
+            sample_max_vertex_disp_mm=lpe.argmax_true_disp_mm.tolist(),
+        )
+
+    n_trials = n_repeats * k
+    with _blas.one_thread("numpy"):
+        trials = _in_threads(trial, n_trials, _runners(n_trials))
 
     mean_rmse = float(np.mean([t.rmse_mm for t in trials]))
     # sample-weighted means over every test sample of every trial
@@ -200,7 +269,7 @@ def run_session(
         np.mean(np.concatenate([[t.mean_lpe_mm] * t.n_test for t in trials]))
     )
     all_max_lpe = float(np.mean(np.concatenate([t.sample_max_lpe_mm for t in trials])))
-    n_hidden1, n_hidden2 = model.layer_sizes[1:3]  # every trial trains the same shape
+    n_hidden1, n_hidden2 = (dataset.n_free,) * 2 if config.hidden is None else config.hidden
     return SessionReport(
         k=k,
         n_repeats=n_repeats,

@@ -18,8 +18,10 @@ pickled mesh. Each step then costs a banded Cholesky, O(n bw^2) for
 half-bandwidth bw, and never forms an n^2 matrix. Each call runs its steps
 in a workspace of its own, allocated once and overwritten step after step,
 so calls on a shared mesh may run in threads. The steps run with scipy's
-OpenBLAS on one thread, which factors these bands faster than several
-threads do.
+OpenBLAS on one thread: at these half-bandwidths a threaded band Cholesky is
+slower than a serial one, and pool workers that each thread it oversubscribe
+the cores. numpy's OpenBLAS, which runs the step's small products, keeps the
+caller's count.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -28,16 +30,12 @@ with engineering shear strains, matching the constitutive matrix from
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
+from . import _blas
 from .mesh import TetMesh
 
 __all__ = [
@@ -338,74 +336,6 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return order[::-1]
 
 
-@functools.cache
-def _lapack_threads():
-    """(get, set) thread-count functions of the OpenBLAS that scipy.linalg runs on, or None.
-
-    Looked up once, among the shared objects this process has mapped (Linux
-    only): scipy's wheels bundle libscipy_openblas, whose symbols carry a
-    ``scipy_openblas_`` prefix, and a system OpenBLAS exports plain
-    ``openblas_`` ones. numpy's bundled copy exports only ``..._64_`` names,
-    so it is never picked; it runs only the step's small products.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            fields = [line.split(maxsplit=5) for line in fh]
-    except OSError:
-        return None
-    # a line's sixth field is the mapped file, listed once per mapped segment
-    paths = dict.fromkeys(f[5].strip() for f in fields if len(f) == 6)
-    libs = []
-    for path in paths:
-        if "blas" in os.path.basename(path).lower():
-            try:
-                libs.append(ctypes.CDLL(path))
-            except OSError:
-                continue
-    for prefix in ("scipy_openblas", "openblas"):  # scipy's own copy first
-        for lib in libs:
-            get = getattr(lib, f"{prefix}_get_num_threads", None)
-            put = getattr(lib, f"{prefix}_set_num_threads", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-_pin_lock = threading.Lock()
-_pin = {"depth": 0, "before": None}  # bodies running under the pin; the count to restore
-
-
-@contextlib.contextmanager
-def _one_lapack_thread():
-    """Run the body with scipy's OpenBLAS on one thread; restore the caller's count after.
-
-    At the half-bandwidths of these meshes a threaded band Cholesky is slower
-    than a serial one, and pool workers that each thread it oversubscribe the
-    cores. Threads may overlap here: the first to enter sets one thread and
-    the last to leave restores the count. Does nothing where no OpenBLAS is
-    found.
-    """
-    found = _lapack_threads()
-    if found is None:
-        yield
-        return
-    get, put = found
-    with _pin_lock:
-        if _pin["depth"] == 0:
-            _pin["before"] = get()
-            put(1)
-        _pin["depth"] += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin["depth"] -= 1
-            if _pin["depth"] == 0:
-                put(_pin["before"])
-
-
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
@@ -530,7 +460,7 @@ class _SolverPlan:
         gathered = np.empty(self._src.size)
 
         try:
-            with _one_lapack_thread():
+            with _blas.one_thread("scipy"):
                 for step in range(1, n_steps + 1):
                     np.take(positions, self.tets, axis=0, out=tet_vertices, mode="clip")
                     ke = _element_stiffness_batch(tet_vertices, d, work)

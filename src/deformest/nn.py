@@ -24,6 +24,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _blas
+
 __all__ = [
     "MlpModel",
     "ForwardCache",
@@ -368,12 +370,13 @@ def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
     The hidden layers are config.hidden wide, or dataset.n_free each when it
     is None. Weight initialization and the per-epoch shuffles come from one
     generator seeded with config.seed, so identical inputs give identical
-    weights.
+    weights. The updates run with numpy's OpenBLAS on one thread, and the
+    caller's count is given back after: the weights then do not depend on how
+    many threads train at once.
     """
     x_all = dataset.inputs()
     y_all = dataset.targets()
     train_idx = np.asarray(train_idx, dtype=np.int64)
-    x_train, y_train = x_all[train_idx], y_all[train_idx]
     x_test = y_test = None
     if test_idx is not None and len(test_idx):
         test_idx = np.asarray(test_idx, dtype=np.int64)
@@ -394,26 +397,28 @@ def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
     log = TrainingLog()
     total_updates = config.epochs * n_batches * config.inner_iters
 
-    for epoch in range(1, config.epochs + 1):
-        alpha = alpha_schedule(epoch, config.gamma)
-        perm = rng.permutation(m)  # remainder after the last full batch is dropped
-        epoch_costs = []
-        for b in range(n_batches):
-            sel = perm[b * config.batch_size : (b + 1) * config.batch_size]
-            xb, yb = x_train[sel], y_train[sel]
-            for _ in range(config.inner_iters):
-                grads = gradients(model, xb, yb, config.lambdas, work)
-                adam_step(state, model, grads, alpha)
-                t = state.t
-                if x_test is not None and config.log_every and (
-                    t % config.log_every == 0 or t == total_updates
-                ):
-                    log.curve.append((t, _rmse_mm(model, x_test, y_test, dataset.mm_per_unit)))
-            epoch_costs.append(cost(model, xb, yb, config.lambdas))
-        mean_cost = float(np.mean(epoch_costs))
-        if not np.isfinite(mean_cost):
-            raise ValueError(f"training diverged: mean cost of epoch {epoch} is {mean_cost}")
-        log.epoch_mean_cost.append(mean_cost)
+    with _blas.one_thread("numpy"):
+        for epoch in range(1, config.epochs + 1):
+            alpha = alpha_schedule(epoch, config.gamma)
+            perm = rng.permutation(m)  # remainder after the last full batch is dropped
+            epoch_costs = []
+            for b in range(n_batches):
+                rows = train_idx[perm[b * config.batch_size : (b + 1) * config.batch_size]]
+                xb, yb = x_all[rows], y_all[rows]
+                for _ in range(config.inner_iters):
+                    grads = gradients(model, xb, yb, config.lambdas, work)
+                    adam_step(state, model, grads, alpha)
+                    t = state.t
+                    if x_test is not None and config.log_every and (
+                        t % config.log_every == 0 or t == total_updates
+                    ):
+                        log.curve.append((t, _rmse_mm(model, x_test, y_test,
+                                                      dataset.mm_per_unit)))
+                epoch_costs.append(cost(model, xb, yb, config.lambdas))
+            mean_cost = float(np.mean(epoch_costs))
+            if not np.isfinite(mean_cost):
+                raise ValueError(f"training diverged: mean cost of epoch {epoch} is {mean_cost}")
+            log.epoch_mean_cost.append(mean_cost)
 
     return model, log
 

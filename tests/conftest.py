@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.spatial import Delaunay
 
-from deformest import fem
+from deformest import _blas
 from deformest.mesh import TetMesh, generate_rpp
 from deformest.sampling import Dataset
 
@@ -73,18 +73,28 @@ def blob_mesh() -> TetMesh:
 
 
 @pytest.fixture(autouse=True)
-def lapack_thread_count_kept():
-    """Fail any test that leaves scipy's OpenBLAS on another thread count than it found.
+def blas_thread_counts_kept():
+    """Fail any test that leaves numpy's or scipy's OpenBLAS on another thread count than it found.
 
-    fem.deform pins the band factorization to one thread for its steps; this
-    keeps the pin from leaking into training or into the code that calls it.
+    fem.deform pins scipy's copy to one thread for its steps, and nn.train and
+    evaluation.run_session pin numpy's; this keeps the pins from leaking into
+    the code that calls them.
     """
-    found = fem._lapack_threads()
-    before = found[0]() if found else None
+    pins = {package: _blas.threads(package) for package in ("numpy", "scipy")}
+    before = {package: pin.get() for package, pin in pins.items() if pin}
     yield
-    if found:
-        after = found[0]()
-        assert after == before, f"the test left the LAPACK thread count at {after}, not {before}"
+    after = {package: pins[package].get() for package in before}
+    assert after == before, f"the test left the OpenBLAS thread counts at {after}, not {before}"
+
+
+def _two_threads(package):
+    pin = _blas.threads(package)
+    if pin is None:
+        pytest.skip(f"no OpenBLAS found for {package}")
+    before = pin.get()
+    pin.put(2)
+    yield pin.get
+    pin.put(before)
 
 
 @pytest.fixture
@@ -94,14 +104,17 @@ def lapack_threads():
     2 stands for a caller's own setting that deform must give back. Skips
     where no OpenBLAS is found.
     """
-    found = fem._lapack_threads()
-    if found is None:
-        pytest.skip("no OpenBLAS found for scipy.linalg")
-    get, put = found
-    before = get()
-    put(2)
-    yield get
-    put(before)
+    yield from _two_threads("scipy")
+
+
+@pytest.fixture
+def numpy_threads():
+    """The thread-count getter of numpy's OpenBLAS, with the count set to 2 for the test.
+
+    2 stands for a caller's own setting that train and run_session must give
+    back. Skips where numpy's OpenBLAS is not found.
+    """
+    yield from _two_threads("numpy")
 
 
 @pytest.fixture

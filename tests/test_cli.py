@@ -4,7 +4,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from deformest import sampling
+from deformest import evaluation, sampling
 from deformest.cli import PROFILES, ConfigError, PipelineConfig, main, resolve_sampling_specs
 from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
@@ -380,6 +380,24 @@ class TestPipelineCommands:
             assert run(["train", "--config", path, "--out", out]) == 1
         assert not (out / "model.json").exists()
         assert "epoch 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runners", [1, 2])
+    def test_diverging_eval_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch,
+                                                        runners):
+        monkeypatch.setattr(evaluation, "_runners", lambda n: runners)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(changed(("train", "gamma"), 1e-300)))
+        out = tmp_path / "run"
+        run(["mesh", "--config", path, "--out", out])
+        run(["sample", "--config", path, "--out", out])
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert run(["eval", "--config", path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == \
+            err.splitlines()
+        assert len(err.splitlines()) == 1 and "epoch 1" in err
+        assert not (out / "report.json").exists()
 
     def test_seed_override_changes_model(self, config_path, tmp_path):
         out = tmp_path / "run"

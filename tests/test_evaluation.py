@@ -1,8 +1,13 @@
 import json
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from deformest import _blas, evaluation
 from deformest.evaluation import (
     curves_to_csv,
     export_vtk,
@@ -194,6 +199,147 @@ class TestRunSession:
         assert a.mean_rmse_mm == b.mean_rmse_mm
         for ta, tb in zip(a.trials, b.trials):
             assert ta.rmse_mm == tb.rmse_mm
+
+
+class TestSessionArguments:
+    @pytest.mark.parametrize("n_repeats", [0, -2])
+    def test_no_repeat_is_rejected_before_training(self, n_repeats, monkeypatch):
+        def untrained(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(evaluation, "train", untrained)
+        ds = make_synthetic_dataset(m=30, n_free=4, seed=2)
+        with pytest.raises(ValueError, match="n_repeats must be >= 1, got"):
+            run_session(ds, TrainConfig(batch_size=5, hidden=(6, 6)), k=2, n_repeats=n_repeats)
+
+    def test_hidden_widths_come_from_the_config(self):
+        ds = make_synthetic_dataset(m=30, n_free=4, seed=2)
+        cfg = TrainConfig(epochs=1, batch_size=5, inner_iters=1, hidden=None)
+        report = run_session(ds, cfg, k=2)
+        assert (report.n_hidden1, report.n_hidden2) == (4, 4)
+
+
+def session_files(tmp_path, name, ds, cfg, **kwargs):
+    """The bytes of report.json, report.csv and curves.csv of one session."""
+    report = run_session(ds, cfg, **kwargs)
+    out = tmp_path / name
+    out.mkdir()
+    blobs = []
+    for writer, file in ((report_to_json, "report.json"), (report_to_csv, "report.csv"),
+                         (curves_to_csv, "curves.csv")):
+        writer(report, out / file)
+        blobs.append((out / file).read_bytes())
+    return tuple(blobs)
+
+
+class TestTrialThreads:
+    """run_session runs its trials in threads and reports as a serial loop would."""
+
+    def test_one_runner_per_core_and_trial(self, monkeypatch):
+        cores = len(os.sched_getaffinity(0))
+        if _blas.threads("numpy") is not None:
+            assert evaluation._runners(1) == 1
+            assert evaluation._runners(50) == cores
+        monkeypatch.setattr(_blas, "threads", lambda package: None)
+        assert evaluation._runners(50) == 1
+
+    def test_every_index_runs_once_under_fast_thread_switching(self):
+        # more runners than cores, switching threads every microsecond
+        calls = []
+
+        def run(i):
+            calls.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = evaluation._in_threads(run, 500, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [i * i for i in range(500)]
+        assert sorted(calls) == list(range(500))
+
+    def test_report_bytes_do_not_depend_on_thread_count(self, tmp_path, monkeypatch):
+        # products small enough that OpenBLAS runs them on one thread even
+        # unpinned, as in the serial run where no OpenBLAS is found
+        ds = make_synthetic_dataset(m=64, n_free=40, seed=6)
+        cfg = TrainConfig(epochs=3, batch_size=16, inner_iters=2, seed=9, log_every=5,
+                          hidden=(48, 48))
+        runs = {}
+        for runners in (1, 2, 3):
+            monkeypatch.setattr(evaluation, "_runners", lambda n, r=runners: r)
+            runs[runners] = session_files(tmp_path, f"r{runners}", ds, cfg, k=4, n_repeats=2)
+        monkeypatch.undo()
+        monkeypatch.setattr(_blas, "threads", lambda package: None)  # no OpenBLAS found
+        runs["serial"] = session_files(tmp_path, "serial", ds, cfg, k=4, n_repeats=2)
+        assert all(blobs == runs[1] for blobs in runs.values())
+
+    def test_report_bytes_do_not_depend_on_the_callers_blas_threads(self, tmp_path,
+                                                                    numpy_threads):
+        # desk-sized products, which a threaded OpenBLAS splits: unpinned, one
+        # and two caller threads give other bits
+        ds = make_synthetic_dataset(m=140, n_free=90, seed=6)
+        cfg = TrainConfig(epochs=2, batch_size=100, inner_iters=2, seed=9, log_every=2,
+                          hidden=(90, 90))
+        runs = []
+        for count in (1, 2):
+            _blas.threads("numpy").put(count)
+            runs.append(session_files(tmp_path, f"t{count}", ds, cfg, k=4, n_repeats=2))
+        assert runs[0] == runs[1]
+
+    def test_every_runner_trains_at_once_in_the_callers_errstate(self, monkeypatch):
+        # a serial loop never passes the barrier
+        barrier = threading.Barrier(3, timeout=30)
+        seen = {}
+        train = evaluation.train
+
+        def meeting(*args, **kwargs):
+            if threading.get_ident() not in seen:
+                seen[threading.get_ident()] = np.geterr()
+                barrier.wait()
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_runners", lambda n: 3)
+        monkeypatch.setattr(evaluation, "train", meeting)
+        with np.errstate(over="ignore", under="warn"):
+            _, report = tiny_session(k=5)
+            expected = np.geterr()
+        assert len(report.trials) == 5
+        assert len(seen) == 3 and all(state == expected for state in seen.values())
+
+    @pytest.mark.parametrize("runners", [1, 2, 3])
+    def test_first_failing_trial_in_order_raises_and_later_ones_never_start(
+            self, runners, monkeypatch):
+        started = []
+        train = evaluation.train
+
+        def failing(dataset, train_idx, config, test_idx=None):
+            fold = config.seed % 1000
+            started.append(fold)
+            if fold == 1:
+                time.sleep(0.3)  # fold 2 fails first, when it runs at once
+                raise ValueError("fold 1 failed")
+            if fold == 2:
+                raise ValueError("fold 2 failed")
+            return train(dataset, train_idx, config, test_idx=test_idx)
+
+        monkeypatch.setattr(evaluation, "_runners", lambda n: runners)
+        monkeypatch.setattr(evaluation, "train", failing)
+        with pytest.raises(ValueError, match="^fold 1 failed$"):
+            tiny_session(k=6)
+        assert set(started) <= set(range(runners + 1))
+
+    def test_diverging_trials_raise_one_error_at_every_thread_count(self, monkeypatch):
+        ds = make_synthetic_dataset(m=30, n_free=4, seed=2)
+        cfg = TrainConfig(epochs=2, batch_size=5, inner_iters=2, gamma=1e-300, hidden=(6, 6))
+        errors = []
+        for runners in (1, 2):
+            monkeypatch.setattr(evaluation, "_runners", lambda n, r=runners: r)
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1 ") as exc:
+                run_session(ds, cfg, k=3)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
 
 
 class TestExports:

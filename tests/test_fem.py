@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from deformest import fem
+from deformest import _blas, fem
 from deformest.fem import (
     DegenerateElementError,
     FemError,
@@ -664,7 +664,7 @@ class TestLapackThreadPin:
 
     def test_overlapping_pins_restore_the_count_once(self, lapack_threads):
         # two threads' deform calls, the first to enter leaving first
-        first, second = fem._one_lapack_thread(), fem._one_lapack_thread()
+        first, second = _blas.one_thread("scipy"), _blas.one_thread("scipy")
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
@@ -677,7 +677,7 @@ class TestLapackThreadPin:
         mesh = generate_rpp(256.0, 51.2, 12.8)
         target = (0.2, 0.1, 0.05)
         pinned = deform(mesh, material_d(), "end", target, n_steps=2)
-        monkeypatch.setattr(fem, "_lapack_threads", lambda: None)
+        monkeypatch.setattr(_blas, "threads", lambda package: None)
         unpinned = deform(mesh, material_d(), "end", target, n_steps=2)
         assert_rel_close(unpinned.displacements, pinned.displacements)
         assert_rel_close(unpinned.contact_forces, pinned.contact_forces)

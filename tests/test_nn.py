@@ -1,5 +1,5 @@
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -329,6 +329,16 @@ class TestTrain:
                           hidden=(4, 4))
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1 "):
             train(ds, np.arange(30), cfg)
+
+    def test_rows_gathered_by_index_train_as_a_copied_subset(self):
+        ds = synthetic_dataset(m=30)
+        rows = np.random.default_rng(1).permutation(30)[:22]
+        subset = replace(ds, region_id=ds.region_id[rows], target=ds.target[rows], u=ds.u[rows])
+        cfg = TrainConfig(epochs=3, batch_size=5, inner_iters=2, seed=8, log_every=0,
+                          hidden=(5, 5))
+        gathered, _ = train(ds, rows, cfg)
+        copied, _ = train(subset, np.arange(22), cfg)
+        assert_same_bits(gathered.weights(), copied.weights())
 
     def test_deterministic(self):
         ds = synthetic_dataset(m=24)
