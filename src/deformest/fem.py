@@ -6,22 +6,26 @@ updated geometry after every step, while the constitutive matrix stays fixed.
 Fixed vertices are removed from the system by row/column elimination.
 
 Two paths compute the same solve. :func:`assemble` and
-:func:`solve_forced_displacement` build the dense reduced ``K`` and factor its
-non-contact block with a dense Cholesky; they are the public oracle the tests
-compare against. :func:`deform` instead uses one solver plan per (mesh,
-region): a reverse Cuthill-McKee ordering of the non-contact DOFs (Cuthill &
-McKee, 1969; George & Liu, 1981) and scatter indices that send element
-stiffness entries straight into LAPACK lower-band storage of ``K_nn``. The
-plan is built on the region's first solve and kept with the mesh object for
-as long as that lives; it holds no reference to the mesh and stays out of a
-pickled mesh. Each step then costs a banded Cholesky, O(n bw^2) for
-half-bandwidth bw, and never forms an n^2 matrix. Each call runs its steps
-in a workspace of its own, allocated once and overwritten step after step,
-so calls on a shared mesh may run in threads. The steps run with scipy's
-OpenBLAS on one thread: at these half-bandwidths a threaded band Cholesky is
-slower than a serial one, and pool workers that each thread it oversubscribe
-the cores. numpy's OpenBLAS, which runs the step's small products, keeps the
-caller's count.
+:func:`solve_forced_displacement` build the dense reduced ``K`` from element
+blocks ``V B^T D B`` and factor its non-contact block with a dense Cholesky;
+they are the public oracle the tests compare against. :func:`deform` instead
+uses one solver plan per (mesh, region): a reverse Cuthill-McKee ordering of
+the non-contact DOFs (Cuthill & McKee, 1969; George & Liu, 1981) and one
+scatter index that sends each element's 78 lower-triangle stiffness entries
+straight into LAPACK lower-band storage of ``K_nn``, into ``K_nc`` and into
+the lower triangle of ``K_cc``. The plan is built on the region's first
+solve and kept with the mesh object for as long as that lives; it holds no
+reference to the mesh and stays out of a pickled mesh. Each step forms the
+entries in closed form for isotropic material, with the element index last
+so that every operation runs over contiguous rows (Cuvelier, Japhet &
+Scarella, 2016), sums them with one ``bincount``, and factors the band,
+O(n bw^2) for half-bandwidth bw; it never forms B or an n^2 matrix. Each
+call runs its steps in a workspace of its own, allocated once and
+overwritten step after step, so calls on a shared mesh may run in threads.
+The steps run with scipy's OpenBLAS on one thread: at these half-bandwidths
+a threaded band Cholesky is slower than a serial one, and pool workers that
+each thread it oversubscribe the cores. numpy's OpenBLAS, which runs the
+step's small products, keeps the caller's count.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -30,6 +34,8 @@ with engineering shear strains, matching the constitutive matrix from
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,81 +111,47 @@ _B_PATTERN = [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 0, 1), (3, 1, 0),
               (4, 1, 2), (4, 2, 1), (5, 0, 2), (5, 2, 0)]
 
 
-# Cofactor row r is a x b for a = e_I[r], b = e_J[r]; its entry k is
-# a_I[k] b_J[k] - a_J[k] b_I[k], the products np.cross forms, at a third of its
-# cost. The four factors as columns of the flattened (M, 9) edge rows:
-_I, _J = np.array([1, 2, 0]), np.array([2, 0, 1])
-_COF_II, _COF_JJ, _COF_IJ, _COF_JI = ((3 * a[:, None] + b).ravel()
-                                      for a, b in ((_I, _I), (_J, _J), (_I, _J), (_J, _I)))
-
-
-class _StiffnessWork:
-    """Buffers of :func:`_element_stiffness_batch` and :func:`_checked_geometry`
-    for M tetrahedra, reusable call after call.
-
-    B starts at zero and each call writes only its 36 non-zeros, so the
-    zeros carry over from call to call.
-    """
-
-    def __init__(self, m: int):
-        self.edges, self.cof, self.p, self.q = np.empty((4, m, 3, 3))
-        self.det, self.vols = np.empty((2, m))
-        self.g = np.empty((m, 4, 3))
-        self.b = np.zeros((m, 6, 12))
-        self.db = np.empty((m, 6, 12))
-        self.ke = np.empty((m, 12, 12))
-
-
-def _checked_geometry(tet_vertices: np.ndarray, work: _StiffnessWork | None = None):
-    """Cofactor rows, determinants and signed volumes of tetrahedra (M, 4, 3).
-
-    The arrays returned are work's, fresh ones when work is None. Raises
-    DegenerateElementError naming the first non-positive volume.
-    """
-    work = _StiffnessWork(tet_vertices.shape[0]) if work is None else work
-    # rows are edge vectors e1, e2, e3
-    edges = np.subtract(tet_vertices[:, 1:, :], tet_vertices[:, :1, :], out=work.edges)
-    # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
-    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T). C order,
-    # as np.cross returns them, because einsum's summation order follows it.
-    # mode="clip" lets np.take write straight into out; the indices are in range.
-    flat, cof, p, q = (a.reshape(-1, 9) for a in (edges, work.cof, work.p, work.q))
-    np.multiply(np.take(flat, _COF_II, axis=1, out=cof, mode="clip"),
-                np.take(flat, _COF_JJ, axis=1, out=p, mode="clip"), out=cof)
-    np.multiply(np.take(flat, _COF_IJ, axis=1, out=p, mode="clip"),
-                np.take(flat, _COF_JI, axis=1, out=q, mode="clip"), out=p)
-    np.subtract(cof, p, out=cof)
-    det = np.einsum("mi,mi->m", edges[:, 0], work.cof[:, 0], out=work.det)
-    vols = np.divide(det, 6.0, out=work.vols)
+def _check_volumes(vols: np.ndarray) -> None:
+    """Raise DegenerateElementError naming the first non-positive volume."""
     if np.fmin.reduce(vols, initial=np.inf) <= 0.0:  # fmin skips NaN, as vols <= 0 does
         i = int(np.argmax(vols <= 0.0))
         raise DegenerateElementError(
             f"tetrahedron {i} has non-positive volume ({vols[i]:.3e})", tet_index=i
         )
-    return work.cof, det, vols
 
 
-def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray,
-                             work: _StiffnessWork | None = None) -> np.ndarray:
+def _checked_geometry(tet_vertices: np.ndarray):
+    """Cofactor rows, determinants and signed volumes of tetrahedra (M, 4, 3).
+
+    Raises DegenerateElementError naming the first non-positive volume.
+    """
+    # rows are edge vectors e1, e2, e3
+    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]
+    # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
+    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T)
+    cof = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
+    det = np.einsum("mi,mi->m", edges[:, 0], cof[:, 0])
+    vols = det / 6.0
+    _check_volumes(vols)
+    return cof, det, vols
+
+
+def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Stiffness volume * B^T D B of each tetrahedron in a batch (M, 4, 3).
 
     B (M, 6, 12) is the strain-displacement matrix, columns grouped per node
-    as (ux, uy, uz). The (M, 12, 12) result is work's ke, valid until work's
-    next use; work None computes it in a fresh workspace.
+    as (ux, uy, uz); the result is (M, 12, 12).
     """
-    work = _StiffnessWork(tet_vertices.shape[0]) if work is None else work
-    cof, det, vols = _checked_geometry(tet_vertices, work)
-    g = work.g
-    np.divide(cof, det[:, None, None], out=g[:, 1:, :])
-    # the gradients sum to zero
-    np.negative(np.sum(g[:, 1:, :], axis=1, out=g[:, 0, :]), out=g[:, 0, :])
+    cof, det, vols = _checked_geometry(tet_vertices)
+    g = np.empty(cof.shape[:1] + (4, 3))
+    g[:, 1:, :] = cof / det[:, None, None]
+    g[:, 0, :] = -np.sum(g[:, 1:, :], axis=1)  # the gradients sum to zero
 
-    b = work.b.reshape(-1, 6, 4, 3)  # (tet, strain row, node, displacement component)
+    b = np.zeros((g.shape[0], 6, 4, 3))  # (tet, strain row, node, displacement component)
     for row, comp, axis in _B_PATTERN:
         b[:, row, :, comp] = g[:, :, axis]
-    ke = np.matmul(np.transpose(work.b, (0, 2, 1)), np.matmul(d, work.b, out=work.db),
-                   out=work.ke)
-    return np.multiply(ke, vols[:, None, None], out=ke)
+    b = b.reshape(-1, 6, 12)
+    return np.transpose(b, (0, 2, 1)) @ (d @ b) * vols[:, None, None]
 
 
 def element_stiffness(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -336,6 +308,127 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return order[::-1]
 
 
+def _lame(d: np.ndarray) -> tuple[float, float]:
+    """Lamé's (λ, μ) = (d[0, 1], d[3, 3]) of a constitutive matrix.
+
+    Raises FemError unless d is a finite 6x6 matrix with the isotropic
+    pattern of :func:`elasticity_matrix`: its zeros, equal off-diagonal normal
+    entries, equal shear diagonal, and normal diagonal λ + 2μ within 1e-12
+    relative.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (6, 6) or not np.isfinite(d).all():
+        raise FemError(f"d must be a finite 6x6 constitutive matrix, got shape {d.shape}")
+    lam, mu = float(d[0, 1]), float(d[3, 3])
+    want = np.diag([lam + 2.0 * mu] * 3 + [mu] * 3)
+    want[:3, :3] += lam * (1.0 - np.eye(3))
+    exact = ~np.diag([True] * 3 + [False] * 3)
+    if not (np.array_equal(d[exact], want[exact])
+            and np.allclose(d.diagonal()[:3], lam + 2.0 * mu, rtol=1e-12, atol=0.0)):
+        raise FemError("d is not an isotropic constitutive matrix laid out as "
+                       "elasticity_matrix builds it")
+    return lam, mu
+
+
+# The plan sums each element's 78 lower-triangle stiffness entries K[p, q],
+# p = 3a + i >= q = 3b + j for nodes a, b and axes i, j. With Lamé's λ, μ,
+# volume V and shape-function gradients g_a of an isotropic element,
+#
+#     K[p, q] = V (λ g_ai g_bj + μ g_aj g_bi) + [i = j] μ V (g_a · g_b),
+#
+# the closed form of V B^T D B. Rows 0-29 of a (78, M) array hold the
+# entries with i = j, as (node pair a >= b, i); there K is
+# (λ + μ) V g_ai g_bi plus μ V times the sum of the pair's three products
+# g_ai g_bi. Rows 30-77 hold the entries with i != j, (_P[r], _Q[r]), whose
+# products read rows 3a + i, 3b + j, 3a + j and 3b + i of the (12, M)
+# gradients. _ROW_P and _ROW_Q give (p, q) of all 78 rows.
+_PAIR_A, _PAIR_B = np.tril_indices(4)
+_P, _Q = np.tril_indices(12)
+_OFF_AXIS = _P % 3 != _Q % 3
+_P, _Q = _P[_OFF_AXIS], _Q[_OFF_AXIS]
+_AJ, _BI = _P - _P % 3 + _Q % 3, _Q - _Q % 3 + _P % 3
+_ROW_P, _ROW_Q = (np.concatenate([(3 * n[:, None] + np.arange(3)).ravel(), r])
+                  for n, r in ((_PAIR_A, _P), (_PAIR_B, _Q)))
+
+
+class _StepWork:
+    """The arrays of one deform call's steps over M tetrahedra, overwritten
+    step after step.
+
+    The element index is last (Cuvelier, Japhet & Scarella, 2016): each
+    array is a stack of length-M rows, and each operation below runs over
+    whole contiguous rows. np.take writes straight into its out with
+    mode="clip"; every index is in range.
+    """
+
+    # (name, shape per element); x: (node, axis); e: (edge r % 3, axis k % 3);
+    # h: det * g, the cofactor rows and node 0's
+    _SHAPES = (("x", (4, 3)), ("e", (5, 5)), ("h", (4, 3)), ("det", ()), ("vol", ()),
+               ("g", (4, 3)), ("lam_h", (12,)), ("mu_h", (12,)), ("ke", (78,)),
+               ("tmp", (48,)), ("tmp2", (48,)), ("pair_sum", (10,)))
+    _ROWS = list(itertools.accumulate((math.prod(shape) for _, shape in _SHAPES), initial=0))
+
+    def __init__(self, m: int):
+        # One block: glibc raises its mmap and trim thresholds to the largest
+        # block freed, so a call's block comes back from the heap on the next
+        # call. In separate arrays, the workspace of a 1425-DOF call faulted
+        # about 1800 pages back in on every call.
+        block = np.empty((self._ROWS[-1], m))
+        for (name, shape), start, stop in zip(self._SHAPES, self._ROWS, self._ROWS[1:]):
+            setattr(self, name, block[start:stop].reshape(shape + (m,)))
+
+    def check(self, flat_positions: np.ndarray, corners: np.ndarray) -> None:
+        """Gathers the tetrahedra, forms their cofactors, determinants and
+        volumes, and raises DegenerateElementError at the first non-positive
+        volume."""
+        x, e, cof = self.x, self.e, self.h[1:]
+        np.take(flat_positions, corners, out=x, mode="clip")
+        np.subtract(x[1:], x[0], out=e[:3, :3])  # edge r is x_{r+1} - x_0
+        e[3:, :3] = e[:2, :3]
+        e[:, 3:] = e[:, :2]
+        # cofactor row r is e_{r+1} x e_{r+2}, np.cross's products; over det
+        # they are the gradients of nodes 1..3. g[1:] is scratch here.
+        np.multiply(e[1:4, 1:4], e[2:5, 2:5], out=cof)
+        np.subtract(cof, np.multiply(e[1:4, 2:5], e[2:5, 1:4], out=self.g[1:]), out=cof)
+        det = np.multiply(e[0, 0], cof[0, 0], out=self.det)
+        for k in (1, 2):
+            det += np.multiply(e[0, k], cof[0, k], out=self.vol)
+        _check_volumes(np.divide(det, 6.0, out=self.vol))
+
+    def stiffness(self, lam: float, mu: float) -> np.ndarray:
+        """The (78, M) lower-triangle stiffness entries of the tetrahedra
+        that :meth:`check` passed, valid until the next call."""
+        h, g = self.h, self.g
+        np.add(h[1], h[2], out=h[0])
+        np.add(h[0], h[3], out=h[0])
+        np.negative(h[0], out=h[0])  # the gradients sum to zero
+        np.divide(h, self.det, out=g)
+
+        # V g = h / 6, so a row with i = j is (λ + μ)/6 h_ai g_bi plus μ/6 times
+        # its node pair's sum of h_ai g_bi over i
+        same = self.ke[:30].reshape(10, 3, -1)
+        np.multiply(np.take(h, _PAIR_A, axis=0, out=same, mode="clip"),
+                    np.take(g, _PAIR_B, axis=0, out=self.tmp[:30].reshape(10, 3, -1),
+                            mode="clip"), out=same)
+        pair_sum = np.add(same[:, 0], same[:, 1], out=self.pair_sum)
+        np.add(pair_sum, same[:, 2], out=pair_sum)
+        np.multiply(same, (lam + mu) / 6.0, out=same)
+        np.multiply(pair_sum, mu / 6.0, out=pair_sum)
+        np.add(same, pair_sum[:, None], out=same)
+
+        # rows with i != j
+        h, g, lam_h, mu_h = h.reshape(12, -1), g.reshape(12, -1), self.lam_h, self.mu_h
+        np.multiply(h, lam / 6.0, out=lam_h)
+        np.multiply(h, mu / 6.0, out=mu_h)
+        off, tmp, tmp2 = self.ke[30:], self.tmp, self.tmp2
+        np.multiply(np.take(lam_h, _P, axis=0, out=off, mode="clip"),
+                    np.take(g, _Q, axis=0, out=tmp, mode="clip"), out=off)
+        np.multiply(np.take(mu_h, _AJ, axis=0, out=tmp, mode="clip"),
+                    np.take(g, _BI, axis=0, out=tmp2, mode="clip"), out=tmp)
+        np.add(off, tmp, out=off)
+        return self.ke
+
+
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
@@ -343,16 +436,17 @@ class _SolverPlan:
     step of every sample of the region: the contact (c) / remaining free (n)
     DOF partition, a reverse Cuthill-McKee ordering of the n-partition (per
     vertex, so that a vertex's three DOFs stay adjacent), its half-bandwidth
-    ``bw``, and one flat scatter of the element blocks into three matrices
-    laid end to end: K_nn's lower band in LAPACK storage ``(bw + 1, n)``,
-    column-major so that LAPACK factors it in place, a dense ``(n, c)`` K_nc
-    and a dense ``(c, c)`` K_cc. The plan keeps the mesh's arrays, never the
-    mesh, and is read-only once built: :func:`_plan` keeps one on the mesh,
-    and threads may share it.
+    ``bw``, the flat position of each tetrahedron corner coordinate, and one
+    flat scatter of the elements' lower-triangle stiffness entries into
+    three matrices laid end to end: K_nn's lower band in LAPACK storage
+    ``(bw + 1, n)``, column-major so that LAPACK factors it in place, a
+    dense ``(n, c)`` K_nc and the lower triangle of a dense ``(c, c)`` K_cc.
+    The plan keeps the mesh's arrays, never the mesh, and is read-only once
+    built: :func:`_plan` keeps one on the mesh, and threads may share it.
     """
 
     def __init__(self, mesh: TetMesh, region: str):
-        self.vertices, self.tets, self.free_ids = mesh.vertices, mesh.tets, mesh.free_ids
+        self.vertices, self.free_ids = mesh.vertices, mesh.free_ids
         self.contact_ids = mesh.contact_regions[region]
         self.contact_slots = mesh.free_index_of()[self.contact_ids]  # their rows in a free field
         n_dofs = 3 * mesh.n_free
@@ -361,6 +455,8 @@ class _SolverPlan:
         in_n[contact_dofs] = False
         self.n_idx = np.flatnonzero(in_n)
         self.n, self.c = self.n_idx.size, contact_dofs.size
+        # flat index in the (n_vertices, 3) positions of (corner, axis, tet)
+        self._corners = 3 * mesh.tets.T[:, None, :] + np.arange(3)[:, None]
 
         # RCM over the n-partition's vertices, adjacent when they share a tet
         n_vertices = self.n // 3
@@ -378,45 +474,51 @@ class _SolverPlan:
         n_pos[self.n_idx] = self.n_perm
         c_pos = np.full(n_dofs + 1, -1)
         c_pos[contact_dofs] = np.arange(self.c)
-        src, dst = self._scatter_index(_element_dofs(mesh), n_pos, c_pos)
-        # Copied once the temporaries that made them are freed, so that the
-        # copies fill the heap below them and the heap can shrink back; kept
-        # above the freed temporaries, they held about 15 MB resident at 1425
-        # reduced DOFs.
-        self._src, self._dst = src.copy(), dst.copy()
+        dst = self._scatter_index(_element_dofs(mesh).T, n_pos, c_pos)
+        # Copied once the temporaries that made it are freed, so that the
+        # copy fills the heap below them and the heap can shrink back.
+        self._dst = dst.copy()
 
     def _scatter_index(self, dofs: np.ndarray, n_pos: np.ndarray, c_pos: np.ndarray):
-        """Sets bw and the slot ends; returns (src, dst), the element block
-        entries that are summed, as flat indices of ke, and their flat slots
-        in [band | K_nc | K_cc]."""
-        ni, nj = _block_pairs(n_pos[dofs])
-        ci, cj = _block_pairs(c_pos[dofs])
-        lower = (nj >= 0) & (ni >= nj)
-        self.bw = int((ni - nj)[lower].max(initial=0))
-        self._ends = np.cumsum([(self.bw + 1) * self.n, self.n * self.c, self.c * self.c])
-        slot = np.full(ni.size, -1)  # -1: an entry no matrix needs
-        slot[lower] = (nj * (self.bw + 1) + ni - nj)[lower]
-        nc = (ni >= 0) & (cj >= 0)
-        slot[nc] = self._ends[0] + (ni * self.c + cj)[nc]
-        cc = (ci >= 0) & (cj >= 0)
-        slot[cc] = self._ends[1] + (ci * self.c + cj)[cc]
-        src = np.flatnonzero(slot >= 0)
-        return src, slot[src]
+        """Sets bw and the slot ends; returns the flat slot in
+        [band | K_nc | K_cc | spare] of each lower-triangle entry of the
+        (78, M) element stiffness, flattened. dofs is (12, M).
 
-    def _solve(self, ke: np.ndarray, gathered: np.ndarray, u_c: np.ndarray, reaction: bool):
+        An entry K[p, q] stands for K[q, p] as well: it goes to the band at
+        (max, min) of its plan positions, to K_nc in whichever orientation
+        has its n position first, and to K_cc's lower triangle. The spare
+        slot takes the entries no matrix needs, those at fixed DOFs.
+        """
+        n_p, n_q = n_pos[dofs[_ROW_P]], n_pos[dofs[_ROW_Q]]
+        c_p, c_q = c_pos[dofs[_ROW_P]], c_pos[dofs[_ROW_Q]]
+        hi, lo = np.maximum(n_p, n_q), np.minimum(n_p, n_q)
+        nn = lo >= 0
+        self.bw = int((hi - lo)[nn].max(initial=0))
+        self._ends = np.cumsum([(self.bw + 1) * self.n, self.n * self.c, self.c * self.c])
+        slot = np.full(n_p.shape, self._ends[-1])
+        slot[nn] = (lo * (self.bw + 1) + hi - lo)[nn]
+        for n, c in ((n_p, c_q), (n_q, c_p)):
+            nc = (n >= 0) & (c >= 0)
+            slot[nc] = self._ends[0] + (n * self.c + c)[nc]
+        cc = (c_p >= 0) & (c_q >= 0)
+        slot[cc] = self._ends[1] + (np.maximum(c_p, c_q) * self.c + np.minimum(c_p, c_q))[cc]
+        return slot.reshape(-1)
+
+    def _solve(self, ke: np.ndarray, u_c: np.ndarray, reaction: bool):
         """One step's u_n, in plan order, and the contact reaction when asked, else None.
 
-        K_nn's band, K_nc and K_cc are summed from the element blocks ke into
-        one array, which is freed on return, before the next step sums its
-        own; gathered is scratch for the entries summed.
+        K_nn's band, K_nc and K_cc's lower triangle are summed from the
+        element entries ke (78, M) into one array, which is freed on return,
+        before the next step sums its own.
         """
-        k = np.bincount(self._dst, weights=np.take(ke.reshape(-1), self._src, out=gathered,
-                                                   mode="clip"),
-                        minlength=self._ends[-1])
-        band, k_nc, k_cc = np.split(k, self._ends[:-1])
+        k = np.bincount(self._dst, weights=ke.reshape(-1), minlength=self._ends[-1] + 1)
+        band, k_nc, k_cc, _ = np.split(k, self._ends)
         k_nc = k_nc.reshape(self.n, self.c)
         u_n = self._solve_nn(band.reshape(self.n, self.bw + 1).T, -(k_nc @ u_c))
-        return u_n, (k_cc.reshape(self.c, self.c) @ u_c + k_nc.T @ u_n) if reaction else None
+        if not reaction:
+            return u_n, None
+        low = k_cc.reshape(self.c, self.c)
+        return u_n, low @ u_c + low.T @ u_c - low.diagonal() * u_c + k_nc.T @ u_n
 
     def _solve_nn(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """K_nn^-1 rhs, both in plan order; factors the band of K_nn in place."""
@@ -447,32 +549,28 @@ class _SolverPlan:
         target = np.asarray(target_disp, dtype=np.float64).reshape(3)
         if not np.isfinite(target).all():
             raise FemError("target_disp contains non-finite values")
+        lam, mu = _lame(d)
 
         contact_ids, free_ids = self.contact_ids, self.free_ids
-        d = np.asarray(d, dtype=np.float64)
         positions = self.vertices.copy()
+        flat_positions = positions.reshape(-1)
         start = positions[contact_ids].copy()
         update = np.zeros(3 * free_ids.size)  # contact rows stay 0: those positions are reset below
-        # The call's own workspace, reused by every step. mode="clip" lets
-        # np.take write straight into its out; every index is in range.
-        work = _StiffnessWork(self.tets.shape[0])
-        tet_vertices = np.empty(self.tets.shape + (3,))
-        gathered = np.empty(self._src.size)
+        work = _StepWork(self._corners.shape[-1])  # the call's own, reused by every step
 
         try:
             with _blas.one_thread("scipy"):
                 for step in range(1, n_steps + 1):
-                    np.take(positions, self.tets, axis=0, out=tet_vertices, mode="clip")
-                    ke = _element_stiffness_batch(tet_vertices, d, work)
+                    work.check(flat_positions, self._corners)
+                    ke = work.stiffness(lam, mu)
                     desired = start + target * (step / n_steps)
                     u_c = (desired - positions[contact_ids]).reshape(-1)
-                    u_n, f_c = self._solve(ke, gathered, u_c, reaction=step == n_steps)
+                    u_n, f_c = self._solve(ke, u_c, reaction=step == n_steps)
                     update[self.n_idx] = u_n[self.n_perm]
                     positions[free_ids] += update.reshape(-1, 3)
                     positions[contact_ids] = desired  # keep the prescribed path exact
                 # each step checks the elements it starts from; this checks where the last ended
-                _checked_geometry(np.take(positions, self.tets, axis=0, out=tet_vertices,
-                                          mode="clip"), work)
+                work.check(flat_positions, self._corners)
         except DegenerateElementError as exc:
             raise DegenerateElementError(
                 f"step {step}/{n_steps}: {exc}", tet_index=exc.tet_index, step=step
@@ -529,10 +627,12 @@ def deform(
 
     The solve uses the banded plan of (mesh, region), built on first use and
     kept with the mesh: an RCM-ordered band Cholesky of K_nn, scattered from
-    the element blocks without forming the dense K. It agrees with
-    :func:`assemble` + :func:`solve_forced_displacement` to rounding. Raises
-    SingularSystemError when K_nn is not numerically positive definite, and
-    DegenerateElementError naming the step at which an element inverted.
+    closed-form element entries without forming the dense K. d must be an
+    isotropic matrix as :func:`elasticity_matrix` builds it; FemError
+    otherwise. The result agrees with :func:`assemble` +
+    :func:`solve_forced_displacement` to rounding. Raises SingularSystemError
+    when K_nn is not numerically positive definite, and DegenerateElementError
+    naming the step at which an element inverted.
     """
     if region not in mesh.contact_regions:
         raise FemError(f"unknown contact region {region!r}; have {list(mesh.contact_regions)}")

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .fem import FemError, _plan
+from .fem import FemError, _lame, _plan
 from .mesh import ScaleConvention, TetMesh, vertex_normals
 
 __all__ = [
@@ -398,6 +398,10 @@ def build_dataset(
     """
     if workers < 1:
         raise DatasetError(f"workers must be >= 1, got {workers}")
+    try:
+        _lame(d)  # a d the FEM cannot take would fail every sample
+    except FemError as exc:
+        raise DatasetError(str(exc)) from exc
     unknown = [r for r in specs if r not in mesh.contact_regions]
     if unknown:
         raise DatasetError(f"specs reference unknown regions {unknown}; have {list(mesh.contact_regions)}")
@@ -408,6 +412,7 @@ def build_dataset(
         for index, point in enumerate(sample_points_for_region(mesh, region, spec)):
             tasks.append((region, index, point - centroid))
 
+    workers = min(workers, len(tasks))  # a pool never starts more processes than samples
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(

@@ -72,6 +72,34 @@ class TestElasticityMatrix:
         with pytest.raises(ValueError, match="young_modulus"):
             MaterialParams(young_modulus=0.0)
 
+    def test_lame_parameters_of_every_material(self):
+        for e in (1e3, 1.0, 2.5e6):
+            for nu in (0.0, 0.1, 0.3, 0.45, 0.499):
+                lam, mu = fem._lame(material_d(e, nu))
+                assert lam == pytest.approx(e * nu / ((1 + nu) * (1 - 2 * nu)), rel=1e-14)
+                assert mu == pytest.approx(e / (2 * (1 + nu)), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["anisotropic", "3x3", "shear coupling", "unequal shear",
+                                      "unequal normal", "diagonal off", "nan"])
+    def test_deform_rejects_a_non_isotropic_d(self, case):
+        d = material_d()
+        if case == "anisotropic":  # a stiffer x axis
+            d[0, 0] *= 2.0
+        elif case == "3x3":
+            d = d[:3, :3]
+        elif case == "shear coupling":
+            d[3, 4] = d[4, 3] = 1.0
+        elif case == "unequal shear":
+            d[5, 5] *= 1.5
+        elif case == "unequal normal":
+            d[1, 2] = d[2, 1] = 0.9 * d[1, 2]
+        elif case == "diagonal off":  # by more than rounding
+            d[:3, :3] += 1e-9 * d[0, 0] * np.eye(3)
+        else:
+            d[2, 0] = np.nan
+        with pytest.raises(FemError, match="6x6|isotropic"):
+            deform(generate_rpp(51.2, 25.6, 25.6), d, "end", (0.01, 0.0, 0.0), n_steps=1)
+
 
 def shape_gradients(verts):
     """Independent shape-function gradients via the affine coefficient system."""
@@ -135,29 +163,38 @@ class TestElementStiffness:
         assert np.sum(s < 1e-9 * s[0]) == 6
 
     def test_geometry_bitwise_equals_np_cross(self):
-        # the cofactor products are np.cross's, so stiffness and volumes keep their bits
+        # the cofactor products are np.cross's, in the oracle and in the
+        # plan's row-wise geometry alike
         mesh = generate_rpp(256.0, 51.2, 12.8)
         rng = np.random.default_rng(4)
-        tv = (mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape))[mesh.tets]
+        positions = mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape)
+        tv = positions[mesh.tets]
         edges = tv[:, 1:] - tv[:, :1]
         cof_ref = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
         det_ref = np.einsum("mi,mi->m", edges[:, 0], cof_ref[:, 0])
         cof, det, vols = _checked_geometry(tv)
         assert np.array_equal(cof, cof_ref)
         assert np.array_equal(det, det_ref) and np.array_equal(vols, det_ref / 6.0)
+        work = fem._StepWork(mesh.n_tets)
+        work.check(positions.reshape(-1), fem._SolverPlan(mesh, "end")._corners)
+        assert np.array_equal(work.h[1:], cof_ref.transpose(1, 2, 0))
+        assert np.allclose(work.det, det_ref, rtol=1e-14, atol=0.0)
 
-    def test_reused_workspace_matches_a_fresh_one(self):
-        # two position sets in a row through one workspace: nothing of the
-        # first may leak into the second
-        mesh = generate_rpp(256.0, 51.2, 25.6)
-        rng = np.random.default_rng(7)
-        work = fem._StiffnessWork(mesh.n_tets)
-        for scale in (2e-3, 5e-3):
-            tv = (mesh.vertices + rng.normal(scale=scale, size=mesh.vertices.shape))[mesh.tets]
-            fresh = fem._element_stiffness_batch(tv, material_d(), work=None)
-            reused = fem._element_stiffness_batch(tv, material_d(), work)
-            assert reused is work.ke
-            assert np.array_equal(reused, fresh)
+    @pytest.mark.parametrize("spacing, nu", [(25.6, 0.40), (12.8, 0.40), (25.6, 0.0),
+                                             (25.6, 0.499)])
+    def test_closed_form_lower_triangle_matches_b_t_d_b(self, spacing, nu):
+        # deform's (78, M) kernel against the oracle's V B^T D B, entry for entry
+        assert sorted(zip(fem._ROW_P, fem._ROW_Q)) == sorted(zip(*np.tril_indices(12)))
+        mesh = generate_rpp(256.0, 51.2, spacing)
+        rng = np.random.default_rng(11)
+        positions = mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape)
+        d = material_d(nu=nu)
+        work = fem._StepWork(mesh.n_tets)
+        work.check(positions.reshape(-1), fem._SolverPlan(mesh, "end")._corners)
+        got = work.stiffness(*fem._lame(d))
+        want = fem._element_stiffness_batch(positions[mesh.tets], d)
+        want = want[:, fem._ROW_P, fem._ROW_Q].T
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max(axis=0))
 
     def test_degenerate_rejected(self):
         flat = UNIT_TET.copy()
@@ -307,12 +344,22 @@ def fixed_bar(cells_x=2):
 
 
 def dense_deform(mesh, d, region, target, n_steps):
-    """deform's Euler loop on the dense oracle: assemble + solve_forced_displacement."""
+    """deform's Euler loop on the dense oracle: assemble + solve_forced_displacement.
+
+    An inverted element raises DegenerateElementError with the step that
+    found it, the last step for the final configuration.
+    """
     contact = mesh.contact_regions[region]
     positions = mesh.vertices.copy()
     start = positions[contact].copy()
-    for step in range(1, n_steps + 1):
-        system = assemble(mesh, positions, d)
+    for step in range(1, n_steps + 2):
+        try:
+            if step > n_steps:
+                _checked_geometry(positions[mesh.tets])
+                break
+            system = assemble(mesh, positions, d)
+        except DegenerateElementError as exc:
+            raise DegenerateElementError(str(exc), exc.tet_index, min(step, n_steps)) from exc
         dofs = system.vertex_dofs(contact)
         desired = start + np.asarray(target) * (step / n_steps)
         u_c = (desired - positions[contact]).reshape(-1)
@@ -533,6 +580,49 @@ class TestDeform:
         assert f"step {n_steps}/{n_steps}" in str(err.value)
         assert 0 <= err.value.tet_index < paper_rpp.n_tets
 
+    @pytest.mark.parametrize("which, target, n_steps", [
+        ("fixed_bar", (-0.5, 0.0, 0.0), 4),  # inverts at the reassembly of a later step
+        ("paper_rpp", (-1.5, 0.0, 0.0), 2),  # inverts during the last step
+        ("paper_rpp", (-3.0, 0.0, 0.0), 1),
+        ("rpp-12.8mm", (-1.0, 0.3, 0.0), 8),  # at step 7 of 8
+    ])
+    def test_inversion_names_the_dense_loops_tet_and_step(self, which, target, n_steps,
+                                                          paper_rpp):
+        mesh = {"fixed_bar": fixed_bar, "paper_rpp": lambda: paper_rpp,
+                "rpp-12.8mm": lambda: generate_rpp(256.0, 51.2, 12.8)}[which]()
+        with pytest.raises(DegenerateElementError) as want:
+            dense_deform(mesh, material_d(), "end", target, n_steps)
+        with pytest.raises(DegenerateElementError) as got:
+            deform(mesh, material_d(), "end", target, n_steps=n_steps)
+        assert (got.value.tet_index, got.value.step) == (want.value.tet_index, want.value.step)
+        assert str(got.value).startswith(f"step {want.value.step}/{n_steps}: tetrahedron "
+                                         f"{want.value.tet_index} has non-positive volume")
+
+    def test_contact_reaction_from_the_lower_triangle_of_k_cc(self):
+        # The plan sums K_cc's lower triangle only and symmetrizes it for the
+        # reaction. The 12.8 mm end face holds 25 contact vertices, so K_cc
+        # couples neighbours; a random u_c weighs each coupling differently.
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        d = material_d()
+        target = (0.05, -0.1, 0.02)
+        res = deform(mesh, d, "end", target, n_steps=1)
+        system = assemble(mesh, mesh.vertices, d)
+        dofs = system.vertex_dofs(mesh.contact_regions["end"])
+        f_c, _ = solve_forced_displacement(system, dofs, np.tile(target, dofs.size // 3))
+        assert_rel_close(res.contact_forces.reshape(-1), f_c)
+
+        plan = fem._SolverPlan(mesh, "end")
+        rng = np.random.default_rng(5)
+        positions = mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape)
+        work = fem._StepWork(mesh.n_tets)
+        work.check(positions.reshape(-1), plan._corners)
+        u_c = rng.normal(scale=0.01, size=plan.c)
+        u_n, f_c = plan._solve(work.stiffness(*fem._lame(d)), u_c, reaction=True)
+        system = assemble(mesh, positions, d)
+        f_ref, u_ref = solve_forced_displacement(system, dofs, u_c)
+        assert_rel_close(f_c, f_ref)
+        assert_rel_close(u_n[plan.n_perm], u_ref)
+
     def test_build_dataset_records_final_inversion(self, paper_rpp):
         # two targets: (-1.5, 0, 0) inverts at its only step; (0, 0, 0) stays at rest
         centroid = paper_rpp.vertices[paper_rpp.contact_regions["end"]].mean(axis=0)
@@ -573,6 +663,17 @@ class TestSolverPlanCache:
             fresh = fem._SolverPlan(mesh, region).deform(d, target, 3)
             assert np.array_equal(run.displacements, fresh.displacements)
             assert np.array_equal(run.contact_forces, fresh.contact_forces)
+
+    def test_reused_plan_matches_a_fresh_one(self):
+        # two calls in a row on one plan: nothing of the first may leak into
+        # the second
+        mesh = generate_rpp(256.0, 51.2, 25.6)
+        plan, d = fem._SolverPlan(mesh, "end"), material_d()
+        for target in ((0.2, 0.1, 0.05), (-0.1, 0.3, 0.0)):
+            reused = plan.deform(d, target, 3)
+            fresh = fem._SolverPlan(mesh, "end").deform(d, target, 3)
+            assert np.array_equal(reused.displacements, fresh.displacements)
+            assert np.array_equal(reused.contact_forces, fresh.contact_forces)
 
     def test_build_dataset_uses_the_mesh_plan(self, built):
         mesh = fixed_bar()
@@ -624,9 +725,11 @@ class TestSolverPlanCache:
 
     def test_warm_deform_peak_memory(self):
         # A warm deform on the 12.8 mm RPP (1425 reduced DOFs) holds its
-        # workspace (6.3 MB) and one step's K_nn band, K_nc and K_cc (2 MB),
-        # however many steps it runs. Building the plan on every call, with
-        # fresh element arrays at every step, peaked at 14.3 MB.
+        # workspace (4.0 MB) and one step's K_nn band, K_nc and K_cc (2 MB),
+        # however many steps it runs: a 6.0 MB peak. Element blocks formed as
+        # B^T D B and gathered for the scatter peaked at 8.3 MB; building the
+        # plan on every call, with fresh element arrays at every step, at
+        # 14.3 MB.
         mesh = generate_rpp(256.0, 51.2, 12.8)
         deform(mesh, material_d(), "end", (0.2, 0.1, 0.05), n_steps=1)  # builds the plan
         peaks = []

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from deformest import fem
+from deformest import fem, sampling
 from deformest.fem import MaterialParams, elasticity_matrix
 from deformest.mesh import generate_rpp
 from deformest.sampling import (
@@ -322,6 +322,46 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
         with pytest.raises(DatasetError, match="workers must be >= 1"):
             build_dataset(mesh, D, {"end": spec}, n_steps=1, workers=workers)
+
+    def test_non_isotropic_d_rejected_before_any_sample(self):
+        d = D.copy()
+        d[0, 0] *= 2.0
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.02, 0.0, 0.0))
+        with pytest.raises(DatasetError, match="isotropic"):
+            build_dataset(small_bar(), d, {"end": spec}, n_steps=2)
+
+    @pytest.mark.parametrize("extent, m, workers, pools", [(0.06, 4, 5000, [4]), (0.06, 4, 3, [3]),
+                                                           (0.0, 1, 8, [])])
+    def test_pool_holds_at_most_one_process_per_sample(self, extent, m, workers, pools,
+                                                       monkeypatch, tmp_path):
+        # A stand-in pool records its size and maps in this process, so that
+        # no large pool is ever started; one sample runs serially.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                sampling._WORKER_CTX.clear()
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        mesh = small_bar()
+        spec = SamplingSpec(mode="box", spacing=0.02, extents=(extent, 0.0, 0.0))
+        serial = build_dataset(mesh, D, {"end": spec}, n_steps=2, workers=1)
+        monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+        capped = build_dataset(mesh, D, {"end": spec}, n_steps=2, workers=workers)
+        assert sizes == pools and capped.m == serial.m == m
+        a, b = tmp_path / "serial.ds", tmp_path / "capped.ds"
+        save_dataset(serial, a)
+        save_dataset(capped, b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_multi_region_order(self):
         mesh = generate_rpp(
