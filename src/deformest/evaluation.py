@@ -297,9 +297,10 @@ def run_session(
 # ---------------------------------------------------------------------------
 
 def report_to_json(report: SessionReport, path):
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 _CSV_COLUMNS = [

@@ -13,15 +13,20 @@ uses one solver plan per (mesh, region): a reverse Cuthill-McKee ordering of
 the non-contact DOFs (Cuthill & McKee, 1969; George & Liu, 1981) and one
 scatter index that sends each element's 78 lower-triangle stiffness entries
 straight into LAPACK lower-band storage of ``K_nn``, into ``K_nc`` and into
-the lower triangle of ``K_cc``. The plan is built on the region's first
-solve and kept with the mesh object for as long as that lives; it holds no
-reference to the mesh and stays out of a pickled mesh. Each step forms the
-entries in closed form for isotropic material, with the element index last
-so that every operation runs over contiguous rows (Cuvelier, Japhet &
-Scarella, 2016), sums them with one ``bincount``, and factors the band,
-O(n bw^2) for half-bandwidth bw; it never forms B or an n^2 matrix. Each
-call runs its steps in a workspace of its own, allocated once and
-overwritten step after step, so calls on a shared mesh may run in threads.
+the lower triangle of ``K_cc``, of which ``K_nc`` keeps only the rows that
+share a tetrahedron with the contact set. The plan is built on the region's
+first solve and kept with the mesh object for as long as that lives; it
+holds no reference to the mesh and stays out of a pickled mesh. Each step
+forms the entries in closed form for isotropic material, with the element
+index last so that every operation runs over contiguous rows (Cuvelier,
+Japhet & Scarella, 2016), sums them with one ``bincount``, and factors the
+band, O(n bw^2) for half-bandwidth bw; it never forms B or an n^2 matrix.
+Step 1 of every call starts from the rest configuration, where the solve is
+linear in the increment: the plan solves it once per material, for a unit
+translation of the contact set along each axis, keeps that one result, and
+step 1 scales it. Each call runs its other steps in a workspace of its own,
+allocated once and overwritten step after step, so calls on a shared mesh
+may run in threads.
 The steps run with scipy's OpenBLAS on one thread: at these half-bandwidths
 a threaded band Cholesky is slower than a serial one, and pool workers that
 each thread it oversubscribe the cores. numpy's OpenBLAS, which runs the
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,17 +438,20 @@ class _StepWork:
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
-    Everything here depends on topology alone, so one plan serves every
-    step of every sample of the region: the contact (c) / remaining free (n)
-    DOF partition, a reverse Cuthill-McKee ordering of the n-partition (per
-    vertex, so that a vertex's three DOFs stay adjacent), its half-bandwidth
-    ``bw``, the flat position of each tetrahedron corner coordinate, and one
-    flat scatter of the elements' lower-triangle stiffness entries into
-    three matrices laid end to end: K_nn's lower band in LAPACK storage
+    Everything here but the rest solve depends on topology alone, so one
+    plan serves every step of every sample of the region: the contact (c) /
+    remaining free (n) DOF partition, a reverse Cuthill-McKee ordering of
+    the n-partition (per vertex, so that a vertex's three DOFs stay
+    adjacent), its half-bandwidth ``bw``, the flat position of each
+    tetrahedron corner coordinate, and one flat scatter of the elements'
+    lower-triangle stiffness entries into three matrices laid end to end: K_nn's lower band in LAPACK storage
     ``(bw + 1, n)``, column-major so that LAPACK factors it in place, a
-    dense ``(n, c)`` K_nc and the lower triangle of a dense ``(c, c)`` K_cc.
-    The plan keeps the mesh's arrays, never the mesh, and is read-only once
-    built: :func:`_plan` keeps one on the mesh, and threads may share it.
+    dense K_nc of the ``coupled`` rows, those that share a tetrahedron with
+    a contact DOF, and the lower triangle of a dense ``(c, c)`` K_cc. It
+    also keeps the rest solve of the last material it was asked for (see
+    :meth:`_rest_response`), its one mutable part. The plan keeps the mesh's
+    arrays, never the mesh: :func:`_plan` keeps one on the mesh, and threads
+    may share it.
     """
 
     def __init__(self, mesh: TetMesh, region: str):
@@ -478,47 +487,87 @@ class _SolverPlan:
         # Copied once the temporaries that made it are freed, so that the
         # copy fills the heap below them and the heap can shrink back.
         self._dst = dst.copy()
+        self._rest = None  # ((λ, μ), W, F) of the material last solved at rest
+        self._rest_lock = threading.Lock()
 
     def _scatter_index(self, dofs: np.ndarray, n_pos: np.ndarray, c_pos: np.ndarray):
-        """Sets bw and the slot ends; returns the flat slot in
-        [band | K_nc | K_cc | spare] of each lower-triangle entry of the
+        """Sets bw, the coupled rows and the slot ends; returns the flat slot
+        in [band | K_nc | K_cc | spare] of each lower-triangle entry of the
         (78, M) element stiffness, flattened. dofs is (12, M).
 
         An entry K[p, q] stands for K[q, p] as well: it goes to the band at
         (max, min) of its plan positions, to K_nc in whichever orientation
-        has its n position first, and to K_cc's lower triangle. The spare
-        slot takes the entries no matrix needs, those at fixed DOFs.
+        has its n position first, and to K_cc's lower triangle. K_nc keeps
+        only its coupled rows, the n positions that share a tetrahedron
+        with a contact DOF, ascending. The spare slot takes the entries no
+        matrix needs, those at fixed DOFs.
         """
         n_p, n_q = n_pos[dofs[_ROW_P]], n_pos[dofs[_ROW_Q]]
         c_p, c_q = c_pos[dofs[_ROW_P]], c_pos[dofs[_ROW_Q]]
         hi, lo = np.maximum(n_p, n_q), np.minimum(n_p, n_q)
         nn = lo >= 0
         self.bw = int((hi - lo)[nn].max(initial=0))
-        self._ends = np.cumsum([(self.bw + 1) * self.n, self.n * self.c, self.c * self.c])
+        nc_pairs = [(n, c, (n >= 0) & (c >= 0)) for n, c in ((n_p, c_q), (n_q, c_p))]
+        self.coupled = np.unique(np.concatenate([n[nc] for n, _, nc in nc_pairs]))
+        self._ends = np.cumsum([(self.bw + 1) * self.n, self.coupled.size * self.c,
+                                self.c * self.c])
         slot = np.full(n_p.shape, self._ends[-1])
         slot[nn] = (lo * (self.bw + 1) + hi - lo)[nn]
-        for n, c in ((n_p, c_q), (n_q, c_p)):
-            nc = (n >= 0) & (c >= 0)
-            slot[nc] = self._ends[0] + (n * self.c + c)[nc]
+        for n, c, nc in nc_pairs:
+            slot[nc] = self._ends[0] + np.searchsorted(self.coupled, n[nc]) * self.c + c[nc]
         cc = (c_p >= 0) & (c_q >= 0)
         slot[cc] = self._ends[1] + (np.maximum(c_p, c_q) * self.c + np.minimum(c_p, c_q))[cc]
         return slot.reshape(-1)
 
+    def _summed(self, ke: np.ndarray):
+        """K_nn's band (bw + 1, n), K_nc's coupled rows and K_cc's lower
+        triangle, summed from the element entries ke (78, M) into one array."""
+        k = np.bincount(self._dst, weights=ke.reshape(-1), minlength=self._ends[-1] + 1)
+        band, k_nc, k_cc, _ = np.split(k, self._ends)
+        return (band.reshape(self.n, self.bw + 1).T, k_nc.reshape(-1, self.c),
+                k_cc.reshape(self.c, self.c))
+
     def _solve(self, ke: np.ndarray, u_c: np.ndarray, reaction: bool):
         """One step's u_n, in plan order, and the contact reaction when asked, else None.
 
-        K_nn's band, K_nc and K_cc's lower triangle are summed from the
-        element entries ke (78, M) into one array, which is freed on return,
-        before the next step sums its own.
+        The summed K blocks are freed on return, before the next step sums
+        its own.
         """
-        k = np.bincount(self._dst, weights=ke.reshape(-1), minlength=self._ends[-1] + 1)
-        band, k_nc, k_cc, _ = np.split(k, self._ends)
-        k_nc = k_nc.reshape(self.n, self.c)
-        u_n = self._solve_nn(band.reshape(self.n, self.bw + 1).T, -(k_nc @ u_c))
+        band, k_nc, low = self._summed(ke)
+        rhs = np.zeros(self.n)
+        rhs[self.coupled] = -(k_nc @ u_c)
+        u_n = self._solve_nn(band, rhs)
         if not reaction:
             return u_n, None
-        low = k_cc.reshape(self.c, self.c)
-        return u_n, low @ u_c + low.T @ u_c - low.diagonal() * u_c + k_nc.T @ u_n
+        return u_n, low @ u_c + low.T @ u_c - low.diagonal() * u_c + k_nc.T @ u_n[self.coupled]
+
+    def _rest_response(self, work: _StepWork, lame: tuple[float, float]):
+        """(W, F) of the material lame = (λ, μ): the plan-order u_n (n, 3)
+        and the contact reaction (c, 3) of a unit translation of the contact
+        set along each axis, solved at the rest configuration.
+
+        Computed on the first call for the material and kept until another
+        material is solved; threads that race on it each compute it, and
+        all get the first result. A failure is raised, never kept.
+        """
+        rest = self._rest
+        if rest is not None and rest[0] == lame:
+            return rest[1:]
+        work.check(self.vertices.reshape(-1), self._corners)
+        band, k_nc, low = self._summed(work.stiffness(*lame))
+        # K E sums each axis's columns (E maps a translation to the contact
+        # DOFs); numpy's sums, unlike a BLAS product, do not depend on its
+        # thread count
+        rhs = np.zeros((self.n, 3))
+        rhs[self.coupled] = -k_nc.reshape(-1, self.c // 3, 3).sum(axis=1)
+        w = self._solve_nn(band, rhs)
+        k_cc = low + low.T
+        np.fill_diagonal(k_cc, low.diagonal())
+        f = k_cc.reshape(self.c, -1, 3).sum(axis=1) + k_nc.T @ w[self.coupled]
+        with self._rest_lock:
+            if self._rest is None or self._rest[0] != lame:
+                self._rest = (lame, w, f)
+            return self._rest[1:]
 
     def _solve_nn(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """K_nn^-1 rhs, both in plan order; factors the band of K_nn in place."""
@@ -542,14 +591,13 @@ class _SolverPlan:
         return scipy.linalg.cho_solve_banded((chol, True), rhs, overwrite_b=True,
                                              check_finite=False)
 
-    def deform(self, d: np.ndarray, target_disp, n_steps: int) -> DeformResult:
-        """:func:`deform` of this plan's region."""
+    def deform(self, lame: tuple[float, float], target_disp, n_steps: int) -> DeformResult:
+        """:func:`deform` of this plan's region, for Lamé's lame = (λ, μ)."""
         if n_steps < 1:
             raise FemError(f"n_steps must be >= 1, got {n_steps}")
         target = np.asarray(target_disp, dtype=np.float64).reshape(3)
         if not np.isfinite(target).all():
             raise FemError("target_disp contains non-finite values")
-        lam, mu = _lame(d)
 
         contact_ids, free_ids = self.contact_ids, self.free_ids
         positions = self.vertices.copy()
@@ -558,11 +606,20 @@ class _SolverPlan:
         update = np.zeros(3 * free_ids.size)  # contact rows stay 0: those positions are reset below
         work = _StepWork(self._corners.shape[-1])  # the call's own, reused by every step
 
+        step = 1
         try:
             with _blas.one_thread("scipy"):
-                for step in range(1, n_steps + 1):
+                # step 1 starts at rest, where u_n and f_c are linear in the
+                # increment: W and F times it
+                w, f = self._rest_response(work, lame)
+                first = target * (1 / n_steps)
+                update[self.n_idx] = (w * first).sum(axis=1)[self.n_perm]
+                positions[free_ids] += update.reshape(-1, 3)
+                positions[contact_ids] = start + first
+                f_c = (f * first).sum(axis=1)
+                for step in range(2, n_steps + 1):
                     work.check(flat_positions, self._corners)
-                    ke = work.stiffness(lam, mu)
+                    ke = work.stiffness(*lame)
                     desired = start + target * (step / n_steps)
                     u_c = (desired - positions[contact_ids]).reshape(-1)
                     u_n, f_c = self._solve(ke, u_c, reaction=step == n_steps)
@@ -627,13 +684,17 @@ def deform(
 
     The solve uses the banded plan of (mesh, region), built on first use and
     kept with the mesh: an RCM-ordered band Cholesky of K_nn, scattered from
-    closed-form element entries without forming the dense K. d must be an
-    isotropic matrix as :func:`elasticity_matrix` builds it; FemError
-    otherwise. The result agrees with :func:`assemble` +
-    :func:`solve_forced_displacement` to rounding. Raises SingularSystemError
-    when K_nn is not numerically positive definite, and DegenerateElementError
-    naming the step at which an element inverted.
+    closed-form element entries without forming the dense K. Step 1 scales
+    the plan's rest solve for the material, computed on the first call with
+    d and kept until a call with another d, so a warm one-step call factors
+    nothing. d must be an isotropic matrix as :func:`elasticity_matrix`
+    builds it, checked on every call; FemError otherwise. The result agrees
+    with :func:`assemble` + :func:`solve_forced_displacement` to rounding.
+    Raises SingularSystemError when K_nn is not numerically positive
+    definite, and DegenerateElementError naming the step at which an element
+    inverted; a rest configuration that fails raises at step 1 on every
+    call.
     """
     if region not in mesh.contact_regions:
         raise FemError(f"unknown contact region {region!r}; have {list(mesh.contact_regions)}")
-    return _plan(mesh, region).deform(d, target_disp, n_steps)
+    return _plan(mesh, region).deform(_lame(d), target_disp, n_steps)

@@ -464,9 +464,10 @@ def save_model(
         "train_config": None if train_config is None else train_config.to_dict(),
         "metrics": metrics,
     }
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> tuple:

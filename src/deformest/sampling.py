@@ -351,9 +351,9 @@ class Dataset:
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(mesh, d, n_steps):
+def _worker_init(mesh, lame, n_steps):
     _WORKER_CTX["mesh"] = mesh
-    _WORKER_CTX["d"] = d
+    _WORKER_CTX["lame"] = lame  # Lamé's (λ, μ), checked once per dataset
     _WORKER_CTX["n_steps"] = n_steps
 
 
@@ -362,7 +362,7 @@ def _run_sample(task):
     region, point_index, target = task
     plan = _plan(_WORKER_CTX["mesh"], region)  # a worker's mesh keeps its own plans
     try:
-        u = plan.deform(_WORKER_CTX["d"], target, _WORKER_CTX["n_steps"]).flat_displacements
+        u = plan.deform(_WORKER_CTX["lame"], target, _WORKER_CTX["n_steps"]).flat_displacements
     except FemError as exc:
         return SampleFailure(region, point_index, str(exc))
     miss = np.abs(u.reshape(-1, 3)[plan.contact_slots] - target).max()
@@ -399,7 +399,7 @@ def build_dataset(
     if workers < 1:
         raise DatasetError(f"workers must be >= 1, got {workers}")
     try:
-        _lame(d)  # a d the FEM cannot take would fail every sample
+        lame = _lame(d)  # a d the FEM cannot take would fail every sample
     except FemError as exc:
         raise DatasetError(str(exc)) from exc
     unknown = [r for r in specs if r not in mesh.contact_regions]
@@ -416,11 +416,11 @@ def build_dataset(
     if workers > 1:
         chunk = max(1, len(tasks) // (workers * 8))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(mesh, d, n_steps)
+            max_workers=workers, initializer=_worker_init, initargs=(mesh, lame, n_steps)
         ) as pool:
             outcomes = list(pool.map(_run_sample, tasks, chunksize=chunk))
     else:
-        _worker_init(mesh, d, n_steps)
+        _worker_init(mesh, lame, n_steps)
         try:
             outcomes = [_run_sample(t) for t in tasks]
         finally:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import sys
@@ -350,6 +351,9 @@ class TestExports:
         doc = json.loads(path.read_text())
         assert doc["mean_rmse_mm"] == report.mean_rmse_mm
         assert len(doc["trials"]) == 2
+        want = io.StringIO()  # what json.dump writes for the content
+        json.dump(doc, want, sort_keys=True, separators=(",", ":"))
+        assert path.read_text() == want.getvalue() + "\n"
 
     def test_csv_row_per_trial(self, tmp_path):
         _, report = tiny_session(k=3)

@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -660,7 +661,7 @@ class TestSolverPlanCache:
         assert built == ["tip", "side"]
         assert fem._plan(mesh, "tip") is fem._plan(mesh, "tip")
         for region, run in zip(("tip", "side", "tip", "side", "tip"), runs):
-            fresh = fem._SolverPlan(mesh, region).deform(d, target, 3)
+            fresh = fem._SolverPlan(mesh, region).deform(fem._lame(d), target, 3)
             assert np.array_equal(run.displacements, fresh.displacements)
             assert np.array_equal(run.contact_forces, fresh.contact_forces)
 
@@ -668,10 +669,10 @@ class TestSolverPlanCache:
         # two calls in a row on one plan: nothing of the first may leak into
         # the second
         mesh = generate_rpp(256.0, 51.2, 25.6)
-        plan, d = fem._SolverPlan(mesh, "end"), material_d()
+        plan, lame = fem._SolverPlan(mesh, "end"), fem._lame(material_d())
         for target in ((0.2, 0.1, 0.05), (-0.1, 0.3, 0.0)):
-            reused = plan.deform(d, target, 3)
-            fresh = fem._SolverPlan(mesh, "end").deform(d, target, 3)
+            reused = plan.deform(lame, target, 3)
+            fresh = fem._SolverPlan(mesh, "end").deform(lame, target, 3)
             assert np.array_equal(reused.displacements, fresh.displacements)
             assert np.array_equal(reused.contact_forces, fresh.contact_forces)
 
@@ -720,20 +721,21 @@ class TestSolverPlanCache:
         finally:
             sys.setswitchinterval(interval)
         for target, res in zip(targets, threaded):
-            serial = fem._SolverPlan(mesh, "end").deform(material_d(), target, 2)
+            serial = fem._SolverPlan(mesh, "end").deform(fem._lame(material_d()), target, 2)
             assert_rel_close(res.displacements, serial.displacements)
 
     def test_warm_deform_peak_memory(self):
         # A warm deform on the 12.8 mm RPP (1425 reduced DOFs) holds its
-        # workspace (4.0 MB) and one step's K_nn band, K_nc and K_cc (2 MB),
-        # however many steps it runs: a 6.0 MB peak. Element blocks formed as
-        # B^T D B and gathered for the scatter peaked at 8.3 MB; building the
-        # plan on every call, with fresh element arrays at every step, at
-        # 14.3 MB.
+        # workspace (4.0 MB) and, from step 2 on, one step's K_nn band, K_nc's
+        # coupled rows and K_cc (1.3 MB), however many steps it runs: a 5.3
+        # MB peak. A one-step call sums no K: the plan keeps the rest solve.
+        # Element blocks formed as B^T D B and gathered for the scatter
+        # peaked at 8.3 MB; building the plan on every call, with fresh
+        # element arrays at every step, at 14.3 MB.
         mesh = generate_rpp(256.0, 51.2, 12.8)
         deform(mesh, material_d(), "end", (0.2, 0.1, 0.05), n_steps=1)  # builds the plan
         peaks = []
-        for n_steps in (1, 10):
+        for n_steps in (2, 10):
             tracemalloc.start()
             try:
                 deform(mesh, material_d(), "end", (0.2, 0.1, 0.05), n_steps=n_steps)
@@ -742,6 +744,91 @@ class TestSolverPlanCache:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 2**16
         assert peaks[1] < 9 * 2**20
+
+
+def unchecked_mesh(mesh, vertices):
+    """mesh with the given vertex positions, past TetMesh's orientation check."""
+    moved = TetMesh.__new__(TetMesh)
+    moved.__setstate__({**mesh.__getstate__(), "vertices": vertices})
+    return moved
+
+
+class TestRestSolve:
+    """Step 1 of every deform call starts at rest: the plan solves it once per
+    material and scales the result by the call's first increment."""
+
+    @pytest.mark.parametrize("which", ["rpp-25.6mm", "rpp-12.8mm", "blob"])
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    def test_cold_and_warm_plans_equal_dense_euler_loop(self, which, n_steps):
+        if which == "blob":
+            mesh, region, target = make_blob_mesh(seed=1, n_points=300), "grab", (0.05, -0.03, 0.02)
+        else:
+            mesh = generate_rpp(256.0, 51.2, float(which[4:8]))
+            region, target = "end", (0.1, 0.15, -0.05)
+        u, f_c = dense_deform(mesh, material_d(), region, target, n_steps)
+        for _ in ("cold", "warm"):
+            res = deform(mesh, material_d(), region, target, n_steps=n_steps)
+            assert_rel_close(res.displacements, u)
+            assert_rel_close(res.contact_forces, f_c)
+
+    def test_alternating_materials_match_fresh_plans(self):
+        mesh = generate_rpp(256.0, 51.2, 25.6)
+        materials = [fem._lame(material_d(1.0e6, 0.40)), fem._lame(material_d(3.0e5, 0.25))]
+        target = (0.1, -0.05, 0.08)
+        for lame, n_steps in zip(materials * 3, (1, 1, 2, 2, 1, 2)):
+            got = fem._plan(mesh, "end").deform(lame, target, n_steps)
+            fresh = fem._SolverPlan(mesh, "end").deform(lame, target, n_steps)
+            assert np.array_equal(got.displacements, fresh.displacements)
+            assert np.array_equal(got.contact_forces, fresh.contact_forces)
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_degenerate_rest_mesh_raises_at_step_one_on_every_call(self, n_steps):
+        # the free middle vertex (0.1, 0, 0) of the bar moved past its contact end
+        bar = fixed_bar()
+        vertices = bar.vertices.copy()
+        vertices[4, 0] = 0.35
+        mesh = unchecked_mesh(bar, vertices)
+        with pytest.raises(DegenerateElementError) as want:
+            assemble(mesh, vertices, material_d())
+        for _ in ("first", "second"):
+            with pytest.raises(DegenerateElementError) as err:
+                deform(mesh, material_d(), "end", (0.01, 0.0, 0.0), n_steps=n_steps)
+            assert (err.value.step, err.value.tet_index) == (1, want.value.tet_index)
+            assert str(err.value) == f"step 1/{n_steps}: {want.value}"
+
+    @pytest.mark.parametrize("n_steps", [1, 3])
+    def test_floating_tet_raises_singular_on_every_call(self, n_steps):
+        mesh = TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]], contact_regions={"a": [0]})
+        errors = []
+        for _ in ("first", "second"):
+            with pytest.raises(SingularSystemError) as err:
+                deform(mesh, material_d(), "a", (0.1, 0.0, 0.0), n_steps=n_steps)
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+        assert fem._plan(mesh, "a")._rest is None
+
+    def test_threads_race_on_a_cold_rest_solve(self):
+        # six threads enter deform at once on a mesh that has no plan yet
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        targets = [(0.05 * i, 0.05, -0.02 * i) for i in range(6)]
+        barrier = threading.Barrier(len(targets), timeout=60)
+
+        def run(i):
+            barrier.wait()
+            return deform(mesh, material_d(), "end", targets[i], n_steps=1 + i % 2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(targets)) as pool:
+                threaded = list(pool.map(run, range(len(targets)), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        lame = fem._lame(material_d())
+        for i, res in enumerate(threaded):
+            fresh = fem._SolverPlan(mesh, "end").deform(lame, targets[i], 1 + i % 2)
+            assert np.array_equal(res.displacements, fresh.displacements)
+            assert np.array_equal(res.contact_forces, fresh.contact_forces)
 
 
 class TestLapackThreadPin:
@@ -753,10 +840,9 @@ class TestLapackThreadPin:
         assert lapack_threads() == 2
 
     @pytest.mark.parametrize("case", ["inverted", "floating"])
-    def test_count_restored_when_deform_raises(self, case, factor_threads, lapack_threads,
-                                               paper_rpp):
-        if case == "inverted":  # the last step inverts elements
-            mesh, region, target, error = paper_rpp, "end", (-1.5, 0.0, 0.0), DegenerateElementError
+    def test_count_restored_when_deform_raises(self, case, factor_threads, lapack_threads):
+        if case == "inverted":  # the last step inverts elements; a fresh mesh solves its rest
+            mesh, region, target, error = generate_rpp(), "end", (-1.5, 0.0, 0.0), DegenerateElementError
         else:  # K_nn of a floating tet is singular
             mesh = TetMesh(vertices=UNIT_TET, tets=[[0, 1, 2, 3]], contact_regions={"a": [0]})
             region, target, error = "a", (0.1, 0.0, 0.0), SingularSystemError

@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import asdict, fields, replace
 
@@ -458,6 +459,17 @@ class TestModelFile:
         assert meta["mm_per_unit"] == 256.0
         assert TrainConfig.from_dict(meta["train_config"]) == cfg
         assert meta["metrics"] == {"rmse_mm": 0.5}
+
+    def test_bytes_are_json_dumps(self, tmp_path):
+        # the file holds what json.dump writes for its content, float for float
+        model = init_model(6, 5, 4, 9, np.random.default_rng(8))
+        path = tmp_path / "model.json"
+        save_model(model, path, observation_ids=[3, 7], mesh_hash="abc123", mm_per_unit=256.0,
+                   train_config=TrainConfig(epochs=2, seed=8),
+                   metrics={"rmse_mm": 0.1 + 0.2, "final_cost": 1e-300})
+        want = io.StringIO()
+        json.dump(json.loads(path.read_text()), want, sort_keys=True, separators=(",", ":"))
+        assert path.read_text() == want.getvalue() + "\n"
 
     def test_rejects_other_files(self, tmp_path):
         path = tmp_path / "x.json"

@@ -220,8 +220,8 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.0, 0.0))
         deform = fem._SolverPlan.deform
 
-        def shifted(plan, d, target, n_steps):
-            result = deform(plan, d, target, n_steps)
+        def shifted(plan, lame, target, n_steps):
+            result = deform(plan, lame, target, n_steps)
             if target[0] > 0:  # only the last of the three lattice points
                 result.displacements[plan.contact_slots] += 1e-6
             return result
@@ -294,6 +294,9 @@ class TestBuildDataset:
             (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 2, []),
             # the compressed bar of test_failed_samples_recorded_and_skipped
             (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 4, [0]),
+            # one step: each process solves the rest once, and two targets invert
+            (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 1, []),
+            (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 1, [0, 2]),
         ):
             serial = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=1)
             parallel = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=2)
@@ -310,9 +313,10 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0))
         ds = build_dataset(small_bar(), D, {"end": spec}, n_steps=2, workers=workers)
         seen = factor_threads()
-        assert ds.m == 6 and len(seen) == 2 * ds.m
-        assert {threads for _, threads in seen} == {1}
         pids = {pid for pid, _ in seen}
+        # step 2 of each sample, and one rest solve in each process
+        assert ds.m == 6 and len(seen) == ds.m + len(pids)
+        assert {threads for _, threads in seen} == {1}
         assert (pids == {os.getpid()}) if workers == 1 else (os.getpid() not in pids)
         assert lapack_threads() == 2
 
