@@ -1,4 +1,5 @@
-"""Pin numpy's or scipy's bundled OpenBLAS to one thread for a block of code.
+"""Pin numpy's or scipy's bundled OpenBLAS to one thread for a block of code,
+and run independent jobs in threads while it is pinned.
 
 numpy and scipy each load an OpenBLAS of their own, and each keeps one thread
 count for the whole process. numpy's wheels bundle libscipy_openblas64_,
@@ -12,6 +13,7 @@ does nothing.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import os
@@ -98,3 +100,52 @@ def one_thread(package: str):
     """Context manager: ``package``'s OpenBLAS on one thread, the caller's count after."""
     pin = threads(package)
     return contextlib.nullcontext() if pin is None else pin.one_thread()
+
+
+def runners(package: str, n: int) -> int:
+    """Threads that run n independent jobs on ``package``'s OpenBLAS pinned to
+    one thread: the calling thread and one helper per further core this
+    process may use, or the calling thread alone where that OpenBLAS is not
+    found (and so cannot be pinned)."""
+    if threads(package) is None:
+        return 1
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+def in_threads(run, n: int, runners: int) -> list:
+    """[run(0), ..., run(n - 1)], computed by the calling thread and runners - 1 helpers.
+
+    Each thread takes the next index until none is left. After a failure no
+    further index is handed out, and once every thread has stopped the error
+    of the lowest failing index is raised: the one a serial loop would raise.
+    """
+    results, errors = [None] * n, {}
+    indices = iter(range(n))
+    lock, halt = threading.Lock(), threading.Event()
+
+    def work():
+        while not halt.is_set():
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            try:
+                results[i] = run(i)
+            except Exception as exc:
+                errors[i] = exc
+                halt.set()
+
+    # each helper runs in a copy of the caller's context: np.errstate holds for every job
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
+               for _ in range(runners - 1)]
+    for t in helpers:
+        t.start()
+    try:
+        work()
+    finally:
+        halt.set()  # stops the helpers after their current index, also on KeyboardInterrupt
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

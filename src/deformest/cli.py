@@ -3,8 +3,9 @@
 Each subcommand reads a declarative JSON config (``--config``), writes its
 artifact(s) into the output directory, and drops a ``*.manifest.json`` next
 to them recording the config snapshot, seeds, input/output content hashes,
-and timing. Artifacts themselves contain no timestamps, so identical
-config + seed reproduce byte-identical files.
+timing, and the sampling worker and thread counts. Artifacts themselves
+contain no timestamps, so identical config + seed reproduce byte-identical
+files.
 
 Output directory precedence: ``--out`` flag, then the config's ``out_dir``,
 then the ``DEFORMEST_OUT`` environment variable, then the working directory.
@@ -362,7 +363,7 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, command: str, config_snapshot, seed, workers,
-                   inputs: dict, outputs: dict, elapsed: float) -> Path:
+                   sampling_threads, inputs: dict, outputs: dict, elapsed: float) -> Path:
     doc = {
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -370,6 +371,7 @@ def write_manifest(out_dir: Path, command: str, config_snapshot, seed, workers,
         "config": config_snapshot,
         "seed": seed,
         "workers": workers,
+        "sampling_threads": sampling_threads,
         "inputs": {str(k): _sha256(v) for k, v in inputs.items()},
         "outputs": {str(k): _sha256(v) for k, v in outputs.items()},
     }
@@ -407,7 +409,10 @@ def mesh_stage(cfg: PipelineConfig, out: Path):
 
 
 def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
-    """Run the FEM over the sampling lattice and write <out>/dataset.ds; returns (dataset, path)."""
+    """Run the FEM over the sampling lattice and write <out>/dataset.ds.
+
+    Returns (dataset, path, threads each sampling process ran).
+    """
     dataset = sampling.build_dataset(
         mesh,
         elasticity_matrix(cfg.material),
@@ -421,7 +426,9 @@ def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
               "samples failed and were skipped", file=sys.stderr)
     path = out / "dataset.ds"
     sampling.save_dataset(dataset, path)
-    return dataset, path
+    threads = sampling.sampling_threads(mesh, dataset.m + len(dataset.failures), cfg.n_steps,
+                                        workers)
+    return dataset, path, threads
 
 
 def train_stage(cfg: PipelineConfig, dataset, out: Path) -> Path:
@@ -464,7 +471,8 @@ def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
 
 
 # Each cmd_* returns what its manifest records: (output directory, config
-# snapshot, seed, {name: input path}, {name: output path}).
+# snapshot, seed, sampling threads per process or None, {name: input path},
+# {name: output path}).
 
 def cmd_mesh(args):
     cfg = load_config(args.config)
@@ -473,16 +481,16 @@ def cmd_mesh(args):
     out = _resolve_out(args, cfg)
     _, path = mesh_stage(cfg, out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, {}, {"mesh": path}
+    return out, cfg.raw, cfg.train.seed, None, {}, {"mesh": path}
 
 
 def cmd_sample(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     mesh_path = args.mesh or (out / "mesh.txt")
-    _, path = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
+    _, path, threads = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
     print(path)
-    return out, cfg.raw, cfg.train.seed, {"mesh": mesh_path}, {"dataset": path}
+    return out, cfg.raw, cfg.train.seed, threads, {"mesh": mesh_path}, {"dataset": path}
 
 
 def cmd_train(args):
@@ -491,7 +499,7 @@ def cmd_train(args):
     dataset_path = args.dataset or (out / "dataset.ds")
     path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, {"model": path}
+    return out, cfg.raw, cfg.train.seed, None, {"dataset": dataset_path}, {"model": path}
 
 
 def cmd_eval(args):
@@ -501,7 +509,8 @@ def cmd_eval(args):
     dataset = sampling.load_dataset(dataset_path)
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
-    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, eval_stage(cfg, dataset, out)
+    return (out, cfg.raw, cfg.train.seed, None, {"dataset": dataset_path},
+            eval_stage(cfg, dataset, out))
 
 
 def _read_observation_csv(path, n_obs: int) -> np.ndarray:
@@ -571,7 +580,7 @@ def cmd_predict(args):
         outputs["field_vtk"] = vtk_path
 
     print(csv_path)
-    return (out, {"model": str(args.model)}, None,
+    return (out, {"model": str(args.model)}, None, None,
             {"model": args.model, "observations": args.observations}, outputs)
 
 
@@ -587,11 +596,11 @@ def cmd_repro(args):
     out = _resolve_out(args, cfg)
 
     mesh, mesh_path = mesh_stage(cfg, out)
-    dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
+    dataset, dataset_path, threads = sample_stage(cfg, mesh, out, args.workers)
     model_path = train_stage(cfg, dataset, out)
     report_paths = eval_stage(cfg, dataset, out)
-    return out, cfg.raw, cfg.train.seed, {}, {"mesh": mesh_path, "dataset": dataset_path,
-                                              "model": model_path, **report_paths}
+    return out, cfg.raw, cfg.train.seed, threads, {}, {
+        "mesh": mesh_path, "dataset": dataset_path, "model": model_path, **report_paths}
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
                                        help="override the training seed")
     for name in ("sample", "repro"):
         sub.choices[name].add_argument("--workers", type=int, default=1,
-                                       help="parallel sampling workers")
+                                       help="sampling processes: 1 (the default) samples in "
+                                            "this process on one thread per core; N > 1 runs "
+                                            "N processes of one thread each")
     return parser
 
 
@@ -658,9 +669,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        out, config, seed, inputs, outputs = args.fn(args)
+        out, config, seed, threads, inputs, outputs = args.fn(args)
         write_manifest(out, args.command, config, seed, getattr(args, "workers", None),
-                       inputs, outputs, time.time() - t0)
+                       threads, inputs, outputs, time.time() - t0)
         return 0
     except (ValueError, OSError) as exc:  # ConfigError, MeshError and DatasetError too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

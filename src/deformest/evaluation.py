@@ -13,10 +13,7 @@ that every trial computes the same bits however many trials run at once.
 
 from __future__ import annotations
 
-import contextvars
 import json
-import os
-import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -150,54 +147,6 @@ class SessionReport:
     trials: list = field(default_factory=list)
 
 
-def _runners(n_trials: int) -> int:
-    """Threads that run a session's trials: the calling thread and one helper per
-    further core this process may use, or the calling thread alone where numpy's
-    OpenBLAS is not found (and so cannot be pinned)."""
-    if _blas.threads("numpy") is None:
-        return 1
-    return min(n_trials, len(os.sched_getaffinity(0)))
-
-
-def _in_threads(run, n: int, runners: int) -> list:
-    """[run(0), ..., run(n - 1)], computed by the calling thread and runners - 1 helpers.
-
-    Each thread takes the next index until none is left. After a failure no
-    further index is handed out, and once every thread has stopped the error
-    of the lowest failing index is raised: the one a serial loop would raise.
-    """
-    results, errors = [None] * n, {}
-    indices = iter(range(n))
-    lock, halt = threading.Lock(), threading.Event()
-
-    def work():
-        while not halt.is_set():
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            try:
-                results[i] = run(i)
-            except Exception as exc:
-                errors[i] = exc
-                halt.set()
-
-    # each helper runs in a copy of the caller's context: np.errstate holds for every trial
-    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
-               for _ in range(runners - 1)]
-    for t in helpers:
-        t.start()
-    try:
-        work()
-    finally:
-        halt.set()  # stops the helpers after their current index, also on KeyboardInterrupt
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def run_session(
     dataset,
     config: TrainConfig,
@@ -261,7 +210,7 @@ def run_session(
 
     n_trials = n_repeats * k
     with _blas.one_thread("numpy"):
-        trials = _in_threads(trial, n_trials, _runners(n_trials))
+        trials = _blas.in_threads(trial, n_trials, _blas.runners("numpy", n_trials))
 
     mean_rmse = float(np.mean([t.rmse_mm for t in trials]))
     # sample-weighted means over every test sample of every trial

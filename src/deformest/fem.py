@@ -11,26 +11,32 @@ blocks ``V B^T D B`` and factor its non-contact block with a dense Cholesky;
 they are the public oracle the tests compare against. :func:`deform` instead
 uses one solver plan per (mesh, region): a reverse Cuthill-McKee ordering of
 the non-contact DOFs (Cuthill & McKee, 1969; George & Liu, 1981) and one
-scatter index that sends each element's 78 lower-triangle stiffness entries
-straight into LAPACK lower-band storage of ``K_nn``, into ``K_nc`` and into
-the lower triangle of ``K_cc``, of which ``K_nc`` keeps only the rows that
-share a tetrahedron with the contact set. The plan is built on the region's
-first solve and kept with the mesh object for as long as that lives; it
-holds no reference to the mesh and stays out of a pickled mesh. Each step
-forms the entries in closed form for isotropic material, with the element
-index last so that every operation runs over contiguous rows (Cuvelier,
-Japhet & Scarella, 2016), sums them with one ``bincount``, and factors the
-band, O(n bw^2) for half-bandwidth bw; it never forms B or an n^2 matrix.
-Step 1 of every call starts from the rest configuration, where the solve is
-linear in the increment: the plan solves it once per material, for a unit
-translation of the contact set along each axis, keeps that one result, and
-step 1 scales it. Each call runs its other steps in a workspace of its own,
-allocated once and overwritten step after step, so calls on a shared mesh
-may run in threads.
-The steps run with scipy's OpenBLAS on one thread: at these half-bandwidths
-a threaded band Cholesky is slower than a serial one, and pool workers that
-each thread it oversubscribe the cores. numpy's OpenBLAS, which runs the
-step's small products, keeps the caller's count.
+sparse 0/1 matrix that sums each element's 78 lower-triangle stiffness
+entries straight into LAPACK lower-band storage of ``K_nn``, into ``K_nc``
+and into the lower triangle of ``K_cc``, of which ``K_nc`` keeps only the
+rows that share a tetrahedron with the contact set. The plan is built on
+the region's first solve and kept with the mesh object for as long as that
+lives; it holds no reference to the mesh and stays out of a pickled mesh.
+Each step forms the entries in closed form for isotropic material, with the
+element index last so that every operation runs over contiguous rows
+(Cuvelier, Japhet & Scarella, 2016), sums them with one sparse product, and
+factors the band, O(n bw^2) for half-bandwidth bw; it never forms B or an
+n^2 matrix. Step 1 of every call starts from the rest configuration, where
+the solve is linear in the increment: the plan solves it once per material,
+for a unit translation of the contact set along each axis, keeps that one
+result, and step 1 scales it. Each call runs its other steps in a workspace
+of its own, allocated once and overwritten step after step; a one-step call
+allocates only the rows of its final volume check.
+
+Calls on a shared mesh may run in threads, and they overlap: the sparse
+sum and the band factor and solve release the GIL, and so does numpy in
+the element arithmetic once its rows are longer than 500 tetrahedra. The
+factor and solve call LAPACK's dpbtrf and dpbtrs of scipy's OpenBLAS
+through ctypes, which releases the GIL for the call, where scipy's own
+wrappers hold it. They run with that OpenBLAS on one thread: at these
+half-bandwidths a threaded band Cholesky is slower than a serial one, and
+concurrent calls that each thread it oversubscribe the cores. numpy's
+OpenBLAS, which runs the step's small products, keeps the caller's count.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from
@@ -39,6 +45,7 @@ with engineering shear strains, matching the constitutive matrix from
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 import threading
@@ -46,6 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.linalg import cython_lapack
 
 from . import _blas
 from .mesh import TetMesh
@@ -286,8 +295,10 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     breadth-first search starts from a lowest-degree unvisited vertex of each
     component and visits neighbours by ascending degree; the visit order is
     returned reversed. This is the algorithm of
-    scipy.sparse.csgraph.reverse_cuthill_mckee, written here because
-    importing scipy.sparse adds about 5 MB to every process that loads fem.
+    scipy.sparse.csgraph.reverse_cuthill_mckee, kept here because scipy's
+    order is not this one on every mesh: it agrees on the RPP at 25.6 and
+    12.8 mm spacing and differs at 6.4 mm, and a different order would round
+    every sample of that mesh differently.
     """
     key = np.unique(a * n + b)
     a, b = key // n, key % n
@@ -336,6 +347,87 @@ def _lame(d: np.ndarray) -> tuple[float, float]:
     return lam, mu
 
 
+def _lapack(name: str, n_args: int):
+    """LAPACK routine ``name`` of scipy's OpenBLAS, from the function pointer
+    that scipy.linalg.cython_lapack exports. Every argument is a pointer, as
+    in Fortran; ctypes releases the GIL for the call."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(
+        pointer(capsule, capsule_name(capsule)))
+
+
+_DPBTRF, _DPBTRS = _lapack("dpbtrf", 6), _lapack("dpbtrs", 9)
+
+
+def _column_major(a: np.ndarray) -> ctypes.c_void_p:
+    """A pointer to a, which LAPACK reads and overwrites as a column-major
+    float64 array."""
+    if a.dtype != np.float64 or not (a.flags.f_contiguous and a.flags.writeable):
+        raise ValueError("LAPACK needs a writeable column-major float64 array")
+    return ctypes.c_void_p(a.ctypes.data)
+
+
+def _lapack_call(routine, name: str, *args) -> int:
+    """routine(*args, info) with each int argument passed by reference;
+    returns info, raising ValueError where it names an illegal argument."""
+    info = ctypes.c_int()
+    routine(*(ctypes.byref(ctypes.c_int(a)) if isinstance(a, int) else a for a in args),
+            ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of {name}")
+    return info.value
+
+
+def _band_cholesky(band: np.ndarray) -> None:
+    """Overwrites the lower band (bw + 1, n) of a symmetric matrix, column-major,
+    with its Cholesky factor: LAPACK dpbtrf, as scipy.linalg.cholesky_banded
+    runs it, but without holding the GIL. Raises SingularSystemError at the
+    first leading minor that is not positive definite."""
+    info = _lapack_call(_DPBTRF, "dpbtrf", b"L", band.shape[1], band.shape[0] - 1,
+                        _column_major(band), band.shape[0])
+    if info > 0:
+        raise SingularSystemError(f"reduced stiffness is not positive definite: "
+                                  f"{info}-th leading minor not positive definite")
+
+
+def _band_cho_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """chol's matrix^-1 rhs, written over rhs (n,) or (n, k), column-major, and
+    returned: LAPACK dpbtrs on the factor of :func:`_band_cholesky`, as
+    scipy.linalg.cho_solve_banded runs it, but without holding the GIL."""
+    n = chol.shape[1]
+    if rhs.shape[0] != n:
+        raise ValueError(f"rhs has {rhs.shape[0]} rows for a factor of order {n}")
+    _lapack_call(_DPBTRS, "dpbtrs", b"L", n, chol.shape[0] - 1,
+                 1 if rhs.ndim == 1 else rhs.shape[1], _column_major(chol), chol.shape[0],
+                 _column_major(rhs), n)
+    return rhs
+
+
+def _summing_matrix(dst: np.ndarray, n_slots: int):
+    """(slots, S) that sum weights w into n_slots slots as
+    np.bincount(dst, weights=w, minlength=n_slots) does, bit for bit and
+    negative zeros included: the result is zero but at the slots, ascending,
+    where it is S @ w. Entries with dst >= n_slots are dropped.
+
+    S is the 0/1 matrix of one row per slot that dst names. Each row lists
+    its entries in ascending order, and the sparse product sums a row's
+    products from 0.0 in that order, as bincount does. Unlike bincount, the
+    product releases the GIL, and it skips the empty slots.
+    """
+    order = np.argsort(dst, kind="stable")
+    order = order[dst[order] < n_slots]
+    slots, counts = np.unique(dst[order], return_counts=True)
+    index = np.int32 if dst.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(slots.size + 1, dtype=index)
+    np.cumsum(counts, out=indptr[1:])
+    return slots, scipy.sparse.csr_array((np.ones(order.size), order.astype(index), indptr),
+                                         shape=(slots.size, dst.size))
+
+
 # The plan sums each element's 78 lower-triangle stiffness entries K[p, q],
 # p = 3a + i >= q = 3b + j for nodes a, b and axes i, j. With Lamé's λ, μ,
 # volume V and shape-function gradients g_a of an isotropic element,
@@ -359,7 +451,8 @@ _ROW_P, _ROW_Q = (np.concatenate([(3 * n[:, None] + np.arange(3)).ravel(), r])
 
 class _StepWork:
     """The arrays of one deform call's steps over M tetrahedra, overwritten
-    step after step.
+    step after step. Without ``stiffness`` it holds only those that
+    :meth:`check` uses.
 
     The element index is last (Cuvelier, Japhet & Scarella, 2016): each
     array is a stack of length-M rows, and each operation below runs over
@@ -373,14 +466,16 @@ class _StepWork:
                ("g", (4, 3)), ("lam_h", (12,)), ("mu_h", (12,)), ("ke", (78,)),
                ("tmp", (48,)), ("tmp2", (48,)), ("pair_sum", (10,)))
     _ROWS = list(itertools.accumulate((math.prod(shape) for _, shape in _SHAPES), initial=0))
+    _CHECKED = 6  # x, e, h, det, vol and g: the arrays check uses
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, stiffness: bool = True):
         # One block: glibc raises its mmap and trim thresholds to the largest
         # block freed, so a call's block comes back from the heap on the next
         # call. In separate arrays, the workspace of a 1425-DOF call faulted
         # about 1800 pages back in on every call.
-        block = np.empty((self._ROWS[-1], m))
-        for (name, shape), start, stop in zip(self._SHAPES, self._ROWS, self._ROWS[1:]):
+        shapes = self._SHAPES if stiffness else self._SHAPES[:self._CHECKED]
+        block = np.empty((self._ROWS[len(shapes)], m))
+        for (name, shape), start, stop in zip(shapes, self._ROWS, self._ROWS[1:]):
             setattr(self, name, block[start:stop].reshape(shape + (m,)))
 
     def check(self, flat_positions: np.ndarray, corners: np.ndarray) -> None:
@@ -443,13 +538,14 @@ class _SolverPlan:
     remaining free (n) DOF partition, a reverse Cuthill-McKee ordering of
     the n-partition (per vertex, so that a vertex's three DOFs stay
     adjacent), its half-bandwidth ``bw``, the flat position of each
-    tetrahedron corner coordinate, and one flat scatter of the elements'
-    lower-triangle stiffness entries into three matrices laid end to end: K_nn's lower band in LAPACK storage
-    ``(bw + 1, n)``, column-major so that LAPACK factors it in place, a
-    dense K_nc of the ``coupled`` rows, those that share a tetrahedron with
-    a contact DOF, and the lower triangle of a dense ``(c, c)`` K_cc. It
-    also keeps the rest solve of the last material it was asked for (see
-    :meth:`_rest_response`), its one mutable part. The plan keeps the mesh's
+    tetrahedron corner coordinate, and one sparse 0/1 matrix that sums the
+    elements' lower-triangle stiffness entries into three matrices laid end
+    to end: K_nn's lower band in LAPACK storage ``(bw + 1, n)``,
+    column-major so that LAPACK factors it in place, a dense K_nc of the
+    ``coupled`` rows, those that share a tetrahedron with a contact DOF,
+    and the lower triangle of a dense ``(c, c)`` K_cc. It also keeps the
+    rest solve of the last material it was asked for (see
+    :meth:`rest_response`), its one mutable part. The plan keeps the mesh's
     arrays, never the mesh: :func:`_plan` keeps one on the mesh, and threads
     may share it.
     """
@@ -484,23 +580,21 @@ class _SolverPlan:
         c_pos = np.full(n_dofs + 1, -1)
         c_pos[contact_dofs] = np.arange(self.c)
         dst = self._scatter_index(_element_dofs(mesh).T, n_pos, c_pos)
-        # Copied once the temporaries that made it are freed, so that the
-        # copy fills the heap below them and the heap can shrink back.
-        self._dst = dst.copy()
+        self._slots, self._scatter = _summing_matrix(dst, self._ends[-1])
         self._rest = None  # ((λ, μ), W, F) of the material last solved at rest
         self._rest_lock = threading.Lock()
 
     def _scatter_index(self, dofs: np.ndarray, n_pos: np.ndarray, c_pos: np.ndarray):
         """Sets bw, the coupled rows and the slot ends; returns the flat slot
-        in [band | K_nc | K_cc | spare] of each lower-triangle entry of the
-        (78, M) element stiffness, flattened. dofs is (12, M).
+        in [band | K_nc | K_cc] of each lower-triangle entry of the (78, M)
+        element stiffness, flattened. dofs is (12, M).
 
         An entry K[p, q] stands for K[q, p] as well: it goes to the band at
         (max, min) of its plan positions, to K_nc in whichever orientation
         has its n position first, and to K_cc's lower triangle. K_nc keeps
         only its coupled rows, the n positions that share a tetrahedron
-        with a contact DOF, ascending. The spare slot takes the entries no
-        matrix needs, those at fixed DOFs.
+        with a contact DOF, ascending. The entries no matrix needs, those at
+        fixed DOFs, get the slot past the end.
         """
         n_p, n_q = n_pos[dofs[_ROW_P]], n_pos[dofs[_ROW_Q]]
         c_p, c_q = c_pos[dofs[_ROW_P]], c_pos[dofs[_ROW_Q]]
@@ -522,8 +616,9 @@ class _SolverPlan:
     def _summed(self, ke: np.ndarray):
         """K_nn's band (bw + 1, n), K_nc's coupled rows and K_cc's lower
         triangle, summed from the element entries ke (78, M) into one array."""
-        k = np.bincount(self._dst, weights=ke.reshape(-1), minlength=self._ends[-1] + 1)
-        band, k_nc, k_cc, _ = np.split(k, self._ends)
+        k = np.zeros(self._ends[-1])
+        k[self._slots] = self._scatter @ ke.reshape(-1)
+        band, k_nc, k_cc = np.split(k, self._ends[:-1])
         return (band.reshape(self.n, self.bw + 1).T, k_nc.reshape(-1, self.c),
                 k_cc.reshape(self.c, self.c))
 
@@ -541,7 +636,7 @@ class _SolverPlan:
             return u_n, None
         return u_n, low @ u_c + low.T @ u_c - low.diagonal() * u_c + k_nc.T @ u_n[self.coupled]
 
-    def _rest_response(self, work: _StepWork, lame: tuple[float, float]):
+    def rest_response(self, lame: tuple[float, float]):
         """(W, F) of the material lame = (λ, μ): the plan-order u_n (n, 3)
         and the contact reaction (c, 3) of a unit translation of the contact
         set along each axis, solved at the rest configuration.
@@ -553,14 +648,16 @@ class _SolverPlan:
         rest = self._rest
         if rest is not None and rest[0] == lame:
             return rest[1:]
+        work = _StepWork(self._corners.shape[-1])
         work.check(self.vertices.reshape(-1), self._corners)
         band, k_nc, low = self._summed(work.stiffness(*lame))
         # K E sums each axis's columns (E maps a translation to the contact
         # DOFs); numpy's sums, unlike a BLAS product, do not depend on its
         # thread count
-        rhs = np.zeros((self.n, 3))
+        rhs = np.zeros((self.n, 3), order="F")
         rhs[self.coupled] = -k_nc.reshape(-1, self.c // 3, 3).sum(axis=1)
-        w = self._solve_nn(band, rhs)
+        with _blas.one_thread("scipy"):
+            w = self._solve_nn(band, rhs)
         k_cc = low + low.T
         np.fill_diagonal(k_cc, low.diagonal())
         f = k_cc.reshape(self.c, -1, 3).sum(axis=1) + k_nc.T @ w[self.coupled]
@@ -570,26 +667,22 @@ class _SolverPlan:
             return self._rest[1:]
 
     def _solve_nn(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """K_nn^-1 rhs, both in plan order; factors the band of K_nn in place."""
+        """K_nn^-1 rhs, both in plan order, written over rhs; factors the
+        band of K_nn in place."""
         if self.n == 0:
             return rhs
         k_diag = band[0].copy()
-        try:
-            chol = scipy.linalg.cholesky_banded(band, overwrite_ab=True, lower=True,
-                                                check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"reduced stiffness is not positive definite: {exc}") from exc
+        _band_cholesky(band)
         # A semi-definite K_nn can factor into tiny positive pivots instead of
         # failing; a pivot this small against its diagonal is rounding noise.
-        ok = chol[0] ** 2 > self.n * np.finfo(np.float64).eps * k_diag  # NaN fails too
+        ok = band[0] ** 2 > self.n * np.finfo(np.float64).eps * k_diag  # NaN fails too
         if not ok.all():
             i = int(np.argmin(ok))
             raise SingularSystemError(
                 f"reduced stiffness is not positive definite: pivot {i} is "
-                f"{chol[0, i] ** 2:.3e} against diagonal {k_diag[i]:.3e}"
+                f"{band[0, i] ** 2:.3e} against diagonal {k_diag[i]:.3e}"
             )
-        return scipy.linalg.cho_solve_banded((chol, True), rhs, overwrite_b=True,
-                                             check_finite=False)
+        return _band_cho_solve(band, rhs)
 
     def deform(self, lame: tuple[float, float], target_disp, n_steps: int) -> DeformResult:
         """:func:`deform` of this plan's region, for Lamé's lame = (λ, μ)."""
@@ -604,14 +697,15 @@ class _SolverPlan:
         flat_positions = positions.reshape(-1)
         start = positions[contact_ids].copy()
         update = np.zeros(3 * free_ids.size)  # contact rows stay 0: those positions are reset below
-        work = _StepWork(self._corners.shape[-1])  # the call's own, reused by every step
 
         step = 1
         try:
+            # step 1 starts at rest, where u_n and f_c are linear in the
+            # increment: W and F times it
+            w, f = self.rest_response(lame)
+            # the call's own, reused by every step
+            work = _StepWork(self._corners.shape[-1], stiffness=n_steps > 1)
             with _blas.one_thread("scipy"):
-                # step 1 starts at rest, where u_n and f_c are linear in the
-                # increment: W and F times it
-                w, f = self._rest_response(work, lame)
                 first = target * (1 / n_steps)
                 update[self.n_idx] = (w * first).sum(axis=1)[self.n_perm]
                 positions[free_ids] += update.reshape(-1, 3)

@@ -17,6 +17,7 @@ lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -132,17 +133,22 @@ class ForwardCache:
 def forward_batch(model: MlpModel, x: np.ndarray) -> ForwardCache:
     """Forward pass for one input row (n_in,) or a batch (m, n_in) of rows.
 
-    The activations and outputs keep the input's rank.
+    The activations and outputs keep the input's rank. A batch runs on
+    numpy's OpenBLAS pinned to one thread, so that its bits do not depend on
+    the thread count and no OpenBLAS thread is left spinning on a core that
+    other threads need; one row, :func:`predict`'s, runs unpinned, where a
+    pin would cost more than it saves.
     """
     x = np.asarray(x, dtype=np.float64)
     n_in = model.w_hidden1.shape[1] - 1
     if x.ndim not in (1, 2) or x.shape[-1] != n_in:
         raise ValueError(f"expected ({n_in},) or (m, {n_in}) inputs, got {x.shape}")
-    z1 = _with_bias(x) @ model.w_hidden1.T
-    a1 = relu(z1)
-    z2 = _with_bias(a1) @ model.w_hidden2.T
-    a2 = relu(z2)
-    out = _with_bias(a2) @ model.w_out.T
+    with _blas.one_thread("numpy") if x.ndim == 2 else contextlib.nullcontext():
+        z1 = _with_bias(x) @ model.w_hidden1.T
+        a1 = relu(z1)
+        z2 = _with_bias(a1) @ model.w_hidden2.T
+        a2 = relu(z2)
+        out = _with_bias(a2) @ model.w_out.T
     return ForwardCache(inputs=x, z_hidden1=z1, a_hidden1=a1, z_hidden2=z2, a_hidden2=a2, outputs=out)
 
 

@@ -4,7 +4,8 @@ For each contact region, target displacements are laid out on a lattice (an
 axis-aligned box grid around the contact centroid, or a spheroid oriented
 along the fixed-to-contact direction with an optional surface-normal filter).
 Each target is pushed through the incremental FEM solver and the resulting
-full displacement field is stored as one sample.
+full displacement field is stored as one sample. One process samples on one
+thread per core; a pool of processes, one thread each, is the other way.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import _blas
 from .fem import FemError, _lame, _plan
 from .mesh import ScaleConvention, TetMesh, vertex_normals
 
@@ -34,6 +36,7 @@ __all__ = [
     "ellipsoid_spec_for_region",
     "sample_points_for_region",
     "build_dataset",
+    "sampling_threads",
     "save_dataset",
     "load_dataset",
 ]
@@ -348,27 +351,56 @@ class Dataset:
 
 # --- generation -------------------------------------------------------------
 
-_WORKER_CTX: dict = {}
+_WORKER_CTX: dict = {}  # a pool worker's mesh, (λ, μ) and n_steps, set by _worker_init
 
 
 def _worker_init(mesh, lame, n_steps):
-    _WORKER_CTX["mesh"] = mesh
-    _WORKER_CTX["lame"] = lame  # Lamé's (λ, μ), checked once per dataset
-    _WORKER_CTX["n_steps"] = n_steps
+    _WORKER_CTX.update(mesh=mesh, lame=lame, n_steps=n_steps)
 
 
-def _run_sample(task):
-    """The sample's flat field, or the SampleFailure that says why there is none."""
+def _worker_sample(task):
+    """:func:`_run_sample` in a pool worker, whose mesh keeps its own plans."""
+    return _run_sample(_WORKER_CTX["mesh"], _WORKER_CTX["lame"], _WORKER_CTX["n_steps"], task)
+
+
+def _run_sample(mesh, lame, n_steps, task):
+    """The sample's flat field, or the SampleFailure that says why there is none.
+
+    lame is Lamé's (λ, μ), checked once per dataset.
+    """
     region, point_index, target = task
-    plan = _plan(_WORKER_CTX["mesh"], region)  # a worker's mesh keeps its own plans
+    plan = _plan(mesh, region)
     try:
-        u = plan.deform(_WORKER_CTX["lame"], target, _WORKER_CTX["n_steps"]).flat_displacements
+        u = plan.deform(lame, target, n_steps).flat_displacements
     except FemError as exc:
         return SampleFailure(region, point_index, str(exc))
     miss = np.abs(u.reshape(-1, 3)[plan.contact_slots] - target).max()
     if miss > 1e-9:
         return SampleFailure(region, point_index, f"contact displacement echo off by {miss:.2e}")
     return u
+
+
+# numpy releases the GIL only in an operation over more than 500 elements,
+# and most of a load step's operations run over one row per tetrahedron. On
+# smaller meshes two threads mostly wait for each other: at n_steps = 20,
+# two threads sampled at 0.65x one thread's rate on 240 tetrahedra, 1.04x on
+# 480, 1.30x on 960 and 1.54x on 1920.
+_THREADED_MIN_TETS = 500
+
+
+def sampling_threads(mesh: TetMesh, n_samples: int, n_steps: int, workers: int) -> int:
+    """Threads that :func:`build_dataset` runs n_samples samples of mesh in, per process.
+
+    One per core this process may use, at most one per sample. One in each
+    pool worker (workers > 1); one for one-step samples, which only scale
+    the plan's stored rest solve and factor nothing; one on a mesh of at
+    most 500 tetrahedra, whose steps mostly hold the GIL; and one where
+    scipy's OpenBLAS is not found, and so its band factor cannot be pinned
+    to one thread.
+    """
+    if workers > 1 or n_steps == 1 or mesh.n_tets <= _THREADED_MIN_TETS:
+        return 1
+    return _blas.runners("scipy", n_samples)
 
 
 def sample_points_for_region(mesh: TetMesh, region: str, spec: SamplingSpec) -> np.ndarray:
@@ -394,7 +426,13 @@ def build_dataset(
     Targets are point - contact centroid, generated region by region in spec
     order, lattice points in lexicographic order. A sample fails when the FEM
     raises or its contact rows miss the target by more than 1e-9; failures
-    are recorded and skipped. Results do not depend on the worker count.
+    are recorded and skipped.
+
+    With workers = 1 the samples run in this process, in
+    :func:`sampling_threads` threads that share the mesh's solver plans;
+    with more, in a pool of that many processes, one thread each. Results
+    do not depend on the worker or thread count. Calls may run in threads
+    of their own.
     """
     if workers < 1:
         raise DatasetError(f"workers must be >= 1, got {workers}")
@@ -418,13 +456,17 @@ def build_dataset(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(mesh, lame, n_steps)
         ) as pool:
-            outcomes = list(pool.map(_run_sample, tasks, chunksize=chunk))
+            outcomes = list(pool.map(_worker_sample, tasks, chunksize=chunk))
     else:
-        _worker_init(mesh, lame, n_steps)
-        try:
-            outcomes = [_run_sample(t) for t in tasks]
-        finally:
-            _WORKER_CTX.clear()  # release the mesh
+        # each region's plan and rest solve, made here so that no two threads make them
+        for region in dict.fromkeys(region for region, _, _ in tasks):
+            try:
+                _plan(mesh, region).rest_response(lame)
+            except FemError:
+                pass  # then each sample of the region fails with this error
+        threads = sampling_threads(mesh, len(tasks), n_steps, workers)
+        outcomes = _blas.in_threads(lambda i: _run_sample(mesh, lame, n_steps, tasks[i]),
+                                    len(tasks), threads)
 
     region_slot: dict = {}  # region -> id, in order of the first successful sample
     region_id, targets, fields, failures = [], [], [], []

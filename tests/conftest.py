@@ -2,10 +2,9 @@ import os
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.spatial import Delaunay
 
-from deformest import _blas
+from deformest import _blas, fem
 from deformest.mesh import TetMesh, generate_rpp
 from deformest.sampling import Dataset
 
@@ -119,18 +118,18 @@ def numpy_threads():
 
 @pytest.fixture
 def factor_threads(lapack_threads, monkeypatch, tmp_path):
-    """A function listing (process id, thread count) as seen by each cholesky_banded call.
+    """A function listing (process id, thread count) as seen by each band factor.
 
     The calls append to a file, so forked pool workers report theirs too.
     """
     log = tmp_path / "factor-threads.txt"
-    factor = scipy.linalg.cholesky_banded
+    factor = fem._band_cholesky
 
     def recording(*args, **kwargs):
         with open(log, "a", encoding="utf-8") as fh:
             fh.write(f"{os.getpid()} {lapack_threads()}\n")
         return factor(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    monkeypatch.setattr(fem, "_band_cholesky", recording)
     return lambda: [tuple(map(int, line.split())) for line in
                     (log.read_text().splitlines() if log.exists() else [])]

@@ -8,9 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-import scipy.linalg
 
-from deformest import _blas, evaluation, nn
+from deformest import _blas, evaluation, fem, nn
 from deformest.evaluation import run_session
 from deformest.fem import MaterialParams, deform, elasticity_matrix
 from deformest.mesh import generate_rpp
@@ -141,7 +140,7 @@ class TestNumpyPin:
             return forward_batch(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "forward_batch", recording)
-        monkeypatch.setattr(evaluation, "_runners", lambda n: runners)
+        monkeypatch.setattr(_blas, "runners", lambda package, n: runners)
         ds = make_synthetic_dataset(m=20)
         run_session(ds, CONFIG, k=4)
         assert seen == [1] * 4
@@ -149,6 +148,25 @@ class TestNumpyPin:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="diverged"):
             run_session(ds, DIVERGING, k=4)
         assert numpy_threads() == 2
+
+    def test_batch_forward_runs_on_one_thread_and_predict_never_pins(self, numpy_threads,
+                                                                     monkeypatch):
+        seen = []
+        relu = nn.relu
+
+        def recording(z):  # inside the forward pass, between its products
+            seen.append(numpy_threads())
+            return relu(z)
+
+        monkeypatch.setattr(nn, "relu", recording)
+        model = nn.init_model(6, 5, 5, 12, np.random.default_rng(0))
+        rows = np.random.default_rng(1).normal(size=(7, 6))
+        batch = nn.forward_batch(model, rows).outputs
+        assert seen == [1, 1] and numpy_threads() == 2
+        seen.clear()
+        one = nn.predict(model, rows[3].reshape(2, 3))
+        assert seen == [2, 2] and numpy_threads() == 2
+        assert np.allclose(one.reshape(-1), batch[3], rtol=1e-12, atol=0.0)
 
     def test_overlapping_deform_and_train_restore_both_counts(self, numpy_threads,
                                                               lapack_threads, monkeypatch):
@@ -167,8 +185,7 @@ class TestNumpyPin:
                 return original(*args, **kwargs)
             return call
 
-        monkeypatch.setattr(scipy.linalg, "cholesky_banded",
-                            meeting("deform", scipy.linalg.cholesky_banded))
+        monkeypatch.setattr(fem, "_band_cholesky", meeting("deform", fem._band_cholesky))
         monkeypatch.setattr(nn, "gradients", meeting("train", nn.gradients))
         mesh, d = generate_rpp(51.2, 25.6, 25.6), elasticity_matrix(MaterialParams())
         ds = make_synthetic_dataset(m=20)

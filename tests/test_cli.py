@@ -1,10 +1,11 @@
 import json
+import os
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from deformest import evaluation, sampling
+from deformest import _blas, sampling
 from deformest.cli import PROFILES, ConfigError, PipelineConfig, main, resolve_sampling_specs
 from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
@@ -289,20 +290,39 @@ class TestPipelineCommands:
         obs_path.write_text("0,0,0\n" * 3)
         assert run(["predict", "--model", out / "model.json", "--observations", obs_path,
                     "--out", out]) == 0
-        # every manifest keeps both keys; workers is null where the flag is absent
+        # every manifest keeps the seed, worker and thread keys; workers and
+        # sampling_threads are null where no sampling runs
         seed = SMALL_CONFIG["train"]["seed"]
-        for command, manifest_seed, workers, inputs, outputs in (
-            ("mesh", seed, None, [], ["mesh"]),
-            ("sample", seed, 1, ["mesh"], ["dataset"]),
-            ("train", seed, None, ["dataset"], ["model"]),
-            ("eval", seed, None, ["dataset"], ["curves_csv", "report_csv", "report_json"]),
-            ("predict", None, None, ["model", "observations"], ["field_csv"]),
+        threads = sampling.sampling_threads(load_mesh(out / "mesh.txt"), 9, 2, 1)
+        for command, manifest_seed, workers, sampled, inputs, outputs in (
+            ("mesh", seed, None, None, [], ["mesh"]),
+            ("sample", seed, 1, threads, ["mesh"], ["dataset"]),
+            ("train", seed, None, None, ["dataset"], ["model"]),
+            ("eval", seed, None, None, ["dataset"], ["curves_csv", "report_csv", "report_json"]),
+            ("predict", None, None, None, ["model", "observations"], ["field_csv"]),
         ):
             manifest = json.loads((out / f"{command}.manifest.json").read_text())
             assert manifest["command"] == command
-            assert (manifest["seed"], manifest["workers"]) == (manifest_seed, workers)
+            assert (manifest["seed"], manifest["workers"], manifest["sampling_threads"]) == \
+                (manifest_seed, workers, sampled)
             assert sorted(manifest["inputs"]) == inputs
             assert sorted(manifest["outputs"]) == outputs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sample_manifest_records_threads_per_process(self, tmp_path, workers):
+        # the 12.8 mm RPP (1920 tetrahedra) samples in threads in one process
+        raw = changed(("mesh", "generator"), {"kind": "rpp", "long_mm": 256.0, "short_mm": 51.2,
+                                              "spacing_mm": 12.8, "roles": "single"})
+        raw["sampling"]["regions"]["end"]["extents_mm"] = [5.12, 0.0, 0.0]
+        path, out = tmp_path / "config.json", tmp_path / "run"
+        path.write_text(json.dumps(raw))
+        assert run(["mesh", "--config", path, "--out", out]) == 0
+        assert run(["sample", "--config", path, "--out", out, "--workers", workers]) == 0
+        manifest = json.loads((out / "sample.manifest.json").read_text())
+        want = sampling.sampling_threads(load_mesh(out / "mesh.txt"), 2, 2, workers)
+        assert (manifest["workers"], manifest["sampling_threads"]) == (workers, want)
+        if workers == 1 and _blas.threads("scipy") is not None:
+            assert want == min(2, len(os.sched_getaffinity(0)))
 
     @pytest.mark.parametrize("argv", [
         ["mesh", "--config", "c.json", "--seed", "1"],
@@ -384,7 +404,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("runners", [1, 2])
     def test_diverging_eval_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch,
                                                         runners):
-        monkeypatch.setattr(evaluation, "_runners", lambda n: runners)
+        monkeypatch.setattr(_blas, "runners", lambda package, n: runners)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(changed(("train", "gamma"), 1e-300)))
         out = tmp_path / "run"

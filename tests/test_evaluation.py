@@ -239,10 +239,10 @@ class TestTrialThreads:
     def test_one_runner_per_core_and_trial(self, monkeypatch):
         cores = len(os.sched_getaffinity(0))
         if _blas.threads("numpy") is not None:
-            assert evaluation._runners(1) == 1
-            assert evaluation._runners(50) == cores
+            assert _blas.runners("numpy", 1) == 1
+            assert _blas.runners("numpy", 50) == cores
         monkeypatch.setattr(_blas, "threads", lambda package: None)
-        assert evaluation._runners(50) == 1
+        assert _blas.runners("numpy", 50) == 1
 
     def test_every_index_runs_once_under_fast_thread_switching(self):
         # more runners than cores, switching threads every microsecond
@@ -255,7 +255,7 @@ class TestTrialThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = evaluation._in_threads(run, 500, 6)
+            results = _blas.in_threads(run, 500, 6)
         finally:
             sys.setswitchinterval(interval)
         assert results == [i * i for i in range(500)]
@@ -269,7 +269,7 @@ class TestTrialThreads:
                           hidden=(48, 48))
         runs = {}
         for runners in (1, 2, 3):
-            monkeypatch.setattr(evaluation, "_runners", lambda n, r=runners: r)
+            monkeypatch.setattr(_blas, "runners", lambda package, n, r=runners: r)
             runs[runners] = session_files(tmp_path, f"r{runners}", ds, cfg, k=4, n_repeats=2)
         monkeypatch.undo()
         monkeypatch.setattr(_blas, "threads", lambda package: None)  # no OpenBLAS found
@@ -301,7 +301,7 @@ class TestTrialThreads:
                 barrier.wait()
             return train(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_runners", lambda n: 3)
+        monkeypatch.setattr(_blas, "runners", lambda package, n: 3)
         monkeypatch.setattr(evaluation, "train", meeting)
         with np.errstate(over="ignore", under="warn"):
             _, report = tiny_session(k=5)
@@ -325,7 +325,7 @@ class TestTrialThreads:
                 raise ValueError("fold 2 failed")
             return train(dataset, train_idx, config, test_idx=test_idx)
 
-        monkeypatch.setattr(evaluation, "_runners", lambda n: runners)
+        monkeypatch.setattr(_blas, "runners", lambda package, n: runners)
         monkeypatch.setattr(evaluation, "train", failing)
         with pytest.raises(ValueError, match="^fold 1 failed$"):
             tiny_session(k=6)
@@ -336,7 +336,7 @@ class TestTrialThreads:
         cfg = TrainConfig(epochs=2, batch_size=5, inner_iters=2, gamma=1e-300, hidden=(6, 6))
         errors = []
         for runners in (1, 2):
-            monkeypatch.setattr(evaluation, "_runners", lambda n, r=runners: r)
+            monkeypatch.setattr(_blas, "runners", lambda package, n, r=runners: r)
             with np.errstate(all="ignore"), pytest.raises(ValueError, match="epoch 1 ") as exc:
                 run_session(ds, cfg, k=3)
             errors.append(str(exc.value))

@@ -1,11 +1,14 @@
 import multiprocessing
 import os
 import struct
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from deformest import fem, sampling
+from deformest import _blas, fem, sampling
 from deformest.fem import MaterialParams, elasticity_matrix
 from deformest.mesh import generate_rpp
 from deformest.sampling import (
@@ -21,6 +24,7 @@ from deformest.sampling import (
     grid_points,
     load_dataset,
     region_surface_normal,
+    sampling_threads,
     save_dataset,
 )
 
@@ -288,7 +292,7 @@ class TestBuildDataset:
             paths.append(p.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_worker_count_does_not_change_results(self, tmp_path):
+    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
         mesh = small_bar()
         for spec, n_steps, failed in (
             (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 2, []),
@@ -298,13 +302,91 @@ class TestBuildDataset:
             (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 1, []),
             (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 1, [0, 2]),
         ):
-            serial = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=1)
-            parallel = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=2)
-            assert [f.point_index for f in parallel.failures] == failed
-            a, b = tmp_path / "serial.ds", tmp_path / "parallel.ds"
-            save_dataset(serial, a)
-            save_dataset(parallel, b)
-            assert a.read_bytes() == b.read_bytes()
+            blobs = []
+            for workers, threads in ((1, 1), (1, 2), (2, 1)):
+                # the bar is too small for sampling_threads to choose two threads itself
+                monkeypatch.setattr(sampling, "sampling_threads", lambda *args, t=threads: t)
+                ds = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=workers)
+                assert [f.point_index for f in ds.failures] == failed
+                save_dataset(ds, tmp_path / "dataset.ds")
+                blobs.append((tmp_path / "dataset.ds").read_bytes())
+            assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
+
+    def test_threads_sample_a_fine_mesh_as_one_thread_does(self, tmp_path, monkeypatch):
+        # 1920 tetrahedra: sampling_threads runs one thread per core here
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        spec = SamplingSpec(mode="box", spacing=0.2, extents=(0.4, 0.2, 0.0))
+        threaded = build_dataset(mesh, D, {"end": spec}, n_steps=2)
+        monkeypatch.setattr(sampling, "sampling_threads", lambda *args: 1)
+        serial = build_dataset(mesh, D, {"end": spec}, n_steps=2)
+        assert threaded.m == 6
+        for ds, name in ((threaded, "threaded.ds"), (serial, "serial.ds")):
+            save_dataset(ds, tmp_path / name)
+        assert (tmp_path / "threaded.ds").read_bytes() == (tmp_path / "serial.ds").read_bytes()
+
+    def test_a_helper_thread_records_the_failure_a_serial_run_does(self, monkeypatch):
+        # lattice targets -0.7, -0.3 and 0.1 units: the bar, 0.2 units long,
+        # inverts under the first two
+        mesh = small_bar()
+        centroid = mesh.vertices[mesh.contact_regions["end"]].mean(axis=0)
+        spec = SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0),
+                            center=tuple(centroid - (0.3, 0.0, 0.0)))
+        serial = build_dataset(mesh, D, {"end": spec}, n_steps=4)
+        assert [f.point_index for f in serial.failures] == [0, 1]
+
+        # each thread waits in its first sample until the other is in its own,
+        # so that a helper thread runs sample 0 or 1
+        barrier, first = threading.Barrier(2, timeout=30), {}
+        run = sampling._run_sample
+
+        def meeting(mesh, lame, n_steps, task):
+            if threading.get_ident() not in first:
+                first[threading.get_ident()] = task[1]
+                barrier.wait()
+            return run(mesh, lame, n_steps, task)
+
+        monkeypatch.setattr(sampling, "_run_sample", meeting)
+        monkeypatch.setattr(sampling, "sampling_threads", lambda *args: 2)
+        threaded = build_dataset(mesh, D, {"end": spec}, n_steps=4)
+        helper = [i for ident, i in first.items() if ident != threading.get_ident()]
+        assert len(first) == 2 and helper[0] in (0, 1)
+        assert threaded.failures == serial.failures
+        assert np.array_equal(threaded.u, serial.u)
+
+    def test_calls_in_two_threads_each_give_their_serial_bytes(self, tmp_path):
+        # two meshes, so that a context shared between calls would mix them;
+        # the fine one samples in threads of its own
+        spec = SamplingSpec(mode="box", spacing=0.2, extents=(0.2, 0.2, 0.0))
+        meshes = [generate_rpp(256.0, 51.2, 25.6), generate_rpp(256.0, 51.2, 12.8)]
+
+        def blob(ds):
+            path = tmp_path / f"{threading.get_ident()}.ds"
+            save_dataset(ds, path)
+            return path.read_bytes()
+
+        def call(mesh):
+            return blob(build_dataset(mesh, D, {"end": spec}, n_steps=2))
+
+        want = [call(mesh) for mesh in meshes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                for _ in range(3):
+                    assert list(pool.map(call, meshes, timeout=60)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_thread_count(self, monkeypatch):
+        fine, cores = generate_rpp(256.0, 51.2, 12.8), len(os.sched_getaffinity(0))
+        if _blas.threads("scipy") is not None:
+            assert sampling_threads(fine, 50, 2, workers=1) == min(50, cores)
+            assert sampling_threads(fine, 1, 2, workers=1) == 1
+        assert sampling_threads(fine, 50, 1, workers=1) == 1  # one step factors nothing
+        assert sampling_threads(fine, 50, 2, workers=2) == 1  # each pool worker
+        assert sampling_threads(generate_rpp(), 50, 2, workers=1) == 1  # 240 tetrahedra
+        monkeypatch.setattr(_blas, "threads", lambda package: None)
+        assert sampling_threads(fine, 50, 2, workers=1) == 1  # no pin for the factor
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_factor_runs_on_one_thread(self, workers, factor_threads, lapack_threads):
