@@ -408,11 +408,8 @@ def mesh_stage(cfg: PipelineConfig, out: Path):
     return mesh, path
 
 
-def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
-    """Run the FEM over the sampling lattice and write <out>/dataset.ds.
-
-    Returns (dataset, path, threads each sampling process ran).
-    """
+def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int | None):
+    """Run the FEM over the sampling lattice and write <out>/dataset.ds; returns (dataset, path)."""
     dataset = sampling.build_dataset(
         mesh,
         elasticity_matrix(cfg.material),
@@ -426,9 +423,7 @@ def sample_stage(cfg: PipelineConfig, mesh: TetMesh, out: Path, workers: int):
               "samples failed and were skipped", file=sys.stderr)
     path = out / "dataset.ds"
     sampling.save_dataset(dataset, path)
-    threads = sampling.sampling_threads(mesh, dataset.m + len(dataset.failures), cfg.n_steps,
-                                        workers)
-    return dataset, path, threads
+    return dataset, path
 
 
 def train_stage(cfg: PipelineConfig, dataset, out: Path) -> Path:
@@ -471,8 +466,9 @@ def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
 
 
 # Each cmd_* returns what its manifest records: (output directory, config
-# snapshot, seed, sampling threads per process or None, {name: input path},
-# {name: output path}).
+# snapshot, seed, {name: input path}, {name: output path}). cmd_sample and
+# cmd_repro also set args.workers and args.sampling_threads to the processes
+# and the threads per process that sampled.
 
 def cmd_mesh(args):
     cfg = load_config(args.config)
@@ -481,16 +477,17 @@ def cmd_mesh(args):
     out = _resolve_out(args, cfg)
     _, path = mesh_stage(cfg, out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, None, {}, {"mesh": path}
+    return out, cfg.raw, cfg.train.seed, {}, {"mesh": path}
 
 
 def cmd_sample(args):
     cfg = load_config(args.config)
     out = _resolve_out(args, cfg)
     mesh_path = args.mesh or (out / "mesh.txt")
-    _, path, threads = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
+    dataset, path = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
+    args.workers, args.sampling_threads = dataset.runners
     print(path)
-    return out, cfg.raw, cfg.train.seed, threads, {"mesh": mesh_path}, {"dataset": path}
+    return out, cfg.raw, cfg.train.seed, {"mesh": mesh_path}, {"dataset": path}
 
 
 def cmd_train(args):
@@ -499,7 +496,7 @@ def cmd_train(args):
     dataset_path = args.dataset or (out / "dataset.ds")
     path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, None, {"dataset": dataset_path}, {"model": path}
+    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, {"model": path}
 
 
 def cmd_eval(args):
@@ -509,8 +506,7 @@ def cmd_eval(args):
     dataset = sampling.load_dataset(dataset_path)
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
-    return (out, cfg.raw, cfg.train.seed, None, {"dataset": dataset_path},
-            eval_stage(cfg, dataset, out))
+    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, eval_stage(cfg, dataset, out)
 
 
 def _read_observation_csv(path, n_obs: int) -> np.ndarray:
@@ -580,7 +576,7 @@ def cmd_predict(args):
         outputs["field_vtk"] = vtk_path
 
     print(csv_path)
-    return (out, {"model": str(args.model)}, None, None,
+    return (out, {"model": str(args.model)}, None,
             {"model": args.model, "observations": args.observations}, outputs)
 
 
@@ -596,11 +592,12 @@ def cmd_repro(args):
     out = _resolve_out(args, cfg)
 
     mesh, mesh_path = mesh_stage(cfg, out)
-    dataset, dataset_path, threads = sample_stage(cfg, mesh, out, args.workers)
+    dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
+    args.workers, args.sampling_threads = dataset.runners
     model_path = train_stage(cfg, dataset, out)
     report_paths = eval_stage(cfg, dataset, out)
-    return out, cfg.raw, cfg.train.seed, threads, {}, {
-        "mesh": mesh_path, "dataset": dataset_path, "model": model_path, **report_paths}
+    return out, cfg.raw, cfg.train.seed, {}, {"mesh": mesh_path, "dataset": dataset_path,
+                                              "model": model_path, **report_paths}
 
 
 # ---------------------------------------------------------------------------
@@ -658,10 +655,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.choices[name].add_argument("--seed", type=int, default=None,
                                        help="override the training seed")
     for name in ("sample", "repro"):
-        sub.choices[name].add_argument("--workers", type=int, default=1,
-                                       help="sampling processes: 1 (the default) samples in "
-                                            "this process on one thread per core; N > 1 runs "
-                                            "N processes of one thread each")
+        sub.choices[name].add_argument("--workers", type=int, default=None,
+                                       help="sampling processes: 1 samples in this process, "
+                                            "on up to two threads; N > 1 runs N "
+                                            "processes of one thread each; by default chosen "
+                                            "from the lattice and mesh size")
     return parser
 
 
@@ -669,9 +667,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        out, config, seed, threads, inputs, outputs = args.fn(args)
+        out, config, seed, inputs, outputs = args.fn(args)
         write_manifest(out, args.command, config, seed, getattr(args, "workers", None),
-                       threads, inputs, outputs, time.time() - t0)
+                       getattr(args, "sampling_threads", None), inputs, outputs,
+                       time.time() - t0)
         return 0
     except (ValueError, OSError) as exc:  # ConfigError, MeshError and DatasetError too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

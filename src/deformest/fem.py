@@ -36,7 +36,8 @@ through ctypes, which releases the GIL for the call, where scipy's own
 wrappers hold it. They run with that OpenBLAS on one thread: at these
 half-bandwidths a threaded band Cholesky is slower than a serial one, and
 concurrent calls that each thread it oversubscribe the cores. numpy's
-OpenBLAS, which runs the step's small products, keeps the caller's count.
+OpenBLAS, which runs the step's small products, keeps the caller's count;
+sampling.build_dataset pins it to one thread while its samples run.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
 with engineering shear strains, matching the constitutive matrix from

@@ -4,13 +4,15 @@ For each contact region, target displacements are laid out on a lattice (an
 axis-aligned box grid around the contact centroid, or a spheroid oriented
 along the fixed-to-contact direction with an optional surface-normal filter).
 Each target is pushed through the incremental FEM solver and the resulting
-full displacement field is stored as one sample. One process samples on one
-thread per core; a pool of processes, one thread each, is the other way.
+full displacement field is stored as one sample. A call samples in threads
+of this process where they overlap, and in a pool of processes where they
+cannot and the call is large enough to pay for the pool.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,7 +38,7 @@ __all__ = [
     "ellipsoid_spec_for_region",
     "sample_points_for_region",
     "build_dataset",
-    "sampling_threads",
+    "sampling_runners",
     "save_dataset",
     "load_dataset",
 ]
@@ -281,6 +283,8 @@ class Dataset:
     target: np.ndarray     # (m, 3)
     u: np.ndarray          # (m, 3 * n_free)
     failures: list = field(default_factory=list)
+    # (processes, threads per process) build_dataset sampled in; not saved
+    runners: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         self.free_ids = np.asarray(self.free_ids, dtype=np.int64)
@@ -359,7 +363,7 @@ def _worker_init(mesh, lame, n_steps):
 
 
 def _worker_sample(task):
-    """:func:`_run_sample` in a pool worker, whose mesh keeps its own plans."""
+    """:func:`_run_sample` in a pool worker; a forked worker's mesh brings the caller's plans."""
     return _run_sample(_WORKER_CTX["mesh"], _WORKER_CTX["lame"], _WORKER_CTX["n_steps"], task)
 
 
@@ -387,20 +391,48 @@ def _run_sample(mesh, lame, n_steps, task):
 # 480, 1.30x on 960 and 1.54x on 1920.
 _THREADED_MIN_TETS = 500
 
+# About 30 % of a 1920-tetrahedron load step still holds the GIL, so threads
+# beyond two may only wait for it; no more than two were measured.
+_MAX_THREADS = 2
 
-def sampling_threads(mesh: TetMesh, n_samples: int, n_steps: int, workers: int) -> int:
-    """Threads that :func:`build_dataset` runs n_samples samples of mesh in, per process.
+# On a mesh too small for threads to overlap, a pool of processes pays for
+# its start (forking, sending fields back; about 0.1 s for two workers) once
+# a call has about 250,000 tetrahedron-steps, samples x steps x tets. On 240
+# tetrahedra at 100 steps, two processes sampled 12 targets at 30-36/s
+# against one thread's 19-25/s, and 8 targets at 16-21/s against 18-25/s.
+# A pool did not beat this process elsewhere: 726 one-step targets took two
+# processes 0.10-0.17 s and one thread 0.07-0.11 s on 240 tetrahedra, and
+# 0.28-0.48 s against 0.27-0.34 s on 1920; at 1920 tetrahedra and 10 steps,
+# 18, 50 and 75 targets sampled at 51-69, 57-72 and 58-71/s in two threads
+# against 44-57, 56-58 and 57-69/s in two processes.
+_POOL_MIN_TET_STEPS = 250_000
 
-    One per core this process may use, at most one per sample. One in each
-    pool worker (workers > 1); one for one-step samples, which only scale
-    the plan's stored rest solve and factor nothing; one on a mesh of at
-    most 500 tetrahedra, whose steps mostly hold the GIL; and one where
-    scipy's OpenBLAS is not found, and so its band factor cannot be pinned
-    to one thread.
+
+def sampling_runners(mesh: TetMesh, n_samples: int, n_steps: int,
+                     workers: int | None = None) -> tuple:
+    """(processes, threads per process) that :func:`build_dataset` runs
+    n_samples samples of mesh in.
+
+    Threads overlap for samples of more than one step on meshes of more
+    than 500 tetrahedra: a one-step sample only scales the plan's stored
+    rest solve and factors nothing, and on a smaller mesh most of a step
+    holds the GIL. workers=None chooses the processes: one per core this
+    process may use for samples of more than one step on a mesh of at most
+    500 tetrahedra, when the call has at least 250,000 tetrahedron-steps;
+    otherwise this process alone. Never more processes than samples. A pool
+    worker runs one thread; this process runs one thread per core where
+    threads overlap, at most two and at most one per sample, and one where
+    they do not or where scipy's OpenBLAS is not found, so that its band
+    factor cannot be pinned to one thread.
     """
-    if workers > 1 or n_steps == 1 or mesh.n_tets <= _THREADED_MIN_TETS:
-        return 1
-    return _blas.runners("scipy", n_samples)
+    small = mesh.n_tets <= _THREADED_MIN_TETS
+    if workers is None:
+        pays = n_samples * n_steps * mesh.n_tets >= _POOL_MIN_TET_STEPS
+        workers = len(os.sched_getaffinity(0)) if n_steps > 1 and small and pays else 1
+    workers = max(1, min(workers, n_samples))
+    if workers > 1 or n_steps == 1 or small:
+        return workers, 1
+    return 1, min(_MAX_THREADS, _blas.runners("scipy", n_samples))
 
 
 def sample_points_for_region(mesh: TetMesh, region: str, spec: SamplingSpec) -> np.ndarray:
@@ -419,7 +451,7 @@ def build_dataset(
     specs: Mapping[str, SamplingSpec],
     n_steps: int = 1000,
     scale: ScaleConvention = ScaleConvention(),
-    workers: int = 1,
+    workers: int | None = None,
 ) -> Dataset:
     """Run the FEM once per (region, sample point) and collect the fields.
 
@@ -428,13 +460,14 @@ def build_dataset(
     raises or its contact rows miss the target by more than 1e-9; failures
     are recorded and skipped.
 
-    With workers = 1 the samples run in this process, in
-    :func:`sampling_threads` threads that share the mesh's solver plans;
-    with more, in a pool of that many processes, one thread each. Results
-    do not depend on the worker or thread count. Calls may run in threads
-    of their own.
+    workers is the number of sampling processes: 1 samples in this process,
+    on the threads :func:`sampling_runners` gives, which share the mesh's
+    solver plans; N > 1 runs a pool of N processes, one thread each; None
+    lets :func:`sampling_runners` choose from the call's size. Results do
+    not depend on the worker or thread count, and the returned dataset's
+    ``runners`` records both. Calls may run in threads of their own.
     """
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise DatasetError(f"workers must be >= 1, got {workers}")
     try:
         lame = _lame(d)  # a d the FEM cannot take would fail every sample
@@ -450,23 +483,26 @@ def build_dataset(
         for index, point in enumerate(sample_points_for_region(mesh, region, spec)):
             tasks.append((region, index, point - centroid))
 
-    workers = min(workers, len(tasks))  # a pool never starts more processes than samples
-    if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
+    # Each region's plan and rest solve, made here: no two threads make them,
+    # and forked pool workers inherit them with the mesh.
+    for region in dict.fromkeys(region for region, _, _ in tasks):
+        try:
+            _plan(mesh, region).rest_response(lame)
+        except FemError:
+            pass  # then each sample of the region fails with this error
+    runners = sampling_runners(mesh, len(tasks), n_steps, workers)
+    processes, threads = runners
+    if processes > 1:
+        chunk = max(1, len(tasks) // (processes * 8))
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(mesh, lame, n_steps)
+            max_workers=processes, initializer=_worker_init, initargs=(mesh, lame, n_steps)
         ) as pool:
             outcomes = list(pool.map(_worker_sample, tasks, chunksize=chunk))
     else:
-        # each region's plan and rest solve, made here so that no two threads make them
-        for region in dict.fromkeys(region for region, _, _ in tasks):
-            try:
-                _plan(mesh, region).rest_response(lame)
-            except FemError:
-                pass  # then each sample of the region fails with this error
-        threads = sampling_threads(mesh, len(tasks), n_steps, workers)
-        outcomes = _blas.in_threads(lambda i: _run_sample(mesh, lame, n_steps, tasks[i]),
-                                    len(tasks), threads)
+        # numpy's products on one thread: the sampling threads have the cores
+        with _blas.one_thread("numpy"):
+            outcomes = _blas.in_threads(lambda i: _run_sample(mesh, lame, n_steps, tasks[i]),
+                                        len(tasks), threads)
 
     region_slot: dict = {}  # region -> id, in order of the first successful sample
     region_id, targets, fields, failures = [], [], [], []
@@ -488,6 +524,7 @@ def build_dataset(
         target=np.array(targets, dtype=np.float64).reshape(-1, 3),
         u=np.array(fields, dtype=np.float64).reshape(-1, 3 * mesh.free_ids.size),
         failures=failures,
+        runners=runners,
     )
 
 

@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from deformest import _blas, evaluation, fem, nn
+from deformest import _blas, evaluation, fem, nn, sampling
 from deformest.evaluation import run_session
 from deformest.fem import MaterialParams, deform, elasticity_matrix
 from deformest.mesh import generate_rpp
@@ -111,6 +111,24 @@ class TestLookup:
 
 
 class TestNumpyPin:
+    @pytest.mark.parametrize("runners", [(1, 1), (1, 2)])
+    def test_in_process_samples_run_on_one_thread_and_give_the_count_back(
+            self, runners, numpy_threads, monkeypatch):
+        seen = []
+        run = sampling._run_sample
+
+        def recording(*args):
+            seen.append(numpy_threads())
+            return run(*args)
+
+        monkeypatch.setattr(sampling, "_run_sample", recording)
+        monkeypatch.setattr(sampling, "sampling_runners", lambda *args: runners)
+        spec = sampling.SamplingSpec(mode="box", spacing=0.2, extents=(0.2, 0.2, 0.0))
+        ds = sampling.build_dataset(generate_rpp(), elasticity_matrix(MaterialParams()),
+                                    {"end": spec}, n_steps=2)
+        assert ds.runners == runners and seen == [1] * 4
+        assert numpy_threads() == 2
+
     def test_train_runs_on_one_thread_and_gives_the_count_back(self, numpy_threads,
                                                                monkeypatch):
         seen = []

@@ -293,10 +293,10 @@ class TestPipelineCommands:
         # every manifest keeps the seed, worker and thread keys; workers and
         # sampling_threads are null where no sampling runs
         seed = SMALL_CONFIG["train"]["seed"]
-        threads = sampling.sampling_threads(load_mesh(out / "mesh.txt"), 9, 2, 1)
+        processes, threads = sampling.sampling_runners(load_mesh(out / "mesh.txt"), 9, 2)
         for command, manifest_seed, workers, sampled, inputs, outputs in (
             ("mesh", seed, None, None, [], ["mesh"]),
-            ("sample", seed, 1, threads, ["mesh"], ["dataset"]),
+            ("sample", seed, processes, threads, ["mesh"], ["dataset"]),
             ("train", seed, None, None, ["dataset"], ["model"]),
             ("eval", seed, None, None, ["dataset"], ["curves_csv", "report_csv", "report_json"]),
             ("predict", None, None, None, ["model", "observations"], ["field_csv"]),
@@ -308,7 +308,7 @@ class TestPipelineCommands:
             assert sorted(manifest["inputs"]) == inputs
             assert sorted(manifest["outputs"]) == outputs
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_sample_manifest_records_threads_per_process(self, tmp_path, workers):
         # the 12.8 mm RPP (1920 tetrahedra) samples in threads in one process
         raw = changed(("mesh", "generator"), {"kind": "rpp", "long_mm": 256.0, "short_mm": 51.2,
@@ -317,12 +317,15 @@ class TestPipelineCommands:
         path, out = tmp_path / "config.json", tmp_path / "run"
         path.write_text(json.dumps(raw))
         assert run(["mesh", "--config", path, "--out", out]) == 0
-        assert run(["sample", "--config", path, "--out", out, "--workers", workers]) == 0
+        flag = [] if workers is None else ["--workers", workers]
+        assert run(["sample", "--config", path, "--out", out, *flag]) == 0
         manifest = json.loads((out / "sample.manifest.json").read_text())
-        want = sampling.sampling_threads(load_mesh(out / "mesh.txt"), 2, 2, workers)
-        assert (manifest["workers"], manifest["sampling_threads"]) == (workers, want)
-        if workers == 1 and _blas.threads("scipy") is not None:
-            assert want == min(2, len(os.sched_getaffinity(0)))
+        want = sampling.sampling_runners(load_mesh(out / "mesh.txt"), 2, 2, workers)
+        assert (manifest["workers"], manifest["sampling_threads"]) == want
+        if workers != 2 and _blas.threads("scipy") is not None:
+            assert want == (1, min(2, len(os.sched_getaffinity(0))))
+        elif workers == 2:
+            assert want == (2, 1)
 
     @pytest.mark.parametrize("argv", [
         ["mesh", "--config", "c.json", "--seed", "1"],

@@ -24,7 +24,7 @@ from deformest.sampling import (
     grid_points,
     load_dataset,
     region_surface_normal,
-    sampling_threads,
+    sampling_runners,
     save_dataset,
 )
 
@@ -303,26 +303,40 @@ class TestBuildDataset:
             (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 1, [0, 2]),
         ):
             blobs = []
-            for workers, threads in ((1, 1), (1, 2), (2, 1)):
-                # the bar is too small for sampling_threads to choose two threads itself
-                monkeypatch.setattr(sampling, "sampling_threads", lambda *args, t=threads: t)
-                ds = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps, workers=workers)
+            for runners in ((1, 1), (1, 2), (2, 1)):
+                # the bar is too small for sampling_runners to choose two threads itself
+                monkeypatch.setattr(sampling, "sampling_runners", lambda *args, r=runners: r)
+                ds = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps)
+                assert ds.runners == runners
                 assert [f.point_index for f in ds.failures] == failed
                 save_dataset(ds, tmp_path / "dataset.ds")
                 blobs.append((tmp_path / "dataset.ds").read_bytes())
             assert blobs[1] == blobs[0] and blobs[2] == blobs[0]
 
     def test_threads_sample_a_fine_mesh_as_one_thread_does(self, tmp_path, monkeypatch):
-        # 1920 tetrahedra: sampling_threads runs one thread per core here
+        # 1920 tetrahedra: sampling_runners runs two threads here
         mesh = generate_rpp(256.0, 51.2, 12.8)
         spec = SamplingSpec(mode="box", spacing=0.2, extents=(0.4, 0.2, 0.0))
         threaded = build_dataset(mesh, D, {"end": spec}, n_steps=2)
-        monkeypatch.setattr(sampling, "sampling_threads", lambda *args: 1)
+        monkeypatch.setattr(sampling, "sampling_runners", lambda *args: (1, 1))
         serial = build_dataset(mesh, D, {"end": spec}, n_steps=2)
         assert threaded.m == 6
         for ds, name in ((threaded, "threaded.ds"), (serial, "serial.ds")):
             save_dataset(ds, tmp_path / name)
         assert (tmp_path / "threaded.ds").read_bytes() == (tmp_path / "serial.ds").read_bytes()
+
+    def test_a_pool_chosen_by_size_samples_as_one_thread_does(self, tmp_path, monkeypatch):
+        # 27 targets x 40 steps x 240 tetrahedra: at least 250,000 tetrahedron-steps
+        mesh = generate_rpp()
+        spec = SamplingSpec(mode="box", spacing=0.1, extents=(0.2, 0.2, 0.2))
+        pooled = build_dataset(mesh, D, {"end": spec}, n_steps=40)
+        assert pooled.runners == (min(27, len(os.sched_getaffinity(0))), 1)
+        monkeypatch.setattr(sampling, "sampling_runners", lambda *args: (1, 1))
+        serial = build_dataset(mesh, D, {"end": spec}, n_steps=40)
+        assert pooled.m == 27
+        for ds, name in ((pooled, "pooled.ds"), (serial, "serial.ds")):
+            save_dataset(ds, tmp_path / name)
+        assert (tmp_path / "pooled.ds").read_bytes() == (tmp_path / "serial.ds").read_bytes()
 
     def test_a_helper_thread_records_the_failure_a_serial_run_does(self, monkeypatch):
         # lattice targets -0.7, -0.3 and 0.1 units: the bar, 0.2 units long,
@@ -346,7 +360,7 @@ class TestBuildDataset:
             return run(mesh, lame, n_steps, task)
 
         monkeypatch.setattr(sampling, "_run_sample", meeting)
-        monkeypatch.setattr(sampling, "sampling_threads", lambda *args: 2)
+        monkeypatch.setattr(sampling, "sampling_runners", lambda *args: (1, 2))
         threaded = build_dataset(mesh, D, {"end": spec}, n_steps=4)
         helper = [i for ident, i in first.items() if ident != threading.get_ident()]
         assert len(first) == 2 and helper[0] in (0, 1)
@@ -377,16 +391,30 @@ class TestBuildDataset:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_thread_count(self, monkeypatch):
-        fine, cores = generate_rpp(256.0, 51.2, 12.8), len(os.sched_getaffinity(0))
+    def test_runner_count(self, monkeypatch):
+        fine, coarse = generate_rpp(256.0, 51.2, 12.8), generate_rpp()  # 1920, 240 tetrahedra
+        cores = len(os.sched_getaffinity(0))
         if _blas.threads("scipy") is not None:
-            assert sampling_threads(fine, 50, 2, workers=1) == min(50, cores)
-            assert sampling_threads(fine, 1, 2, workers=1) == 1
-        assert sampling_threads(fine, 50, 1, workers=1) == 1  # one step factors nothing
-        assert sampling_threads(fine, 50, 2, workers=2) == 1  # each pool worker
-        assert sampling_threads(generate_rpp(), 50, 2, workers=1) == 1  # 240 tetrahedra
+            assert sampling_runners(fine, 50, 2, workers=1) == (1, min(2, cores))
+            assert sampling_runners(fine, 5000, 100) == (1, min(2, cores))  # never a pool
+            assert sampling_runners(fine, 1, 2) == (1, 1)
+        assert sampling_runners(fine, 50, 1, workers=1) == (1, 1)  # one step factors nothing
+        assert sampling_runners(fine, 5000, 1) == (1, 1)
+        assert sampling_runners(fine, 50, 2, workers=2) == (2, 1)  # one thread a worker
+        assert sampling_runners(fine, 1, 2, workers=2) == (1, 1)  # a process a sample at most
+        assert sampling_runners(coarse, 50, 2, workers=1) == (1, 1)  # steps hold the GIL
+        # a pool on the coarse mesh from 250,000 tetrahedron-steps: 12 x 100 x 240 and up
+        assert sampling_runners(coarse, 12, 100) == (min(12, cores), 1)
+        assert sampling_runners(coarse, 8, 100) == (1, 1)
+        assert sampling_runners(coarse, 5000, 1) == (1, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        if _blas.threads("scipy") is not None:
+            assert sampling_runners(fine, 50, 2) == (1, 2)  # two threads at most
+        assert sampling_runners(coarse, 12, 100) == (8, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert sampling_runners(coarse, 12, 100) == (1, 1)
         monkeypatch.setattr(_blas, "threads", lambda package: None)
-        assert sampling_threads(fine, 50, 2, workers=1) == 1  # no pin for the factor
+        assert sampling_runners(fine, 50, 2, workers=1) == (1, 1)  # no pin for the factor
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_factor_runs_on_one_thread(self, workers, factor_threads, lapack_threads):
@@ -395,11 +423,12 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0))
         ds = build_dataset(small_bar(), D, {"end": spec}, n_steps=2, workers=workers)
         seen = factor_threads()
-        pids = {pid for pid, _ in seen}
-        # step 2 of each sample, and one rest solve in each process
-        assert ds.m == 6 and len(seen) == ds.m + len(pids)
+        pids = [pid for pid, _ in seen]
+        # step 2 of each sample, and one rest solve, made by the calling process
+        # before forked workers inherit it
+        assert ds.m == 6 and len(seen) == ds.m + 1
         assert {threads for _, threads in seen} == {1}
-        assert (pids == {os.getpid()}) if workers == 1 else (os.getpid() not in pids)
+        assert pids.count(os.getpid()) == (len(seen) if workers == 1 else 1)
         assert lapack_threads() == 2
 
     @pytest.mark.parametrize("workers", [0, -1])
