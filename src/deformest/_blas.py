@@ -102,6 +102,13 @@ def one_thread(package: str):
     return contextlib.nullcontext() if pin is None else pin.one_thread()
 
 
+def cores() -> int:
+    """The number of cores this process may use: its CPU affinity where the
+    platform reports one (Linux), else os.cpu_count(), and at least 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+
+
 def runners(package: str, n: int) -> int:
     """Threads that run n independent jobs on ``package``'s OpenBLAS pinned to
     one thread: the calling thread and one helper per further core this
@@ -109,7 +116,7 @@ def runners(package: str, n: int) -> int:
     found (and so cannot be pinned)."""
     if threads(package) is None:
         return 1
-    return min(n, len(os.sched_getaffinity(0)))
+    return min(n, cores())
 
 
 def in_threads(run, n: int, runners: int) -> list:

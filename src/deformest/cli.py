@@ -542,7 +542,8 @@ def cmd_predict(args):
     out = _resolve_out(args, None)
     model, meta = nn.load_model(args.model)
     mm_per_unit = 256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"]
-    if not (isinstance(mm_per_unit, (int, float)) and 0 < mm_per_unit < np.inf):
+    ok = isinstance(mm_per_unit, (int, float)) and not isinstance(mm_per_unit, bool)
+    if not (ok and 0 < mm_per_unit < np.inf):  # a JSON true would read as 1
         raise ConfigError(
             f"{args.model}: mm_per_unit must be positive and finite, got {mm_per_unit!r}"
         )

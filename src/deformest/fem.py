@@ -21,11 +21,11 @@ Each step forms the entries in closed form for isotropic material, with the
 element index last so that every operation runs over contiguous rows
 (Cuvelier, Japhet & Scarella, 2016), sums them with one sparse product, and
 factors the band, O(n bw^2) for half-bandwidth bw; it never forms B or an
-n^2 matrix. Step 1 of every call starts from the rest configuration, where
-the solve is linear in the increment: the plan solves it once per material,
-for a unit translation of the contact set along each axis, keeps that one
-result, and step 1 scales it. Each call runs its other steps in a workspace
-of its own, allocated once and overwritten step after step; a one-step call
+n^2 matrix. Every step is one rate solve for a rigid translation of the
+contact set by exactly t = target / n_steps; at the rest configuration it is
+linear in t, so the plan solves the rest state once per material for t = I
+and step 1 scales it. Each call runs its other steps in a workspace of its
+own, allocated once and overwritten step after step; a one-step call
 allocates only the rows of its final volume check.
 
 Calls on a shared mesh may run in threads, and they overlap: the sparse
@@ -36,7 +36,8 @@ through ctypes, which releases the GIL for the call, where scipy's own
 wrappers hold it. They run with that OpenBLAS on one thread: at these
 half-bandwidths a threaded band Cholesky is slower than a serial one, and
 concurrent calls that each thread it oversubscribe the cores. numpy's
-OpenBLAS, which runs the step's small products, keeps the caller's count;
+OpenBLAS, which runs the contact reaction's small product, keeps the
+caller's count;
 sampling.build_dataset pins it to one thread while its samples run.
 
 Voigt convention throughout: strain components ordered (xx, yy, zz, xy, yz, zx)
@@ -531,6 +532,13 @@ class _StepWork:
         return self.ke
 
 
+def _translated(k: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(K E) t for contact columns K (r, c) and t (3,) or (3, k), E mapping a
+    translation to the contact DOFs; unlike a BLAS product, numpy's sums and
+    einsum do not depend on numpy's thread count, and t = I is exact."""
+    return np.einsum("ri,i...->r...", k.reshape(k.shape[0], k.shape[1] // 3, 3).sum(axis=1), t)
+
+
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
@@ -539,9 +547,10 @@ class _SolverPlan:
     remaining free (n) DOF partition, a reverse Cuthill-McKee ordering of
     the n-partition (per vertex, so that a vertex's three DOFs stay
     adjacent), its half-bandwidth ``bw``, the flat position of each
-    tetrahedron corner coordinate, and one sparse 0/1 matrix that sums the
-    elements' lower-triangle stiffness entries into three matrices laid end
-    to end: K_nn's lower band in LAPACK storage ``(bw + 1, n)``,
+    tetrahedron corner coordinate and of each plan-order n DOF, and one
+    sparse 0/1 matrix that sums the elements' lower-triangle stiffness
+    entries into three matrices laid end to end: K_nn's lower band in
+    LAPACK storage ``(bw + 1, n)``,
     column-major so that LAPACK factors it in place, a dense K_nc of the
     ``coupled`` rows, those that share a tetrahedron with a contact DOF,
     and the lower triangle of a dense ``(c, c)`` K_cc. It also keeps the
@@ -559,8 +568,8 @@ class _SolverPlan:
         contact_dofs = (3 * self.contact_slots[:, None] + np.arange(3)).reshape(-1)
         in_n = np.ones(n_dofs, dtype=bool)
         in_n[contact_dofs] = False
-        self.n_idx = np.flatnonzero(in_n)
-        self.n, self.c = self.n_idx.size, contact_dofs.size
+        n_idx = np.flatnonzero(in_n)
+        self.n, self.c = n_idx.size, contact_dofs.size
         # flat index in the (n_vertices, 3) positions of (corner, axis, tet)
         self._corners = 3 * mesh.tets.T[:, None, :] + np.arange(3)[:, None]
 
@@ -572,12 +581,14 @@ class _SolverPlan:
         edge = (a >= 0) & (b >= 0) & (a != b)
         rank = np.empty(n_vertices, dtype=np.int64)
         rank[_reverse_cuthill_mckee(a[edge], b[edge], n_vertices)] = np.arange(n_vertices)
-        self.n_perm = (3 * rank[:, None] + np.arange(3)).reshape(-1)  # plan position of n_idx[k]
+        n_perm = (3 * rank[:, None] + np.arange(3)).reshape(-1)  # plan position of n_idx[k]
+        self._n_flat = np.empty(self.n, dtype=np.int64)  # flat position of plan-order u_n
+        self._n_flat[n_perm] = (3 * mesh.free_ids[:, None] + np.arange(3)).reshape(-1)[n_idx]
 
         # position of each reduced DOF in the plan's n and c orders, -1 outside
         # them; a fixed vertex's DOF is -1 and so reads the trailing -1
         n_pos = np.full(n_dofs + 1, -1)
-        n_pos[self.n_idx] = self.n_perm
+        n_pos[n_idx] = n_perm
         c_pos = np.full(n_dofs + 1, -1)
         c_pos[contact_dofs] = np.arange(self.c)
         dst = self._scatter_index(_element_dofs(mesh).T, n_pos, c_pos)
@@ -623,24 +634,40 @@ class _SolverPlan:
         return (band.reshape(self.n, self.bw + 1).T, k_nc.reshape(-1, self.c),
                 k_cc.reshape(self.c, self.c))
 
-    def _solve(self, ke: np.ndarray, u_c: np.ndarray, reaction: bool):
-        """One step's u_n, in plan order, and the contact reaction when asked, else None.
-
-        The summed K blocks are freed on return, before the next step sums
-        its own.
-        """
-        band, k_nc, low = self._summed(ke)
-        rhs = np.zeros(self.n)
-        rhs[self.coupled] = -(k_nc @ u_c)
-        u_n = self._solve_nn(band, rhs)
+    def _rate(self, work: _StepWork, flat_positions: np.ndarray, lame: tuple[float, float],
+              t: np.ndarray, reaction: bool):
+        """u_n = -K_nn^-1 (K_nc E) t in plan order, (n,) or (n, k), for a rigid
+        translation t, (3,) or (3, k), of the contact set from the flat
+        positions, and the reaction (K_cc E) t + K_cn u_n when asked, else
+        None. The summed K blocks are freed on return, before the next step
+        sums its own."""
+        work.check(flat_positions, self._corners)
+        band, k_nc, low = self._summed(work.stiffness(*lame))
+        u_n = np.zeros((self.n,) + t.shape[1:], order="F")
+        u_n[self.coupled] = -_translated(k_nc, t)
+        if self.n:
+            k_diag = band[0].copy()
+            _band_cholesky(band)
+            # A semi-definite K_nn can factor into tiny positive pivots instead of
+            # failing; a pivot this small against its diagonal is rounding noise.
+            ok = band[0] ** 2 > self.n * np.finfo(np.float64).eps * k_diag  # NaN fails too
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise SingularSystemError(
+                    f"reduced stiffness is not positive definite: pivot {i} is "
+                    f"{band[0, i] ** 2:.3e} against diagonal {k_diag[i]:.3e}"
+                )
+            _band_cho_solve(band, u_n)
         if not reaction:
             return u_n, None
-        return u_n, low @ u_c + low.T @ u_c - low.diagonal() * u_c + k_nc.T @ u_n[self.coupled]
+        k_cc = low + low.T
+        np.fill_diagonal(k_cc, low.diagonal())
+        return u_n, _translated(k_cc, t) + k_nc.T @ u_n[self.coupled]
 
     def rest_response(self, lame: tuple[float, float]):
-        """(W, F) of the material lame = (λ, μ): the plan-order u_n (n, 3)
-        and the contact reaction (c, 3) of a unit translation of the contact
-        set along each axis, solved at the rest configuration.
+        """(W, F) of the material lame = (λ, μ): :meth:`_rate` at rest for
+        t = I, the u_n (n, 3) and the contact reaction (c, 3) of a unit
+        translation of the contact set along each axis.
 
         Computed on the first call for the material and kept until another
         material is solved; threads that race on it each compute it, and
@@ -649,41 +676,13 @@ class _SolverPlan:
         rest = self._rest
         if rest is not None and rest[0] == lame:
             return rest[1:]
-        work = _StepWork(self._corners.shape[-1])
-        work.check(self.vertices.reshape(-1), self._corners)
-        band, k_nc, low = self._summed(work.stiffness(*lame))
-        # K E sums each axis's columns (E maps a translation to the contact
-        # DOFs); numpy's sums, unlike a BLAS product, do not depend on its
-        # thread count
-        rhs = np.zeros((self.n, 3), order="F")
-        rhs[self.coupled] = -k_nc.reshape(-1, self.c // 3, 3).sum(axis=1)
         with _blas.one_thread("scipy"):
-            w = self._solve_nn(band, rhs)
-        k_cc = low + low.T
-        np.fill_diagonal(k_cc, low.diagonal())
-        f = k_cc.reshape(self.c, -1, 3).sum(axis=1) + k_nc.T @ w[self.coupled]
+            w, f = self._rate(_StepWork(self._corners.shape[-1]), self.vertices.reshape(-1),
+                              lame, np.eye(3), reaction=True)
         with self._rest_lock:
             if self._rest is None or self._rest[0] != lame:
                 self._rest = (lame, w, f)
             return self._rest[1:]
-
-    def _solve_nn(self, band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """K_nn^-1 rhs, both in plan order, written over rhs; factors the
-        band of K_nn in place."""
-        if self.n == 0:
-            return rhs
-        k_diag = band[0].copy()
-        _band_cholesky(band)
-        # A semi-definite K_nn can factor into tiny positive pivots instead of
-        # failing; a pivot this small against its diagonal is rounding noise.
-        ok = band[0] ** 2 > self.n * np.finfo(np.float64).eps * k_diag  # NaN fails too
-        if not ok.all():
-            i = int(np.argmin(ok))
-            raise SingularSystemError(
-                f"reduced stiffness is not positive definite: pivot {i} is "
-                f"{band[0, i] ** 2:.3e} against diagonal {k_diag[i]:.3e}"
-            )
-        return _band_cho_solve(band, rhs)
 
     def deform(self, lame: tuple[float, float], target_disp, n_steps: int) -> DeformResult:
         """:func:`deform` of this plan's region, for Lamé's lame = (λ, μ)."""
@@ -697,30 +696,22 @@ class _SolverPlan:
         positions = self.vertices.copy()
         flat_positions = positions.reshape(-1)
         start = positions[contact_ids].copy()
-        update = np.zeros(3 * free_ids.size)  # contact rows stay 0: those positions are reset below
+        h = target * (1 / n_steps)  # every step translates the contact set by h
 
         step = 1
         try:
-            # step 1 starts at rest, where u_n and f_c are linear in the
-            # increment: W and F times it
+            # step 1 starts at rest, where u_n and f_c are linear in h: W h and F h
             w, f = self.rest_response(lame)
+            u_n, f_c = (w * h).sum(axis=1), (f * h).sum(axis=1)
             # the call's own, reused by every step
             work = _StepWork(self._corners.shape[-1], stiffness=n_steps > 1)
             with _blas.one_thread("scipy"):
-                first = target * (1 / n_steps)
-                update[self.n_idx] = (w * first).sum(axis=1)[self.n_perm]
-                positions[free_ids] += update.reshape(-1, 3)
-                positions[contact_ids] = start + first
-                f_c = (f * first).sum(axis=1)
-                for step in range(2, n_steps + 1):
-                    work.check(flat_positions, self._corners)
-                    ke = work.stiffness(*lame)
-                    desired = start + target * (step / n_steps)
-                    u_c = (desired - positions[contact_ids]).reshape(-1)
-                    u_n, f_c = self._solve(ke, u_c, reaction=step == n_steps)
-                    update[self.n_idx] = u_n[self.n_perm]
-                    positions[free_ids] += update.reshape(-1, 3)
-                    positions[contact_ids] = desired  # keep the prescribed path exact
+                for step in range(1, n_steps + 1):
+                    if step > 1:
+                        u_n, f_c = self._rate(work, flat_positions, lame, h,
+                                              reaction=step == n_steps)
+                    flat_positions[self._n_flat] += u_n
+                    positions[contact_ids] = start + target * (step / n_steps)  # exact path
                 # each step checks the elements it starts from; this checks where the last ended
                 work.check(flat_positions, self._corners)
         except DegenerateElementError as exc:

@@ -35,7 +35,6 @@ __all__ = [
     "TrainingLog",
     "init_model",
     "relu",
-    "relu_grad",
     "forward_batch",
     "cost",
     "gradients",
@@ -50,11 +49,6 @@ __all__ = [
 
 def relu(z):
     return np.maximum(z, 0.0)
-
-
-def relu_grad(z):
-    """Derivative of ReLU; 0 at z = 0 by convention."""
-    return (z > 0.0).astype(np.float64)
 
 
 @dataclass

@@ -12,7 +12,6 @@ cannot and the call is large enough to pay for the pool.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -310,6 +309,8 @@ class Dataset:
             raise DatasetError(f"region ids must index the {len(self.regions)} region names")
         if not np.isin(self.observation_ids, self.free_ids).all():
             raise DatasetError("observation vertices must be free vertices")
+        if not 0 < self.mm_per_unit < np.inf:  # NaN fails too
+            raise DatasetError(f"mm_per_unit must be positive and finite, got {self.mm_per_unit}")
 
     @property
     def m(self) -> int:
@@ -428,7 +429,7 @@ def sampling_runners(mesh: TetMesh, n_samples: int, n_steps: int,
     small = mesh.n_tets <= _THREADED_MIN_TETS
     if workers is None:
         pays = n_samples * n_steps * mesh.n_tets >= _POOL_MIN_TET_STEPS
-        workers = len(os.sched_getaffinity(0)) if n_steps > 1 and small and pays else 1
+        workers = _blas.cores() if n_steps > 1 and small and pays else 1
     workers = max(1, min(workers, n_samples))
     if workers > 1 or n_steps == 1 or small:
         return workers, 1

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy.spatial import Delaunay
 
 from deformest import _blas, fem
 from deformest.mesh import TetMesh, generate_rpp
-from deformest.sampling import Dataset
+from deformest.sampling import _MAGIC, Dataset
 
 
 def make_synthetic_dataset(m=30, n_free=4, seed=0, mm_per_unit=256.0) -> Dataset:
@@ -23,6 +25,16 @@ def make_synthetic_dataset(m=30, n_free=4, seed=0, mm_per_unit=256.0) -> Dataset
         target=draws[:, :3],
         u=draws[:, 3:],
     )
+
+
+def rewrite_dataset_header(path, **entries):
+    """Sets entries of the JSON header of the dataset file at path; the records stay."""
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<Q", blob, len(_MAGIC))
+    start = len(_MAGIC) + 8
+    header = {**json.loads(blob[start:start + size]), **entries}
+    new = json.dumps(header).encode("utf-8")  # NaN and Infinity as JSON literals
+    path.write_bytes(blob[:len(_MAGIC)] + struct.pack("<Q", len(new)) + new + blob[start + size:])
 
 
 def make_blob_mesh(seed=0, n_points=40, n_fixed=4, n_contact=3, n_obs=4) -> TetMesh:

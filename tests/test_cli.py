@@ -11,7 +11,7 @@ from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
 from deformest.sampling import load_dataset
 
-from conftest import make_blob_mesh
+from conftest import make_blob_mesh, rewrite_dataset_header
 
 SMALL_CONFIG = {
     "mesh": {
@@ -308,6 +308,25 @@ class TestPipelineCommands:
             assert sorted(manifest["inputs"]) == inputs
             assert sorted(manifest["outputs"]) == outputs
 
+    @pytest.mark.parametrize("mm_per_unit", [float("nan"), -256.0, float("inf")])
+    def test_bad_dataset_scale_fails_before_training(self, config_path, tmp_path, capsys,
+                                                     monkeypatch, mm_per_unit):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out]) == 0
+        rewrite_dataset_header(out / "dataset.ds", mm_per_unit=mm_per_unit)
+        capsys.readouterr()
+
+        def train(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("deformest.nn.train", train)
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DatasetError: mm_per_unit must be positive and finite")
+        assert len(err.splitlines()) == 1
+        assert not (out / "model.json").exists()
+
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_sample_manifest_records_threads_per_process(self, tmp_path, workers):
         # the 12.8 mm RPP (1920 tetrahedra) samples in threads in one process
@@ -534,7 +553,8 @@ class TestPredictCommand:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "field.csv").exists()
 
-    @pytest.mark.parametrize("mm_per_unit", [-256.0, 0.0, float("inf"), float("nan"), [256.0]])
+    @pytest.mark.parametrize("mm_per_unit",
+                             [-256.0, 0.0, float("inf"), float("nan"), [256.0], True])
     def test_bad_mm_per_unit_exits_1(self, tmp_path, capsys, mm_per_unit):
         model = MlpModel(
             w_hidden1=np.zeros((4, 7)), w_hidden2=np.zeros((4, 5)), w_out=np.zeros((9, 5))

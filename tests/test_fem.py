@@ -602,7 +602,7 @@ class TestDeform:
     def test_contact_reaction_from_the_lower_triangle_of_k_cc(self):
         # The plan sums K_cc's lower triangle only and symmetrizes it for the
         # reaction. The 12.8 mm end face holds 25 contact vertices, so K_cc
-        # couples neighbours; a random u_c weighs each coupling differently.
+        # couples neighbours, and a contact translation sums every coupling.
         mesh = generate_rpp(256.0, 51.2, 12.8)
         d = material_d()
         target = (0.05, -0.1, 0.02)
@@ -615,14 +615,46 @@ class TestDeform:
         plan = fem._SolverPlan(mesh, "end")
         rng = np.random.default_rng(5)
         positions = mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape)
-        work = fem._StepWork(mesh.n_tets)
-        work.check(positions.reshape(-1), plan._corners)
-        u_c = rng.normal(scale=0.01, size=plan.c)
-        u_n, f_c = plan._solve(work.stiffness(*fem._lame(d)), u_c, reaction=True)
+        t = rng.normal(scale=0.01, size=3)
+        u_n, f_c = plan._rate(fem._StepWork(mesh.n_tets), positions.reshape(-1),
+                              fem._lame(d), t, reaction=True)
         system = assemble(mesh, positions, d)
-        f_ref, u_ref = solve_forced_displacement(system, dofs, u_c)
+        f_ref, u_ref = solve_forced_displacement(system, dofs, np.tile(t, dofs.size // 3))
         assert_rel_close(f_c, f_ref)
-        assert_rel_close(u_n[plan.n_perm], u_ref)
+        # the flat position index ascends with the n-partition's DOF index
+        assert_rel_close(u_n[np.argsort(plan._n_flat)], u_ref)
+
+    @pytest.mark.parametrize("which, rtol", [
+        ("rpp-25.6mm", 1e-13),
+        ("rpp-12.8mm", 1e-13),
+        ("blob", 1e-12),  # its slivers amplify rounding: 1e-13 to 3e-13 measured
+    ])
+    def test_rate_is_linear_in_the_translation(self, which, rtol):
+        if which == "blob":
+            mesh, region = make_blob_mesh(seed=1, n_points=300), "grab"
+        else:
+            mesh, region = generate_rpp(256.0, 51.2, float(which[4:8])), "end"
+        plan = fem._SolverPlan(mesh, region)
+        rng = np.random.default_rng(11)
+        positions = (mesh.vertices + rng.normal(scale=2e-3, size=mesh.vertices.shape)).reshape(-1)
+        lame = fem._lame(material_d())
+
+        def rate(t):
+            return plan._rate(fem._StepWork(mesh.n_tets), positions, lame, t, reaction=True)
+
+        w, f = rate(np.eye(3))
+        assert w.shape == (plan.n, 3) and f.shape == (plan.c, 3)
+        for t in (rng.normal(scale=0.01, size=3), np.array([0.0, 0.02, 0.0])):
+            u_n, f_c = rate(t)
+            assert_rel_close(u_n, w @ t, rtol)
+            assert_rel_close(f_c, f @ t, rtol)
+        ts = rng.normal(scale=0.01, size=(3, 2))
+        u_n, f_c = rate(ts)
+        assert u_n.shape == (plan.n, 2) and f_c.shape == (plan.c, 2)
+        for k in range(2):
+            want_u, want_f = rate(ts[:, k])
+            assert_rel_close(u_n[:, k], want_u, rtol)
+            assert_rel_close(f_c[:, k], want_f, rtol)
 
     def test_build_dataset_records_final_inversion(self, paper_rpp):
         # two targets: (-1.5, 0, 0) inverts at its only step; (0, 0, 0) stays at rest
@@ -773,6 +805,25 @@ class TestRestSolve:
             res = deform(mesh, material_d(), region, target, n_steps=n_steps)
             assert_rel_close(res.displacements, u)
             assert_rel_close(res.contact_forces, f_c)
+
+    @pytest.mark.parametrize("which", ["rpp-12.8mm", "blob"])
+    def test_one_step_is_the_rest_response_times_h(self, which):
+        if which == "blob":
+            mesh, region, target = make_blob_mesh(seed=1, n_points=300), "grab", (0.05, -0.03, 0.02)
+        else:
+            mesh, region, target = generate_rpp(256.0, 51.2, 12.8), "end", (0.1, 0.15, -0.05)
+        res = deform(mesh, material_d(), region, target, n_steps=1)
+        plan = fem._plan(mesh, region)
+        w, f = plan.rest_response(fem._lame(material_d()))
+        h = np.asarray(target)
+        assert np.array_equal(res.contact_forces.reshape(-1), (f * h).sum(axis=1))
+        # a vertex moves from x to x + W h; its displacement is that minus x
+        x = mesh.vertices.reshape(-1)[plan._n_flat]
+        full = np.zeros_like(mesh.vertices)
+        full[mesh.free_ids] = res.displacements
+        assert np.array_equal(full.reshape(-1)[plan._n_flat], (x + (w * h).sum(axis=1)) - x)
+        x_c = mesh.vertices[plan.contact_ids]
+        assert np.array_equal(full[plan.contact_ids], (x_c + h) - x_c)
 
     def test_alternating_materials_match_fresh_plans(self):
         mesh = generate_rpp(256.0, 51.2, 25.6)

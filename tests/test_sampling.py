@@ -4,6 +4,7 @@ import struct
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from deformest.sampling import (
     save_dataset,
 )
 
-from conftest import make_blob_mesh
+from conftest import make_blob_mesh, rewrite_dataset_header
 
 D = elasticity_matrix(MaterialParams())
 
@@ -416,6 +417,19 @@ class TestBuildDataset:
         monkeypatch.setattr(_blas, "threads", lambda package: None)
         assert sampling_runners(fine, 50, 2, workers=1) == (1, 1)  # no pin for the factor
 
+    def test_runner_count_without_cpu_affinity(self, monkeypatch):
+        # Python has no os.sched_getaffinity on macOS and Windows: the CPU count stands in
+        coarse = generate_rpp()
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _blas.cores() == 4
+        assert sampling_runners(coarse, 12, 100) == (4, 1)
+        if _blas.threads("numpy") is not None:
+            assert _blas.runners("numpy", 50) == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # not determinable
+        assert _blas.cores() == 1
+        assert sampling_runners(coarse, 12, 100) == (1, 1)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_factor_runs_on_one_thread(self, workers, factor_threads, lapack_threads):
         if workers > 1 and multiprocessing.get_start_method() != "fork":
@@ -512,6 +526,17 @@ class TestDatasetFile:
         assert np.array_equal(loaded.target, ds.target)
         assert np.array_equal(loaded.u, ds.u)
         loaded.require_mesh(mesh)
+
+    @pytest.mark.parametrize("mm_per_unit", [float("nan"), -256.0, float("inf"), 0.0])
+    def test_bad_mm_per_unit_rejected(self, tmp_path, mm_per_unit):
+        _, ds = self.make_dataset()
+        with pytest.raises(DatasetError, match="mm_per_unit must be positive and finite"):
+            replace(ds, mm_per_unit=mm_per_unit)
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        rewrite_dataset_header(path, mm_per_unit=mm_per_unit)
+        with pytest.raises(DatasetError, match="mm_per_unit must be positive and finite"):
+            load_dataset(path)
 
     def test_mesh_hash_mismatch(self, tmp_path):
         _, ds = self.make_dataset()
