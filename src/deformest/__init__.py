@@ -26,7 +26,6 @@ from .fem import (
     StiffnessSystem,
     assemble,
     deform,
-    element_stiffness,
     elasticity_matrix,
     solve_forced_displacement,
 )

@@ -1,16 +1,17 @@
 """Command-line pipeline: mesh, sample, train, eval, predict, repro.
 
-Each subcommand reads a declarative JSON config (``--config``), writes its
-artifact(s) into the output directory, and drops a ``*.manifest.json`` next
-to them recording the config snapshot, seeds, input/output content hashes,
-timing, and the sampling worker and thread counts. Artifacts themselves
-contain no timestamps, so identical config + seed reproduce byte-identical
-files.
+``main`` reads each subcommand's JSON config once (``--config``; ``repro``
+takes a named profile, ``predict`` none), applies ``--mesh`` and ``--seed``,
+and writes the Record the command returns as ``<command>.manifest.json``
+next to its artifacts: the config snapshot, seed, input/output content
+hashes, timing, and the sampling worker and thread counts. Artifacts
+themselves contain no timestamps, so identical config + seed reproduce
+byte-identical files.
 
 Output directory precedence: ``--out`` flag, then the config's ``out_dir``,
 then the ``DEFORMEST_OUT`` environment variable, then the working directory.
 
-Exit codes: 0 success, 1 invalid config/input, 2 solver or runtime failure.
+Exit codes: 0 success, 1 invalid config/input or usage, 2 solver or runtime failure.
 """
 
 from __future__ import annotations
@@ -325,15 +326,18 @@ class PipelineConfig:
         )
 
 
-def load_config(path) -> PipelineConfig:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return PipelineConfig.from_dict(raw)
+
+
+def load_config(path) -> PipelineConfig:
+    return PipelineConfig.from_dict(_read_json(path))
 
 
 def build_mesh(cfg: PipelineConfig) -> TetMesh:
@@ -362,18 +366,26 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config_snapshot, seed, workers,
-                   sampling_threads, inputs: dict, outputs: dict, elapsed: float) -> Path:
+@dataclass
+class Record:
+    """What a command returns for its manifest; inputs and outputs are {name: file}."""
+
+    config: dict
+    seed: int | None
+    inputs: dict
+    outputs: dict
+    workers: int | None = None
+    sampling_threads: int | None = None
+
+
+def write_manifest(out_dir: Path, command: str, record: Record, elapsed: float) -> Path:
     doc = {
+        **vars(record),
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_s": round(elapsed, 3),
-        "config": config_snapshot,
-        "seed": seed,
-        "workers": workers,
-        "sampling_threads": sampling_threads,
-        "inputs": {str(k): _sha256(v) for k, v in inputs.items()},
-        "outputs": {str(k): _sha256(v) for k, v in outputs.items()},
+        "inputs": {str(k): _sha256(v) for k, v in record.inputs.items()},
+        "outputs": {str(k): _sha256(v) for k, v in record.outputs.items()},
     }
     path = out_dir / f"{command}.manifest.json"
     with open(path, "w", encoding="utf-8") as fh:
@@ -382,17 +394,21 @@ def write_manifest(out_dir: Path, command: str, config_snapshot, seed, workers,
     return path
 
 
-def _resolve_out(args, cfg: PipelineConfig | None) -> Path:
-    out = args.out or (cfg.out_dir if cfg else None) or os.environ.get(ENV_OUT) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _seeded(cfg: PipelineConfig, args) -> PipelineConfig:
-    """cfg, with its training seed replaced by --seed when given."""
-    if args.seed is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
+def _command_config(args) -> PipelineConfig | None:
+    """--config's (repro: --profile's) config with --mesh and --seed applied; None for predict."""
+    if args.command == "predict":
+        return None
+    if args.command == "repro":
+        raw = PROFILES[args.profile]
+        if not (args.mesh or raw["mesh"].get("generator")):
+            raise ConfigError(f"profile {args.profile!r} needs a mesh file: pass --mesh")
+    else:
+        raw = _read_json(args.config)
+    if args.command in ("mesh", "repro") and args.mesh and isinstance(raw, dict):
+        raw = {**raw, "mesh": {"path": str(args.mesh)}}
+    cfg = PipelineConfig.from_dict(raw)
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, train=replace(cfg.train, seed=args.seed))
     return cfg
 
 
@@ -465,48 +481,38 @@ def eval_stage(cfg: PipelineConfig, dataset, out: Path) -> dict:
     return outputs
 
 
-# Each cmd_* returns what its manifest records: (output directory, config
-# snapshot, seed, {name: input path}, {name: output path}). cmd_sample and
-# cmd_repro also set args.workers and args.sampling_threads to the processes
-# and the threads per process that sampled.
+# Each cmd_* takes the parsed flags, the config main read for it (None for
+# predict) and the output directory, and returns the Record its manifest keeps.
 
-def cmd_mesh(args):
-    cfg = load_config(args.config)
-    if args.mesh:
-        cfg.mesh_path = args.mesh
-    out = _resolve_out(args, cfg)
+def cmd_mesh(args, cfg, out):
     _, path = mesh_stage(cfg, out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, {}, {"mesh": path}
+    inputs = {"mesh": cfg.mesh_path} if cfg.mesh_path else {}
+    return Record(cfg.raw, cfg.train.seed, inputs, {"mesh": path})
 
 
-def cmd_sample(args):
-    cfg = load_config(args.config)
-    out = _resolve_out(args, cfg)
+def cmd_sample(args, cfg, out):
     mesh_path = args.mesh or (out / "mesh.txt")
     dataset, path = sample_stage(cfg, load_mesh(mesh_path), out, args.workers)
-    args.workers, args.sampling_threads = dataset.runners
     print(path)
-    return out, cfg.raw, cfg.train.seed, {"mesh": mesh_path}, {"dataset": path}
+    return Record(cfg.raw, cfg.train.seed, {"mesh": mesh_path}, {"dataset": path},
+                  *dataset.runners)
 
 
-def cmd_train(args):
-    cfg = _seeded(load_config(args.config), args)
-    out = _resolve_out(args, cfg)
+def cmd_train(args, cfg, out):
     dataset_path = args.dataset or (out / "dataset.ds")
     path = train_stage(cfg, sampling.load_dataset(dataset_path), out)
     print(path)
-    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, {"model": path}
+    return Record(cfg.raw, cfg.train.seed, {"dataset": dataset_path}, {"model": path})
 
 
-def cmd_eval(args):
-    cfg = _seeded(load_config(args.config), args)
-    out = _resolve_out(args, cfg)
+def cmd_eval(args, cfg, out):
     dataset_path = args.dataset or (out / "dataset.ds")
     dataset = sampling.load_dataset(dataset_path)
     if args.mesh:
         dataset.require_mesh(load_mesh(args.mesh))
-    return out, cfg.raw, cfg.train.seed, {"dataset": dataset_path}, eval_stage(cfg, dataset, out)
+    return Record(cfg.raw, cfg.train.seed, {"dataset": dataset_path},
+                  eval_stage(cfg, dataset, out))
 
 
 def _read_observation_csv(path, n_obs: int) -> np.ndarray:
@@ -538,8 +544,7 @@ def _read_observation_csv(path, n_obs: int) -> np.ndarray:
     return arr
 
 
-def cmd_predict(args):
-    out = _resolve_out(args, None)
+def cmd_predict(args, cfg, out):
     model, meta = nn.load_model(args.model)
     mm_per_unit = 256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"]
     ok = isinstance(mm_per_unit, (int, float)) and not isinstance(mm_per_unit, bool)
@@ -577,28 +582,18 @@ def cmd_predict(args):
         outputs["field_vtk"] = vtk_path
 
     print(csv_path)
-    return (out, {"model": str(args.model)}, None,
-            {"model": args.model, "observations": args.observations}, outputs)
+    return Record({"model": str(args.model)}, None,
+                  {"model": args.model, "observations": args.observations}, outputs)
 
 
-def cmd_repro(args):
-    if args.profile not in PROFILES:
-        raise ConfigError(f"unknown profile {args.profile!r}; have {sorted(PROFILES)}")
-    raw = json.loads(json.dumps(PROFILES[args.profile]))  # deep copy
-    if args.mesh:
-        raw["mesh"] = {"path": str(args.mesh)}
-    if raw["mesh"].get("generator") is None and not raw["mesh"].get("path"):
-        raise ConfigError(f"profile {args.profile!r} needs a mesh file: pass --mesh")
-    cfg = _seeded(PipelineConfig.from_dict(raw), args)
-    out = _resolve_out(args, cfg)
-
+def cmd_repro(args, cfg, out):
     mesh, mesh_path = mesh_stage(cfg, out)
     dataset, dataset_path = sample_stage(cfg, mesh, out, args.workers)
-    args.workers, args.sampling_threads = dataset.runners
     model_path = train_stage(cfg, dataset, out)
     report_paths = eval_stage(cfg, dataset, out)
-    return out, cfg.raw, cfg.train.seed, {}, {"mesh": mesh_path, "dataset": dataset_path,
-                                              "model": model_path, **report_paths}
+    return Record(cfg.raw, cfg.train.seed, {"mesh": cfg.mesh_path} if cfg.mesh_path else {},
+                  {"mesh": mesh_path, "dataset": dataset_path, "model": model_path,
+                   **report_paths}, *dataset.runners)
 
 
 # ---------------------------------------------------------------------------
@@ -612,34 +607,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="pipeline config (JSON)")
-        p.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT})")
-
     p = sub.add_parser("mesh", help="generate or convert the mesh")
-    common(p)
     p.add_argument("--mesh", default=None, help="load this mesh file instead of generating")
     p.set_defaults(fn=cmd_mesh)
 
     p = sub.add_parser("sample", help="run the FEM over the sampling lattice")
-    common(p)
     p.add_argument("--mesh", default=None, help="mesh file (default: <out>/mesh.txt)")
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("train", help="train one estimator on the full dataset")
-    common(p)
     p.add_argument("--dataset", default=None, help="dataset file (default: <out>/dataset.ds)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="cross-validated evaluation session")
-    common(p)
     p.add_argument("--dataset", default=None, help="dataset file (default: <out>/dataset.ds)")
     p.add_argument("--mesh", default=None, help="verify the dataset against this mesh")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("predict", help="estimate a field from observation displacements")
-    common(p, config_required=False)
     p.add_argument("--model", required=True, help="trained model file")
     p.add_argument("--observations", required=True,
                    help="CSV of dx_mm,dy_mm,dz_mm rows, one per observation point")
@@ -647,11 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("repro", help="full pipeline from a named profile")
-    common(p, config_required=False)
     p.add_argument("--profile", required=True, choices=sorted(PROFILES))
     p.add_argument("--mesh", default=None, help="mesh file for profiles that need one")
     p.set_defaults(fn=cmd_repro)
 
+    for name, p in sub.choices.items():
+        if name not in ("predict", "repro"):  # main reads the config of every other command
+            p.add_argument("--config", required=True, help="pipeline config (JSON)")
+        p.add_argument("--out", default=None, help=f"output directory (or ${ENV_OUT})")
     for name in ("train", "eval", "repro"):
         sub.choices[name].add_argument("--seed", type=int, default=None,
                                        help="override the training seed")
@@ -665,13 +653,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error is invalid input; --help exits 0
+        return 1 if exc.code else 0
     t0 = time.time()
     try:
-        out, config, seed, inputs, outputs = args.fn(args)
-        write_manifest(out, args.command, config, seed, getattr(args, "workers", None),
-                       getattr(args, "sampling_threads", None), inputs, outputs,
-                       time.time() - t0)
+        cfg = _command_config(args)
+        out = Path(args.out or (cfg.out_dir if cfg else None) or os.environ.get(ENV_OUT) or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        write_manifest(out, args.command, args.fn(args, cfg, out), time.time() - t0)
         return 0
     except (ValueError, OSError) as exc:  # ConfigError, MeshError and DatasetError too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -69,7 +69,6 @@ __all__ = [
     "StiffnessSystem",
     "DeformResult",
     "elasticity_matrix",
-    "element_stiffness",
     "assemble",
     "solve_forced_displacement",
     "deform",
@@ -169,16 +168,6 @@ def _element_stiffness_batch(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndar
         b[:, row, :, comp] = g[:, :, axis]
     b = b.reshape(-1, 6, 12)
     return np.transpose(b, (0, 2, 1)) @ (d @ b) * vols[:, None, None]
-
-
-def element_stiffness(tet_vertices: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """12x12 stiffness of one tetrahedron: volume * B^T D B.
-
-    Raises DegenerateElementError for zero or negative volume.
-    """
-    tet_vertices = np.asarray(tet_vertices, dtype=np.float64).reshape(1, 4, 3)
-    ke = _element_stiffness_batch(tet_vertices, np.asarray(d, dtype=np.float64))
-    return ke[0]
 
 
 @dataclass

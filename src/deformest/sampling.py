@@ -536,6 +536,25 @@ def build_dataset(
 #   UTF-8 JSON header (sorted keys)
 #   m records of little-endian float64: [region id, target(3), u_all(3*n_free)]
 
+# The header fields load_dataset reads and their JSON types: [t] is a list of
+# t's, a dict an object with exactly its keys. No bool is an int or a float.
+_HEADER_FIELDS = {"n_free": "int", "sample_count": "int", "mesh_hash": "str",
+                  "regions": ["str"], "free_ids": ["int"], "observation_ids": ["int"],
+                  "mm_per_unit": "float",
+                  "failures": [{"region": "str", "point_index": "int", "reason": "str"}]}
+
+
+def _is_json(value, kind) -> bool:
+    """value is of the JSON type kind; an int is a float, and neither is a bool."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_json(v, kind[0]) for v in value)
+    if isinstance(kind, dict):
+        return (isinstance(value, dict) and value.keys() == kind.keys()
+                and all(_is_json(value[k], t) for k, t in kind.items()))
+    types = {"int": int, "float": (int, float), "str": str}[kind]
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def save_dataset(dataset: Dataset, path):
     header = {
         "format": "deformest-dataset",
@@ -581,17 +600,14 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"unparseable header: {exc}", byte_offset=off) from None
     off += header_len
 
-    try:
-        n_free = int(header["n_free"])
-        m = int(header["sample_count"])
-        regions = list(header["regions"])
-        free_ids = header["free_ids"]
-        obs_ids = header["observation_ids"]
-        mm_per_unit = float(header["mm_per_unit"])
-        mesh_hash = str(header["mesh_hash"])
-        failures = header.get("failures", [])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DatasetFormatError(f"header missing field: {exc}", byte_offset=off) from None
+    if not isinstance(header, dict):
+        raise DatasetFormatError("header is not a JSON object", byte_offset=off)
+    header.setdefault("failures", [])
+    for key, kind in _HEADER_FIELDS.items():
+        if not _is_json(header.get(key), kind):
+            problem = f"is not {kind}: {header[key]!r}" if key in header else "is missing"
+            raise DatasetFormatError(f"header field {key} {problem}", byte_offset=off)
+    n_free, m = header["n_free"], header["sample_count"]
 
     if m < 0 or n_free < 0:
         raise DatasetFormatError(
@@ -604,20 +620,20 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"truncated record {i} of {m}", byte_offset=len(data))
     records = np.frombuffer(data, dtype="<f8", count=m * width, offset=off).reshape(m, width)
     rid = records[:, 0]
-    bad = ~((rid >= 0) & (rid < len(regions)) & (rid == np.floor(rid)))  # NaN is bad too
+    bad = ~((rid >= 0) & (rid < len(header["regions"])) & (rid == np.floor(rid)))  # NaN is bad too
     if bad.any():
         i = int(np.argmax(bad))
         raise DatasetFormatError(
             f"record {i} has bad region id {float(rid[i])!r}", byte_offset=off + i * record_len
         )
     return Dataset(
-        mesh_hash=mesh_hash,
-        free_ids=free_ids,
-        observation_ids=obs_ids,
-        mm_per_unit=mm_per_unit,
-        regions=regions,
+        mesh_hash=header["mesh_hash"],
+        free_ids=header["free_ids"],
+        observation_ids=header["observation_ids"],
+        mm_per_unit=float(header["mm_per_unit"]),
+        regions=header["regions"],
         region_id=rid.astype(np.int64),
         target=records[:, 1:4],
         u=records[:, 4:],
-        failures=[SampleFailure(**f) for f in failures],
+        failures=[SampleFailure(**f) for f in header["failures"]],
     )

@@ -27,6 +27,15 @@ def make_synthetic_dataset(m=30, n_free=4, seed=0, mm_per_unit=256.0) -> Dataset
     )
 
 
+def element_stiffness(tet_vertices, d) -> np.ndarray:
+    """12x12 stiffness volume * B^T D B of one tetrahedron: the tests' one-element oracle.
+
+    Raises DegenerateElementError for zero or negative volume.
+    """
+    tet_vertices = np.asarray(tet_vertices, dtype=np.float64).reshape(1, 4, 3)
+    return fem._element_stiffness_batch(tet_vertices, np.asarray(d, dtype=np.float64))[0]
+
+
 def rewrite_dataset_header(path, **entries):
     """Sets entries of the JSON header of the dataset file at path; the records stay."""
     blob = path.read_bytes()

@@ -20,7 +20,6 @@ from deformest.fem import (
     StiffnessSystem,
     assemble,
     deform,
-    element_stiffness,
     elasticity_matrix,
     solve_forced_displacement,
 )
@@ -39,6 +38,7 @@ from deformest.nn import (
 )
 from deformest.sampling import SamplingSpec, grid_points, ellipsoid_points, load_dataset
 
+from conftest import element_stiffness
 from test_fem import material_d, solve_via_explicit_inverse
 from test_nn import finite_difference_gradients, model_with_margin, zero_model
 from test_sampling import brute_force_ellipsoid_count

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from concurrent.futures.process import BrokenProcessPool
@@ -260,6 +261,18 @@ class TestMeshCommand:
         assert run(["mesh", "--config", path, "--out", tmp_path]) == 0
         assert load_mesh(tmp_path / "mesh.txt").fixed_ids.tolist() == fixed
 
+    def test_mesh_flag_is_the_recorded_input(self, config_path, tmp_path):
+        source = tmp_path / "src"
+        assert run(["mesh", "--config", config_path, "--out", source]) == 0
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--mesh", source / "mesh.txt",
+                    "--out", out]) == 0
+        manifest = json.loads((out / "mesh.manifest.json").read_text())
+        digest = hashlib.sha256((source / "mesh.txt").read_bytes()).hexdigest()
+        assert manifest["inputs"] == {"mesh": digest}
+        assert manifest["config"]["mesh"] == {"path": str(source / "mesh.txt")}
+        assert (out / "mesh.txt").read_bytes() == (source / "mesh.txt").read_bytes()
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{\"mesh\": {}}")
@@ -356,8 +369,42 @@ class TestPipelineCommands:
         ["predict", "--model", "m", "--observations", "o", "--workers", "2"],
     ])
     def test_flags_without_effect_are_rejected(self, argv):
-        with pytest.raises(SystemExit):
-            run(argv)
+        assert run(argv) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sample", "--config", "c.json", "--workers", "abc"], 1),
+        (["--help"], 0),
+        (["sample", "--help"], 0),
+    ])
+    def test_usage_error_exits_1_and_help_exits_0(self, capsys, argv, code):
+        assert run(argv) == code
+        assert "usage: deformest" in capsys.readouterr()[code]  # help on stdout, errors on stderr
+
+    def test_failed_samples_are_noted_and_recorded(self, tmp_path, capsys):
+        # the bar is 51.2 mm long, so pushing its end 51.2 mm inwards inverts a tetrahedron
+        path, out = tmp_path / "config.json", tmp_path / "run"
+        path.write_text(json.dumps(changed(("sampling", "regions", "end"), {
+            "mode": "box", "extents_mm": [102.4, 0.0, 0.0], "spacing_mm": 51.2})))
+        assert run(["mesh", "--config", path, "--out", out]) == 0
+        capsys.readouterr()
+        assert run(["sample", "--config", path, "--out", out]) == 0
+        assert capsys.readouterr().err.splitlines() == \
+            ["note: 1 of 3 samples failed and were skipped"]
+        failures = load_dataset(out / "dataset.ds").failures
+        assert [(f.region, f.point_index) for f in failures] == [("end", 0)]
+        assert "non-positive volume" in failures[0].reason
+        assert (out / "sample.manifest.json").exists()
+
+    def test_malformed_failure_entry_exits_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out]) == 0
+        rewrite_dataset_header(out / "dataset.ds", failures=[{"region": "end", "reason": "x"}])
+        capsys.readouterr()
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DatasetFormatError: ") and len(err.splitlines()) == 1
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_worker_count_below_one_exits_1(self, config_path, tmp_path, capsys, workers):
@@ -604,8 +651,7 @@ class TestPredictCommand:
 
 class TestReproCommand:
     def test_unknown_profile_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            run(["repro", "--profile", "nope", "--out", tmp_path])
+        assert run(["repro", "--profile", "nope", "--out", tmp_path]) == 1
 
     def test_liver_profile_requires_mesh(self, tmp_path, capsys):
         assert run(["repro", "--profile", "liver1-paper", "--out", tmp_path]) == 1

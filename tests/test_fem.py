@@ -22,7 +22,6 @@ from deformest.fem import (
     StiffnessSystem,
     assemble,
     deform,
-    element_stiffness,
     elasticity_matrix,
     solve_forced_displacement,
     _checked_geometry,
@@ -31,7 +30,7 @@ from deformest.fem import (
 from deformest.mesh import TetMesh, generate_rpp
 from deformest.sampling import SamplingSpec, build_dataset
 
-from conftest import make_blob_mesh
+from conftest import element_stiffness, make_blob_mesh
 
 ROOT = Path(__file__).resolve().parent.parent
 

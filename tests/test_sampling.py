@@ -13,6 +13,7 @@ from deformest import _blas, fem, sampling
 from deformest.fem import MaterialParams, elasticity_matrix
 from deformest.mesh import generate_rpp
 from deformest.sampling import (
+    _MAGIC,
     Dataset,
     DatasetError,
     DatasetFormatError,
@@ -536,6 +537,28 @@ class TestDatasetFile:
         save_dataset(ds, path)
         rewrite_dataset_header(path, mm_per_unit=mm_per_unit)
         with pytest.raises(DatasetError, match="mm_per_unit must be positive and finite"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mm_per_unit", True),  # would read as 1.0 and rescale every mm metric
+        ("mm_per_unit", "256"),
+        ("observation_ids", [4.5, 7.5, 6.5]),  # would be truncated to [4, 7, 6]
+        ("regions", "end"),  # would be the regions "e", "n" and "d"
+        ("failures", [{"region": "end", "point_index": 0}]),
+        ("failures", [{"region": "end", "reason": "inverted"}]),
+    ])
+    def test_wrong_typed_header_field_rejected(self, tmp_path, key, value):
+        _, ds = self.make_dataset()
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        rewrite_dataset_header(path, **{key: value})
+        with pytest.raises(DatasetFormatError, match=f"header field {key} is not "):
+            load_dataset(path)
+
+    def test_header_must_be_an_object(self, tmp_path):
+        path = tmp_path / "data.ds"
+        path.write_bytes(_MAGIC + struct.pack("<Q", 2) + b"[]")
+        with pytest.raises(DatasetFormatError, match="header is not a JSON object"):
             load_dataset(path)
 
     def test_mesh_hash_mismatch(self, tmp_path):
