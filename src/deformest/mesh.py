@@ -215,19 +215,19 @@ class TetMesh:
 # vertex path from corner (0,0,0) to corner (1,1,1), one per axis permutation.
 # Adjacent cubes triangulate shared faces identically, so the mesh is
 # crack-free, and each tetrahedron has exactly 1/6 of the cube volume.
-_CUBE_TET_PATHS = []
-for _perm in itertools.permutations((0, 1, 2)):
-    _corner = [0, 0, 0]
-    _path = [tuple(_corner)]
-    for _axis in _perm:
-        _corner[_axis] = 1
-        _path.append(tuple(_corner))
-    # odd permutations yield negative orientation; swap two vertices to fix
-    _parity = sum(1 for i in range(3) for j in range(i + 1, 3) if _perm[i] > _perm[j]) % 2
-    if _parity:
-        _path[1], _path[2] = _path[2], _path[1]
-    _CUBE_TET_PATHS.append(tuple(_path))
-_CUBE_TET_PATHS = tuple(_CUBE_TET_PATHS)
+def _cube_tet_paths() -> np.ndarray:
+    """(6, 4, 3) corner offsets of the six tetrahedra, one per axis permutation."""
+    paths = np.zeros((6, 4, 3), dtype=np.int64)
+    for path, perm in zip(paths, itertools.permutations(range(3))):
+        path[1:] = np.cumsum(np.eye(3, dtype=np.int64)[list(perm)], axis=0)
+        # odd permutations yield negative orientation; swap two vertices to fix
+        if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2:
+            path[[1, 2]] = path[[2, 1]]
+    paths.setflags(write=False)
+    return paths
+
+
+_CUBE_TET_PATHS = _cube_tet_paths()
 
 
 def _lattice_count(length_mm: float, spacing_mm: float, name: str) -> int:
@@ -290,7 +290,8 @@ def generate_rpp(
     The box spans [0, long] x [0, short] x [0, short] (mm), sampled on a
     regular lattice with the given spacing; both sides must be integer
     multiples of the spacing. Each lattice cube is split into 6 tetrahedra
-    (see _CUBE_TET_PATHS). Vertex order: index = (ix*ny + iy)*nz + iz.
+    (see _CUBE_TET_PATHS), listed cube by cube with the cube's origin vertex
+    in ascending order. Vertex order: index = (ix*ny + iy)*nz + iz.
 
     Role specs are given in lattice coordinates (ix, iy, iz); None selects
     the defaults from :func:`default_rpp_roles`.
@@ -309,12 +310,9 @@ def generate_rpp(
             raise MeshError(f"lattice coordinate {tuple(int(v) for v in c)} outside {nx}x{ny}x{nz} grid")
         return (x * ny + y) * nz + z
 
-    tets = []
-    for x in range(nx - 1):
-        for y in range(ny - 1):
-            for z in range(nz - 1):
-                for path in _CUBE_TET_PATHS:
-                    tets.append([vid((x + dx, y + dy, z + dz)) for dx, dy, dz in path])
+    # each cube's origin vertex, in (x, y, z) order, plus its six paths' corner offsets
+    origins = np.arange(nx * ny * nz, dtype=np.int64).reshape(nx, ny, nz)[:-1, :-1, :-1]
+    tets = (origins.reshape(-1, 1, 1) + _CUBE_TET_PATHS @ [ny * nz, nz, 1]).reshape(-1, 4)
 
     d_fixed, d_contacts, d_obs = default_rpp_roles(nx, ny, nz)
     fixed_spec = d_fixed if fixed_spec is None else fixed_spec
@@ -323,7 +321,7 @@ def generate_rpp(
 
     return TetMesh(
         vertices=vertices,
-        tets=np.asarray(tets, dtype=np.int64),
+        tets=tets,
         fixed_ids=[vid(c) for c in fixed_spec],
         contact_regions={name: [vid(c) for c in ids] for name, ids in contact_specs.items()},
         observation_ids=[vid(c) for c in observation_spec],
@@ -334,52 +332,43 @@ def generate_rpp(
 # Surface normals
 # ---------------------------------------------------------------------------
 
-def _boundary_faces(mesh: TetMesh):
-    """Boundary faces (in exactly one tet) with the opposing tet vertex.
-
-    Returned sorted by canonical face key so results do not depend on tet
-    ordering.
-    """
-    seen: dict[tuple, tuple | None] = {}
-    for tet in mesh.tets:
-        a, b, c, d = (int(v) for v in tet)
-        for face, opp in (((b, c, d), a), ((a, c, d), b), ((a, b, d), c), ((a, b, c), d)):
-            key = tuple(sorted(face))
-            if key in seen:
-                seen[key] = None
-            else:
-                seen[key] = (key, opp)
-    return sorted(entry for entry in seen.values() if entry is not None)
-
-
 def vertex_normals(mesh: TetMesh, zero_area_tol: float = 1e-14) -> dict[int, np.ndarray]:
     """Outward unit normal per boundary vertex.
 
     Each boundary vertex gets the area-weighted average of its incident
     boundary-face outward normals, normalized to unit length. Interior
-    vertices are absent from the result. Face orientation is resolved
-    against the opposing vertex of the owning tetrahedron.
+    vertices are absent from the result. A boundary face is a sorted vertex
+    triple that exactly one tetrahedron has; its orientation is resolved
+    against that tetrahedron's opposite vertex. Faces are summed into their
+    vertices in ascending triple order, so the result does not depend on
+    tetrahedron ordering.
     """
-    accum: dict[int, np.ndarray] = {}
     pos = mesh.vertices
-    for (i, j, k), opp in _boundary_faces(mesh):
-        p0, p1, p2 = pos[i], pos[j], pos[k]
-        weighted = 0.5 * np.cross(p1 - p0, p2 - p0)  # magnitude = face area
-        area = np.linalg.norm(weighted)
-        if area <= zero_area_tol:
-            raise MeshError(f"degenerate boundary face ({i}, {j}, {k}) has zero area")
-        centroid = (p0 + p1 + p2) / 3.0
-        if np.dot(weighted, pos[opp] - centroid) > 0:
-            weighted = -weighted
-        for v in (i, j, k):
-            accum[v] = accum.get(v, 0.0) + weighted
+    # face f of tetrahedron t leaves out vertex f, the face's opposite vertex,
+    # which is mesh.tets.reshape(-1)[4 * t + f]
+    keys = np.sort(mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]], axis=2).reshape(-1, 3)
+    faces, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    boundary = counts == 1
+    faces, opp = faces[boundary], mesh.tets.reshape(-1)[first[boundary]]
+
+    p0, p1, p2 = pos[faces.T]
+    weighted = 0.5 * np.cross(p1 - p0, p2 - p0)  # magnitude = face area
+    degenerate = np.flatnonzero(np.linalg.norm(weighted, axis=1) <= zero_area_tol)
+    if degenerate.size:
+        i, j, k = faces[degenerate[0]].tolist()
+        raise MeshError(f"degenerate boundary face ({i}, {j}, {k}) has zero area")
+    centroid = (p0 + p1 + p2) / 3.0
+    inward = np.einsum("ij,ij->i", weighted, pos[opp] - centroid) > 0
+    weighted[inward] = -weighted[inward]
+
+    accum = np.zeros_like(pos)
+    np.add.at(accum, faces.reshape(-1), np.repeat(weighted, 3, axis=0))
     normals = {}
-    for v in sorted(accum):
-        n = accum[v]
-        length = np.linalg.norm(n)
+    for v in np.unique(faces).tolist():
+        length = np.linalg.norm(accum[v])
         if length <= zero_area_tol:
             raise MeshError(f"boundary vertex {v} has vanishing accumulated normal")
-        normals[v] = n / length
+        normals[v] = accum[v] / length
     return normals
 
 

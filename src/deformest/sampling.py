@@ -538,10 +538,15 @@ def build_dataset(
 
 # The header fields load_dataset reads and their JSON types: [t] is a list of
 # t's, a dict an object with exactly its keys. No bool is an int or a float.
-_HEADER_FIELDS = {"n_free": "int", "sample_count": "int", "mesh_hash": "str",
+_HEADER_FIELDS = {"format": "str", "version": "int", "record_fields": ["str"],
+                  "n_free": "int", "sample_count": "int", "mesh_hash": "str",
                   "regions": ["str"], "free_ids": ["int"], "observation_ids": ["int"],
-                  "mm_per_unit": "float",
+                  "n_obs": "int", "mm_per_unit": "float",
                   "failures": [{"region": "str", "point_index": "int", "reason": "str"}]}
+# The fields that name this format and its record layout: a file with other
+# values is another format or a later version of this one.
+_HEADER_VALUES = {"format": "deformest-dataset", "version": 1,
+                  "record_fields": ["region_id", "target_disp", "u_all"]}
 
 
 def _is_json(value, kind) -> bool:
@@ -557,8 +562,7 @@ def _is_json(value, kind) -> bool:
 
 def save_dataset(dataset: Dataset, path):
     header = {
-        "format": "deformest-dataset",
-        "version": 1,
+        **_HEADER_VALUES,
         "mesh_hash": dataset.mesh_hash,
         "free_ids": dataset.free_ids.tolist(),
         "observation_ids": dataset.observation_ids.tolist(),
@@ -567,7 +571,6 @@ def save_dataset(dataset: Dataset, path):
         "n_obs": dataset.n_obs,
         "sample_count": dataset.m,
         "regions": dataset.regions,
-        "record_fields": ["region_id", "target_disp", "u_all"],
         "failures": [
             {"region": f.region, "point_index": f.point_index, "reason": f.reason}
             for f in dataset.failures
@@ -579,7 +582,7 @@ def save_dataset(dataset: Dataset, path):
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         records = np.column_stack([dataset.region_id, dataset.target, dataset.u])
-        fh.write(records.astype("<f8", copy=False).tobytes())
+        fh.write(records.astype("<f8", copy=False).data)  # the buffer itself, not a copy
 
 
 def load_dataset(path) -> Dataset:
@@ -607,6 +610,14 @@ def load_dataset(path) -> Dataset:
         if not _is_json(header.get(key), kind):
             problem = f"is not {kind}: {header[key]!r}" if key in header else "is missing"
             raise DatasetFormatError(f"header field {key} {problem}", byte_offset=off)
+        if key in _HEADER_VALUES and header[key] != _HEADER_VALUES[key]:
+            raise DatasetFormatError(
+                f"header field {key} is {header[key]!r}, expected {_HEADER_VALUES[key]!r}",
+                byte_offset=off)
+    if header["n_obs"] != len(header["observation_ids"]):
+        raise DatasetFormatError(
+            f"header field n_obs is {header['n_obs']}, but observation_ids has "
+            f"{len(header['observation_ids'])} entries", byte_offset=off)
     n_free, m = header["n_free"], header["sample_count"]
 
     if m < 0 or n_free < 0:

@@ -406,6 +406,39 @@ class TestPipelineCommands:
         assert err.startswith("error: DatasetFormatError: ") and len(err.splitlines()) == 1
         assert not (out / "model.json").exists()
 
+    def test_dataset_of_another_version_exits_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out]) == 0
+        rewrite_dataset_header(out / "dataset.ds", version=99)
+        capsys.readouterr()
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DatasetFormatError: header field version is 99, expected 1")
+        assert len(err.splitlines()) == 1
+        assert not (out / "model.json").exists()
+
+    def test_six_ellipsoid_regions_sampled_at_acute_angles(self, tmp_path):
+        # 411 targets x 2 steps x 240 tetrahedra: sampled in this process
+        raw = changed(("fem", "n_steps"), 2, base=PROFILES["rpp6-desk"])
+        path, out = tmp_path / "config.json", tmp_path / "run"
+        path.write_text(json.dumps(raw))
+        assert run(["mesh", "--config", path, "--out", out]) == 0
+        assert run(["sample", "--config", path, "--out", out]) == 0
+        assert json.loads((out / "sample.manifest.json").read_text())["workers"] == 1
+        mesh, ds = load_mesh(out / "mesh.txt"), load_dataset(out / "dataset.ds")
+        specs = resolve_sampling_specs(PipelineConfig.from_dict(raw), mesh)
+        assert ds.regions == list(specs) == [f"c{i}" for i in range(6)] and not ds.failures
+        offsets = [sampling.sample_points_for_region(mesh, name, spec)
+                   - mesh.vertices[mesh.contact_regions[name]].mean(axis=0)
+                   for name, spec in specs.items()]
+        assert ds.m == 411 and np.array_equal(ds.target, np.concatenate(offsets))
+        assert ds.region_id.tolist() == [i for i, o in enumerate(offsets) for _ in o]
+        # a lattice offset in the plane perpendicular to the normal passes the
+        # filter by its last bits, which point - centroid may round to zero
+        for i, spec in enumerate(specs.values()):
+            assert (ds.target[ds.region_id == i] @ spec.normal_filter > -1e-12).all()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_worker_count_below_one_exits_1(self, config_path, tmp_path, capsys, workers):
         out = tmp_path / "run"

@@ -135,7 +135,8 @@ class TestTetMeshInvariants:
 
 
 def oracle_vertex_normals(mesh):
-    """Independent recomputation: plain loops over every tet face."""
+    """Independent recomputation: plain loops over every tet face, summed
+    into each vertex in ascending face order."""
     face_count = {}
     face_info = {}
     for ti, tet in enumerate(mesh.tets):
@@ -146,7 +147,7 @@ def oracle_vertex_normals(mesh):
             face_count[key] = face_count.get(key, 0) + 1
             face_info[key] = tet[omit]
     sums = {}
-    for key, cnt in face_count.items():
+    for key, cnt in sorted(face_count.items()):
         if cnt != 1:
             continue
         i, j, k = key
@@ -187,7 +188,18 @@ class TestVertexNormals:
         want = oracle_vertex_normals(blob_mesh)
         assert set(got) == set(want)
         for v in want:
-            np.testing.assert_allclose(got[v], want[v], atol=1e-12)
+            assert np.array_equal(got[v], want[v])
+
+    @pytest.mark.parametrize("which", [25.6, 12.8, (3, 300), (5, 300)])
+    def test_bitwise_equal_to_bruteforce_oracle(self, which):
+        # same face order, same sums, same per-vertex norm: the same bits
+        mesh = generate_rpp(256.0, 51.2, which) if isinstance(which, float) \
+            else make_blob_mesh(*which)
+        got = vertex_normals(mesh)
+        want = oracle_vertex_normals(mesh)
+        assert list(got) == sorted(want)
+        for v in want:
+            assert np.array_equal(got[v], want[v])
 
     def test_invariant_under_tet_reordering(self, blob_mesh):
         perm = np.random.default_rng(3).permutation(blob_mesh.n_tets)
@@ -207,6 +219,14 @@ class TestVertexNormals:
     def test_zero_area_face_reported(self, unit_cube):
         with pytest.raises(MeshError, match="degenerate boundary face"):
             vertex_normals(unit_cube, zero_area_tol=1.0)
+
+    def test_vanishing_vertex_normal_reported(self):
+        # two mirrored tetrahedra meet only at vertex 0, whose face normals cancel
+        top = np.array([[1.0, 0.0, 1.0], [-0.5, 0.8, 1.0], [-0.5, -0.8, 1.0]])
+        mesh = TetMesh(vertices=np.vstack([[0.0, 0.0, 0.0], top, -top]),
+                       tets=[[0, 1, 2, 3], [0, 4, 6, 5]])
+        with pytest.raises(MeshError, match="boundary vertex 0 has vanishing accumulated normal"):
+            vertex_normals(mesh)
 
 
 class TestMeshFile:
@@ -288,6 +308,15 @@ class TestMeshFile:
         # the SHA-256 that datasets and models built from the paper box record
         assert paper_rpp.content_hash() == (
             "ac3994f485137ae7edb2f57a85892ef251c00b25423db552aa1a2481e927da70")
+
+    @pytest.mark.parametrize("spacing_mm, n_tets, digest", [
+        (12.8, 1920, "a22af449bd035ffc3ca7b739d8a820f8986cf0476c894ec6debb57ca8c31042d"),
+        (6.4, 15360, "3faa10accb445c31b194399c0fc762eacd4724d838a072902c55a1084f245954"),
+    ])
+    def test_finer_box_hashes_are_pinned(self, spacing_mm, n_tets, digest):
+        # the benchmark's reference fields are computed on the 12.8 mm box
+        mesh = generate_rpp(256.0, 51.2, spacing_mm)
+        assert mesh.n_tets == n_tets and mesh.content_hash() == digest
 
 
 def per_index_serialize_mesh(mesh: TetMesh) -> str:

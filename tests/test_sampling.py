@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import re
 import struct
 import sys
 import threading
@@ -11,7 +12,7 @@ import pytest
 
 from deformest import _blas, fem, sampling
 from deformest.fem import MaterialParams, elasticity_matrix
-from deformest.mesh import generate_rpp
+from deformest.mesh import TetMesh, generate_rpp
 from deformest.sampling import (
     _MAGIC,
     Dataset,
@@ -493,6 +494,20 @@ class TestBuildDataset:
         save_dataset(capped, b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_region_that_fails_at_rest_is_dropped(self):
+        # A vertex in no tetrahedron has zero stiffness rows: where it is free,
+        # as in region a, the rest solve fails; region b holds it in contact.
+        box = small_bar()
+        orphan = box.n_vertices
+        end = box.contact_regions["end"].tolist()
+        mesh = TetMesh(vertices=np.vstack([box.vertices, [0.3, 0.05, 0.05]]), tets=box.tets,
+                       fixed_ids=box.fixed_ids, contact_regions={"a": end, "b": end + [orphan]})
+        spec = SamplingSpec(mode="box", spacing=0.05, extents=(0.05, 0.0, 0.0))
+        ds = build_dataset(mesh, D, {"a": spec, "b": spec}, n_steps=2)
+        assert ds.regions == ["b"] and ds.region_id.tolist() == [0, 0]
+        assert [(f.region, f.point_index) for f in ds.failures] == [("a", 0), ("a", 1)]
+        assert all("not positive definite" in f.reason for f in ds.failures)
+
     def test_multi_region_order(self):
         mesh = generate_rpp(
             51.2,
@@ -553,6 +568,20 @@ class TestDatasetFile:
         save_dataset(ds, path)
         rewrite_dataset_header(path, **{key: value})
         with pytest.raises(DatasetFormatError, match=f"header field {key} is not "):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("format", "something-else"),
+        ("version", 99),
+        ("record_fields", ["region_id", "u_all", "target_disp"]),
+        ("n_obs", 7),
+    ])
+    def test_other_format_or_layout_rejected(self, tmp_path, key, value):
+        _, ds = self.make_dataset()
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        rewrite_dataset_header(path, **{key: value})
+        with pytest.raises(DatasetFormatError, match=re.escape(f"header field {key} is {value!r}")):
             load_dataset(path)
 
     def test_header_must_be_an_object(self, tmp_path):
