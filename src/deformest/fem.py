@@ -728,7 +728,10 @@ class DeformResult:
 
     displacements: (n_free, 3) total displacement per free vertex, ordered by
     mesh.free_ids. contact_forces: (n_contact, 3) reaction at the contact
-    vertices after the final step, ordered by ascending contact vertex id.
+    vertices to the last increment h = target / n_steps alone, ordered by
+    ascending contact vertex id. It is not the total force at the target:
+    it shrinks about as 1 / n_steps (ROADMAP item 2, which will make it the
+    sum of every step's reaction).
     """
 
     displacements: np.ndarray

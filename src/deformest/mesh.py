@@ -143,8 +143,9 @@ class TetMesh:
         object.__setattr__(self, "_free_ids", free)
         object.__setattr__(self, "_cache", {})
 
-    # What the mesh derives from itself on first use, its content hash and
-    # the fem solver plans, stays in _cache, which no pickle or copy carries.
+    # What the mesh derives from itself on first use, its content hash, its
+    # boundary normals and the fem solver plans, stays in _cache, which no
+    # pickle or copy carries.
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "_cache"}
 

@@ -108,7 +108,10 @@ def init_model(n_in: int, n_hidden1: int, n_hidden2: int, n_out: int, rng) -> Ml
 def _with_bias(x: np.ndarray) -> np.ndarray:
     """Prepend the constant bias input 1 (column-wise for batches)."""
     if x.ndim == 1:
-        return np.concatenate([[1.0], x])
+        out = np.empty(x.size + 1)
+        out[0] = 1.0
+        out[1:] = x
+        return out
     return np.hstack([np.ones((x.shape[0], 1)), x])
 
 
@@ -130,8 +133,9 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> ForwardCache:
     The activations and outputs keep the input's rank. A batch runs on
     numpy's OpenBLAS pinned to one thread, so that its bits do not depend on
     the thread count and no OpenBLAS thread is left spinning on a core that
-    other threads need; one row, :func:`predict`'s, runs unpinned, where a
-    pin would cost more than it saves.
+    other threads need; one row runs unpinned, where a pin would cost more
+    than it saves. :func:`predict` runs one row's products on a path of its
+    own, which keeps no cache.
     """
     x = np.asarray(x, dtype=np.float64)
     n_in = model.w_hidden1.shape[1] - 1
@@ -427,15 +431,25 @@ def predict(model: MlpModel, observation_disp: np.ndarray) -> np.ndarray:
     """Estimate the (n_free, 3) field from (n_obs, 3) observation displacements.
 
     The observation rows must follow the observation order the model was
-    trained with.
+    trained with. Each layer is one matrix-vector product of its stored
+    (out, in + 1) weights with a bias-augmented vector (entry 0 is 1), on
+    numpy's OpenBLAS unpinned. That is the product :func:`forward_batch`
+    runs for one row, so the field has the same bits; predict leaves out
+    its transposed views and its cache.
     """
     obs = np.asarray(observation_disp, dtype=np.float64)
-    n_in = model.layer_sizes[0]
+    w_h1, w_h2, w_out = model.weights()
+    n_in = w_h1.shape[1] - 1
     if obs.ndim != 2 or obs.shape[1] != 3 or obs.shape[0] * 3 != n_in:
         raise ValueError(f"expected ({n_in // 3}, 3) observation displacements, got {obs.shape}")
-    if not np.isfinite(obs).all():
+    x = _with_bias(obs.reshape(-1))
+    # a float sum of the entries is finite when every entry is, unless it overflows (then the
+    # exact test decides); unlike numpy's sums and products, it sets off no overflow warning
+    if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
         raise ValueError("observation displacements contain non-finite values")
-    return forward_batch(model, obs.reshape(-1)).outputs.reshape(-1, 3)
+    for w in (w_h1, w_h2):
+        x = _with_bias(relu(w @ x))
+    return (w_out @ x).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -199,8 +199,12 @@ def fixed_to_contact_direction(mesh: TetMesh, region: str):
 
 
 def region_surface_normal(mesh: TetMesh, region: str) -> np.ndarray:
-    """Unit mean of the boundary-vertex normals over a contact region."""
-    normals = vertex_normals(mesh)
+    """Unit mean of the boundary-vertex normals over a contact region.
+
+    The mesh's normals are computed on its first region and kept with it.
+    """
+    tol = 1e-14
+    normals = mesh._cached(("vertex normals", tol), lambda: vertex_normals(mesh, tol))
     ids = mesh.contact_regions[region]
     missing = [int(v) for v in ids if int(v) not in normals]
     if missing:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deformest import _blas, sampling
-from deformest.cli import PROFILES, ConfigError, PipelineConfig, main, resolve_sampling_specs
+from deformest.cli import (PROFILES, ConfigError, PipelineConfig, build_mesh, main,
+                           resolve_sampling_specs)
 from deformest.mesh import load_mesh
 from deformest.nn import MlpModel, save_model
 from deformest.sampling import load_dataset
@@ -438,6 +439,23 @@ class TestPipelineCommands:
         # filter by its last bits, which point - centroid may round to zero
         for i, spec in enumerate(specs.values()):
             assert (ds.target[ds.region_id == i] @ spec.normal_filter > -1e-12).all()
+
+    def test_six_regions_compute_the_normals_once(self, monkeypatch):
+        calls = []
+        normals = sampling.vertex_normals
+
+        def counting(mesh, *args):
+            calls.append(args)
+            return normals(mesh, *args)
+
+        monkeypatch.setattr(sampling, "vertex_normals", counting)
+        cfg = PipelineConfig.from_dict(PROFILES["rpp6-desk"])
+        mesh = build_mesh(cfg)
+        specs = resolve_sampling_specs(cfg, mesh)
+        assert list(specs) == [f"c{i}" for i in range(6)] and len(calls) == 1
+        assert resolve_sampling_specs(cfg, mesh) == specs and len(calls) == 1
+        # another mesh computes its own, to the same specs
+        assert resolve_sampling_specs(cfg, build_mesh(cfg)) == specs and len(calls) == 2
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_worker_count_below_one_exits_1(self, config_path, tmp_path, capsys, workers):

@@ -1,9 +1,12 @@
 import io
 import json
+import math
 from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformest import nn
 from deformest.evaluation import run_session
@@ -438,6 +441,73 @@ class TestPredict:
         model = zero_model(n_in=6, h1=4, h2=4, n_out=12)
         with pytest.raises(ValueError, match="observation"):
             predict(model, np.ones((3, 3)))
+
+
+@st.composite
+def models_and_rows(draw, scale=1.0):
+    """A seeded model with layer sizes in 1-40 and a few input rows of it, one per call."""
+    n_obs, n_out = draw(st.integers(1, 13)), draw(st.integers(1, 13))  # 3-39 inputs, outputs
+    h1, h2 = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    model = init_model(3 * n_obs, h1, h2, 3 * n_out, rng)
+    return model, rng.normal(scale=scale, size=(m, n_obs, 3))
+
+
+PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+class TestPredictProperties:
+    """predict's matrix-vector path against forward_batch, on generated shapes."""
+
+    @PROPERTIES
+    @given(models_and_rows())
+    def test_equals_single_row_forward_bit_for_bit(self, case):
+        model, obs = case
+        for o in obs:
+            field = predict(model, o)
+            assert field.shape == (model.layer_sizes[3] // 3, 3)
+            assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
+
+    @PROPERTIES
+    @given(models_and_rows())
+    def test_within_1e12_of_batch_row(self, case):
+        model, obs = case
+        batch = forward_batch(model, obs.reshape(len(obs), -1)).outputs
+        for o, row in zip(obs, batch):
+            got = predict(model, o).reshape(-1)
+            assert np.allclose(got, row, rtol=1e-12, atol=1e-12 * np.abs(row).max())
+
+    @PROPERTIES
+    @given(models_and_rows(), st.integers(0, 38), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_non_finite_anywhere_rejected(self, case, where, bad):
+        model, obs = case
+        o = obs[0].copy()
+        o.reshape(-1)[where % o.size] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            predict(model, o)
+
+    @PROPERTIES
+    @given(models_and_rows(scale=1e200))
+    def test_finite_entries_whose_squares_overflow_accepted(self, case):
+        model, obs = case
+        o = obs[0]
+        with np.errstate(over="ignore"):
+            assert math.isinf(o.reshape(-1) @ o.reshape(-1))
+        field = predict(model, o)
+        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
+
+    @PROPERTIES
+    @given(models_and_rows())
+    def test_finite_entries_whose_sum_overflows_accepted(self, case):
+        model, obs = case
+        # the input layer scaled down, so that no product overflows
+        model = MlpModel(model.w_hidden1 * 1e-10, model.w_hidden2, model.w_out)
+        o = obs[0]
+        o.reshape(-1)[:2] = 1e308, 1e308  # the fast check's sum overflows: the exact one decides
+        assert math.isinf(sum(o.reshape(-1).tolist()))
+        field = predict(model, o)
+        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
 
 
 class TestModelFile:
