@@ -247,11 +247,6 @@ class PipelineConfig:
                 if ref not in (None, "diameter"):
                     ref = number(spec, where, "reference_length", 1.0)  # mm; 1.0 after a problem
                 normal_filter = spec.get("normal_filter", "auto")
-                if isinstance(normal_filter, list) and not all(map(finite, normal_filter)):
-                    # np.asarray would take "1" or true for a number
-                    problems.append(f"{where}: normal_filter must be None or a vector of 3 "
-                                    f"numbers, got {normal_filter!r}")
-                    normal_filter = None
                 regions[name] = {**ratios, "normal_filter": normal_filter, "reference_length":
                                  float(to_units(ref)) if isinstance(ref, float) else ref}
                 if None not in ratios.values():  # the spec at a unit reference length
@@ -334,10 +329,6 @@ def _read_json(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-
-
-def load_config(path) -> PipelineConfig:
-    return PipelineConfig.from_dict(_read_json(path))
 
 
 def build_mesh(cfg: PipelineConfig) -> TetMesh:

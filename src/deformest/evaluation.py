@@ -64,16 +64,13 @@ def rmse(pred: np.ndarray, target: np.ndarray, scale: ScaleConvention = ScaleCon
 
 @dataclass
 class LpeResult:
-    """Per-vertex positional error, millimeters, of one sample or a batch.
+    """Per-vertex positional error, millimeters, of m samples; each field has m rows."""
 
-    For a batch of m samples every field gains a leading axis of length m.
-    """
-
-    per_vertex_mm: np.ndarray        # (n_free,) or (m, n_free)
-    mean_mm: np.ndarray
-    max_mm: np.ndarray
-    argmax_vertex: np.ndarray        # slot into the field's vertex ordering
-    argmax_true_disp_mm: np.ndarray  # true displacement magnitude of that vertex
+    per_vertex_mm: np.ndarray        # (m, n_free)
+    mean_mm: np.ndarray              # (m,)
+    max_mm: np.ndarray               # (m,)
+    argmax_vertex: np.ndarray        # (m,) slot into the field's vertex ordering
+    argmax_true_disp_mm: np.ndarray  # (m,) true displacement magnitude of that vertex
 
 
 def local_positional_error(
@@ -81,25 +78,23 @@ def local_positional_error(
     target: np.ndarray,
     scale: ScaleConvention = ScaleConvention(),
 ) -> LpeResult:
-    """Euclidean coordinate error per vertex of one (n_free, 3) field or of m stacked
-    as (m, n_free, 3); see :class:`LpeResult` for the shapes of the result."""
+    """Euclidean coordinate error per vertex of m fields stacked as (m, n_free, 3)."""
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape or pred.ndim not in (2, 3) or pred.shape[-1] != 3:
+    if pred.shape != target.shape or pred.ndim != 3 or pred.shape[-1] != 3:
         raise ValueError(
-            f"expected (n_free, 3) or (m, n_free, 3) fields of one shape, "
-            f"got {pred.shape} vs {target.shape}"
+            f"expected (m, n_free, 3) fields of one shape, got {pred.shape} vs {target.shape}"
         )
-    per_vertex = np.linalg.norm(pred - target, axis=-1) * scale.mm_per_unit
-    worst = np.argmax(per_vertex, axis=-1)
-    v = np.take_along_axis(target, worst[..., None, None], axis=-2)  # (..., 1, 3)
+    per_vertex = np.linalg.norm(pred - target, axis=2) * scale.mm_per_unit
+    worst = np.argmax(per_vertex, axis=1)
+    v = np.take_along_axis(target, worst[:, None, None], axis=1)  # (m, 1, 3)
     # v @ v.T is the dot product np.linalg.norm takes of one vector; an axis
     # norm sums the squares in another order and can differ by an ulp
-    true_disp = np.sqrt(v @ np.swapaxes(v, -1, -2))[..., 0, 0]
+    true_disp = np.sqrt(v @ v.transpose(0, 2, 1))[:, 0, 0]
     return LpeResult(
         per_vertex_mm=per_vertex,
-        mean_mm=per_vertex.mean(axis=-1),
-        max_mm=per_vertex.max(axis=-1),
+        mean_mm=per_vertex.mean(axis=1),
+        max_mm=per_vertex.max(axis=1),
         argmax_vertex=worst,
         argmax_true_disp_mm=true_disp * scale.mm_per_unit,
     )
@@ -252,7 +247,8 @@ def report_to_json(report: SessionReport, path):
         fh.write(text + "\n")
 
 
-_CSV_COLUMNS = [
+# report.csv's columns: each trial's own fields, then the report's dataset metadata
+_CSV_TRIAL_COLUMNS = [
     "repeat",
     "fold",
     "seed",
@@ -264,6 +260,8 @@ _CSV_COLUMNS = [
     "mean_lpe_pct",
     "mean_max_lpe_mm",
     "mean_max_lpe_pct",
+]
+_CSV_REPORT_COLUMNS = [
     "max_displacement_mm",
     "observation_pct",
     "n_obs",
@@ -274,16 +272,11 @@ _CSV_COLUMNS = [
 
 def report_to_csv(report: SessionReport, path):
     """One row per trial; shared dataset metadata repeated on each row."""
+    shared = [getattr(report, name) for name in _CSV_REPORT_COLUMNS]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_CSV_COLUMNS) + "\n")
+        fh.write(",".join(_CSV_TRIAL_COLUMNS + _CSV_REPORT_COLUMNS) + "\n")
         for t in report.trials:
-            row = [
-                t.repeat, t.fold, t.seed, t.n_train, t.n_test,
-                t.rmse_mm, t.rmse_pct, t.mean_lpe_mm, t.mean_lpe_pct,
-                t.mean_max_lpe_mm, t.mean_max_lpe_pct,
-                report.max_displacement_mm, report.observation_pct,
-                report.n_obs, report.n_free, report.sample_count,
-            ]
+            row = [getattr(t, name) for name in _CSV_TRIAL_COLUMNS] + shared
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 

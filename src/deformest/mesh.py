@@ -87,6 +87,10 @@ class TetMesh:
         tets = np.ascontiguousarray(np.asarray(self.tets, dtype=np.int64))
         if vertices.ndim != 2 or vertices.shape[1] != 3:
             raise MeshError(f"vertices must have shape (N_a, 3), got {vertices.shape}")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise MeshError(f"vertex {i} has non-finite coordinates {vertices[i].tolist()}")
         if tets.ndim != 2 or tets.shape[1] != 4:
             raise MeshError(f"tets must have shape (M, 4), got {tets.shape}")
         fixed = np.unique(_as_index_array(self.fixed_ids, "fixed_ids"))

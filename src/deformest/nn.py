@@ -17,7 +17,6 @@ lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import numbers
@@ -128,20 +127,18 @@ class ForwardCache:
 
 
 def forward_batch(model: MlpModel, x: np.ndarray) -> ForwardCache:
-    """Forward pass for one input row (n_in,) or a batch (m, n_in) of rows.
+    """Forward pass for a batch (m, n_in) of input rows.
 
-    The activations and outputs keep the input's rank. A batch runs on
-    numpy's OpenBLAS pinned to one thread, so that its bits do not depend on
-    the thread count and no OpenBLAS thread is left spinning on a core that
-    other threads need; one row runs unpinned, where a pin would cost more
-    than it saves. :func:`predict` runs one row's products on a path of its
-    own, which keeps no cache.
+    It runs on numpy's OpenBLAS pinned to one thread, so that its bits do not
+    depend on the thread count and no OpenBLAS thread is left spinning on a
+    core that other threads need. :func:`predict` runs one row's products on
+    a path of its own, which keeps no cache.
     """
     x = np.asarray(x, dtype=np.float64)
     n_in = model.w_hidden1.shape[1] - 1
-    if x.ndim not in (1, 2) or x.shape[-1] != n_in:
-        raise ValueError(f"expected ({n_in},) or (m, {n_in}) inputs, got {x.shape}")
-    with _blas.one_thread("numpy") if x.ndim == 2 else contextlib.nullcontext():
+    if x.ndim != 2 or x.shape[1] != n_in:
+        raise ValueError(f"expected (m, {n_in}) inputs, got {x.shape}")
+    with _blas.one_thread("numpy"):
         z1 = _with_bias(x) @ model.w_hidden1.T
         a1 = relu(z1)
         z2 = _with_bias(a1) @ model.w_hidden2.T
@@ -156,12 +153,12 @@ def _regularizer_counts(model: MlpModel) -> tuple:
 
 
 def cost(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1)) -> float:
-    """Mean half-squared error over the batch plus the L2 penalties."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if y.shape != (x.shape[0], model.layer_sizes[3]):
-        raise ValueError(f"target shape {y.shape} != ({x.shape[0]}, {model.layer_sizes[3]})")
+    """Mean half-squared error over the (m, n_in) batch plus the L2 penalties."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     out = forward_batch(model, x).outputs
+    if y.shape != out.shape:
+        raise ValueError(f"target shape {y.shape} != {out.shape}")
     data_term = 0.5 * np.sum((out - y) ** 2) / x.shape[0]
     reg = 0.0
     for lam, n, w in zip(lambdas, _regularizer_counts(model), model.weights()):
@@ -195,11 +192,11 @@ def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 
     touch non-bias entries only. The gradients are arrays of ``work`` (a
     fresh workspace when None) and stay valid until its next use.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     n_in, _, _, n_out = model.layer_sizes
     if x.ndim != 2 or x.shape[1] != n_in:
-        raise ValueError(f"expected ({n_in},) or (m, {n_in}) inputs, got {x.shape}")
+        raise ValueError(f"expected (m, {n_in}) inputs, got {x.shape}")
     if y.shape != (x.shape[0], n_out):
         raise ValueError(f"target shape {y.shape} != ({x.shape[0]}, {n_out})")
     m = x.shape[0]
@@ -434,8 +431,8 @@ def predict(model: MlpModel, observation_disp: np.ndarray) -> np.ndarray:
     trained with. Each layer is one matrix-vector product of its stored
     (out, in + 1) weights with a bias-augmented vector (entry 0 is 1), on
     numpy's OpenBLAS unpinned. That is the product :func:`forward_batch`
-    runs for one row, so the field has the same bits; predict leaves out
-    its transposed views and its cache.
+    runs for a batch of one row, so the field has the same bits; predict
+    leaves out its transposed views, its pin and its cache.
     """
     obs = np.asarray(observation_disp, dtype=np.float64)
     w_h1, w_h2, w_out = model.weights()

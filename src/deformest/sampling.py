@@ -12,6 +12,8 @@ cannot and the call is large enough to pay for the pool.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -97,13 +99,18 @@ class SamplingSpec:
                     f"ellipsoid mode needs positive radii, got r_para={self.r_para} r_perp={self.r_perp}"
                 )
         if self.normal_filter is not None:
-            try:  # a string, such as "auto", or a ragged list fails here
-                v = np.asarray(self.normal_filter, dtype=float)
-            except (TypeError, ValueError):
-                v = None
-            if v is None or v.shape != (3,):
+            v = self.normal_filter
+            v = v.tolist() if isinstance(v, np.ndarray) else v
+            try:  # finite numbers only: np.asarray would take "1" or True for one
+                ok = isinstance(v, (list, tuple)) and len(v) == 3 and all(
+                    isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
+                    for e in v)
+            except OverflowError:  # an int beyond the float range
+                ok = False
+            if not ok:
                 raise DatasetError(
                     f"normal_filter must be None or a vector of 3 numbers, got {self.normal_filter!r}")
+            v = np.asarray(v, dtype=float)
             norm = np.linalg.norm(v)
             if not norm > 0:
                 raise DatasetError("normal_filter vector must be nonzero")
@@ -630,9 +637,13 @@ def load_dataset(path) -> Dataset:
         )
     width = 4 + 3 * n_free
     record_len = 8 * width
-    if len(data) < off + m * record_len:
+    end = off + m * record_len
+    if len(data) < end:
         i = (len(data) - off) // record_len
         raise DatasetFormatError(f"truncated record {i} of {m}", byte_offset=len(data))
+    if len(data) > end:
+        raise DatasetFormatError(f"{len(data) - end} bytes after the end of the {m} records",
+                                 byte_offset=end)
     records = np.frombuffer(data, dtype="<f8", count=m * width, offset=off).reshape(m, width)
     rid = records[:, 0]
     bad = ~((rid >= 0) & (rid < len(header["regions"])) & (rid == np.floor(rid)))  # NaN is bad too

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import warnings
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -274,6 +275,24 @@ class TestMeshCommand:
         assert manifest["config"]["mesh"] == {"path": str(source / "mesh.txt")}
         assert (out / "mesh.txt").read_bytes() == (source / "mesh.txt").read_bytes()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_vertex_exits_1(self, config_path, tmp_path, capsys, bad):
+        source = tmp_path / "src"
+        assert run(["mesh", "--config", config_path, "--out", source]) == 0
+        lines = (source / "mesh.txt").read_text().splitlines()
+        lines[[i for i, line in enumerate(lines) if line.startswith("v ")][5]] = f"v {bad} 0.1 0.2"
+        mesh_path = tmp_path / "bad.txt"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["sample", "--config", config_path, "--mesh", mesh_path,
+                        "--out", tmp_path / "run"]) == 1
+        assert not caught
+        err = capsys.readouterr().err
+        assert err.startswith("error: MeshError: ") and len(err.splitlines()) == 1
+        assert f"vertex 5 has non-finite coordinates [{float(bad)!r}, 0.1, 0.2]" in err
+
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{\"mesh\": {}}")
@@ -405,6 +424,20 @@ class TestPipelineCommands:
         assert run(["train", "--config", config_path, "--out", out]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DatasetFormatError: ") and len(err.splitlines()) == 1
+        assert not (out / "model.json").exists()
+
+    def test_bytes_after_the_last_record_exit_1(self, config_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out]) == 0
+        size = (out / "dataset.ds").stat().st_size
+        with open(out / "dataset.ds", "ab") as fh:
+            fh.write(bytes(8000))
+        capsys.readouterr()
+        assert run(["train", "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DatasetFormatError: 8000 bytes after the end of the ")
+        assert f"(at byte {size})" in err and len(err.splitlines()) == 1
         assert not (out / "model.json").exists()
 
     def test_dataset_of_another_version_exits_1(self, config_path, tmp_path, capsys):

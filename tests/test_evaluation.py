@@ -99,57 +99,55 @@ class TestRmse:
 
 class TestLocalPositionalError:
     def test_identical_fields(self):
-        x = np.random.default_rng(0).normal(size=(7, 3))
+        x = np.random.default_rng(0).normal(size=(1, 7, 3))
         res = local_positional_error(x, x, MM)
         assert not res.per_vertex_mm.any()
-        assert res.mean_mm == 0.0 and res.max_mm == 0.0
+        assert res.mean_mm[0] == 0.0 and res.max_mm[0] == 0.0
 
     def test_single_component_offset(self):
         target = np.random.default_rng(1).normal(size=(5, 3)) * 0.01
         pred = target.copy()
         pred[2, 0] += 0.01  # 0.01 units = 2.56 mm at 256 mm/unit
-        res = local_positional_error(pred, target, MM)
-        assert abs(res.per_vertex_mm[2] - 2.56) <= 1e-12
-        assert np.abs(np.delete(res.per_vertex_mm, 2)).max() == 0.0
-        assert abs(res.max_mm - 2.56) <= 1e-12
-        assert res.argmax_vertex == 2
+        res = local_positional_error(pred[None], target[None], MM)
+        assert abs(res.per_vertex_mm[0, 2] - 2.56) <= 1e-12
+        assert np.abs(np.delete(res.per_vertex_mm[0], 2)).max() == 0.0
+        assert abs(res.max_mm[0] - 2.56) <= 1e-12
+        assert res.argmax_vertex[0] == 2
         expected_disp = np.linalg.norm(target[2]) * 256.0
-        assert abs(res.argmax_true_disp_mm - expected_disp) <= 1e-12
+        assert abs(res.argmax_true_disp_mm[0] - expected_disp) <= 1e-12
 
     def test_mean_matches_naive_loop(self):
-        rng = np.random.default_rng(6)
-        pred, target = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
-        res = local_positional_error(pred, target, MM)
-        acc = 0.0
-        for i in range(9):
-            dx = pred[i] - target[i]
-            acc += np.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2) * 256.0
-        assert abs(res.mean_mm - acc / 9) <= 1e-9
-
-    def test_batch_equals_per_sample(self):
         # 40 vertices: the per-sample mean runs numpy's pairwise summation
         rng = np.random.default_rng(21)
         pred, target = rng.normal(size=(2, 60, 40, 3))
-        batch = local_positional_error(pred, target, MM)
-        assert batch.per_vertex_mm.shape == (60, 40)
+        res = local_positional_error(pred, target, MM)
+        assert res.per_vertex_mm.shape == (60, 40)
+        for name in ("mean_mm", "max_mm", "argmax_vertex", "argmax_true_disp_mm"):
+            assert getattr(res, name).shape == (60,), name
         for i in range(60):
-            one = local_positional_error(pred[i], target[i], MM)
-            assert np.array_equal(batch.per_vertex_mm[i], one.per_vertex_mm)
-            for name in ("mean_mm", "max_mm", "argmax_vertex", "argmax_true_disp_mm"):
-                assert getattr(batch, name)[i] == getattr(one, name), name
-            assert one.argmax_true_disp_mm == np.linalg.norm(target[i, one.argmax_vertex]) * 256.0
+            errors = []
+            for v in range(40):
+                dx = pred[i, v] - target[i, v]
+                errors.append(np.sqrt(dx[0] ** 2 + dx[1] ** 2 + dx[2] ** 2) * 256.0)
+            assert abs(res.mean_mm[i] - sum(errors) / 40) <= 1e-9
+            assert abs(res.max_mm[i] - max(errors)) <= 1e-9
+            v = res.argmax_vertex[i]
+            assert v == int(np.argmax(errors))
+            assert res.argmax_true_disp_mm[i] == np.linalg.norm(target[i, v]) * 256.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="fields of one shape"):
             local_positional_error(np.zeros((2, 4, 3)), np.zeros((2, 5, 3)), MM)
         with pytest.raises(ValueError, match="fields of one shape"):
             local_positional_error(np.zeros(12), np.zeros(12), MM)
+        with pytest.raises(ValueError, match="fields of one shape"):  # one field, unstacked
+            local_positional_error(np.zeros((4, 3)), np.zeros((4, 3)), MM)
 
     def test_mean_never_exceeds_max(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            res = local_positional_error(rng.normal(size=(6, 3)), rng.normal(size=(6, 3)), MM)
-            assert res.mean_mm <= res.max_mm + 1e-15
+            res = local_positional_error(rng.normal(size=(1, 6, 3)), rng.normal(size=(1, 6, 3)), MM)
+            assert res.mean_mm[0] <= res.max_mm[0] + 1e-15
 
 
 def tiny_session(k=2, n_repeats=1, m=30):

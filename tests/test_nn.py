@@ -62,36 +62,38 @@ class TestActivation:
 class TestForward:
     def test_zero_weights_give_zero_output(self):
         model = zero_model()
-        for x in ([0.0, 0.0], [1.5, -2.0], [100.0, 3.0]):
-            assert not forward_batch(model, x).outputs.any()
+        assert not forward_batch(model, [[0.0, 0.0], [1.5, -2.0], [100.0, 3.0]]).outputs.any()
 
     def test_hand_example_chain(self):
         # sizes 1-1-1-1, every weight (incl. biases) 1, input 2:
         # hidden1 = 1 + 2 = 3, hidden2 = 1 + 3 = 4, output = 1 + 4 = 5
-        cache = forward_batch(ones_1111(), [2.0])
-        assert cache.a_hidden1[0] == 3.0
-        assert cache.a_hidden2[0] == 4.0
-        assert cache.outputs[0] == 5.0
+        cache = forward_batch(ones_1111(), [[2.0]])
+        assert cache.a_hidden1[0, 0] == 3.0
+        assert cache.a_hidden2[0, 0] == 4.0
+        assert cache.outputs[0, 0] == 5.0
 
     def test_negative_preactivations_clamp(self):
         model = ones_1111()
         model.w_hidden1[:] = [[-10.0, 1.0]]  # bias -10 dominates
-        cache = forward_batch(model, [2.0])
-        assert cache.z_hidden1[0] == -8.0
-        assert cache.a_hidden1[0] == 0.0
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(2)
-        model = init_model(4, 5, 6, 3, rng)
-        x = rng.normal(size=(7, 4))
-        batch = forward_batch(model, x)
-        for i in range(7):
-            single = forward_batch(model, x[i])
-            np.testing.assert_allclose(batch.outputs[i], single.outputs, rtol=1e-13)
+        cache = forward_batch(model, [[2.0]])
+        assert cache.z_hidden1[0, 0] == -8.0
+        assert cache.a_hidden1[0, 0] == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="inputs, got"):
             forward_batch(zero_model(n_in=2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda model, x, y: forward_batch(model, x),
+        lambda model, x, y: cost(model, x, y, lambdas=(0, 0, 0)),
+        lambda model, x, y: gradients(model, x, y, lambdas=(0, 0, 0)),
+    ], ids=["forward_batch", "cost", "gradients"])
+    def test_one_row_vector_rejected(self, call):
+        # a batch of one row is (1, n_in); a bare (n_in,) row is not a batch
+        model = zero_model(n_in=2, n_out=2)
+        with pytest.raises(ValueError, match=r"expected \(m, 2\) inputs, got \(2,\)"):
+            call(model, np.ones(2), np.ones(2))
+        assert call(model, np.ones((1, 2)), np.ones((1, 2))) is not None
 
 
 class TestCost:
@@ -410,7 +412,7 @@ class TestTrain:
         for w in model.weights():
             bound = 1.0 / np.sqrt(w.shape[1])
             assert np.abs(w).max() <= bound
-        out = forward_batch(model, np.linspace(-1, 1, 9)).outputs
+        out = forward_batch(model, np.linspace(-1, 1, 9)[None]).outputs
         assert np.isfinite(out).all()
 
 
@@ -426,7 +428,7 @@ class TestPredict:
         model = init_model(6, 8, 8, 12, rng)
         obs = rng.normal(size=(2, 3))
         field = predict(model, obs)
-        raw = forward_batch(model, obs.reshape(-1)).outputs
+        raw = forward_batch(model, obs.reshape(1, -1)).outputs[0]
         assert np.array_equal(field.reshape(-1), raw)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -467,7 +469,8 @@ class TestPredictProperties:
         for o in obs:
             field = predict(model, o)
             assert field.shape == (model.layer_sizes[3] // 3, 3)
-            assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
+            row = forward_batch(model, o.reshape(1, -1)).outputs[0]
+            assert np.array_equal(field.reshape(-1), row)
 
     @PROPERTIES
     @given(models_and_rows())
@@ -495,7 +498,7 @@ class TestPredictProperties:
         with np.errstate(over="ignore"):
             assert math.isinf(o.reshape(-1) @ o.reshape(-1))
         field = predict(model, o)
-        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
+        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(1, -1)).outputs[0])
 
     @PROPERTIES
     @given(models_and_rows())
@@ -507,7 +510,7 @@ class TestPredictProperties:
         o.reshape(-1)[:2] = 1e308, 1e308  # the fast check's sum overflows: the exact one decides
         assert math.isinf(sum(o.reshape(-1).tolist()))
         field = predict(model, o)
-        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(-1)).outputs)
+        assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(1, -1)).outputs[0])
 
 
 class TestModelFile:

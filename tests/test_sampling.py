@@ -158,6 +158,24 @@ class TestEllipsoidPoints:
                 mode="ellipsoid", spacing=1.0, r_para=1.0, r_perp=1.0, normal_filter="auto"
             )
 
+    @pytest.mark.parametrize("normal_filter", [
+        [True, 0, 0], ["1", 0, 0], (1.0, None, 0.0), [float("nan"), 0, 1], [0, float("inf"), 1],
+        [10**400, 0, 0], np.array([True, False, False]), [[1.0], [0.0], [0.0]],
+    ])
+    def test_filter_entries_must_be_finite_numbers(self, normal_filter):
+        # np.asarray(..., dtype=float) would read a bool or a numeric string as a number
+        with pytest.raises(DatasetError, match="normal_filter must be None or a vector of 3"):
+            SamplingSpec(mode="ellipsoid", spacing=0.1, r_para=0.1, r_perp=0.1,
+                         normal_filter=normal_filter)
+
+    @pytest.mark.parametrize("normal_filter", [
+        [2, 0, 0], (2.0, 0.0, 0.0), np.array([2.0, 0.0, 0.0]), (np.float32(2), np.int64(0), 0),
+    ])
+    def test_filter_of_numbers_is_normalized(self, normal_filter):
+        spec = SamplingSpec(mode="ellipsoid", spacing=0.1, r_para=0.1, r_perp=0.1,
+                            normal_filter=normal_filter)
+        assert spec.normal_filter == (1.0, 0.0, 0.0)
+
 
 class TestRegionGeometry:
     def test_fixed_to_contact_direction(self, paper_rpp):
@@ -583,6 +601,18 @@ class TestDatasetFile:
         rewrite_dataset_header(path, **{key: value})
         with pytest.raises(DatasetFormatError, match=re.escape(f"header field {key} is {value!r}")):
             load_dataset(path)
+
+    def test_bytes_after_the_last_record_rejected(self, tmp_path):
+        _, ds = self.make_dataset()
+        path = tmp_path / "data.ds"
+        save_dataset(ds, path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(bytes(8000))  # a damaged or concatenated file
+        with pytest.raises(DatasetFormatError,
+                           match=f"8000 bytes after the end of the {ds.m} records") as err:
+            load_dataset(path)
+        assert err.value.byte_offset == size
 
     def test_header_must_be_an_object(self, tmp_path):
         path = tmp_path / "data.ds"
