@@ -177,9 +177,6 @@ class PipelineConfig:
                             if keys is not None and key not in keys)
             return value
 
-        def finite(value) -> bool:  # False for NaN, inf and an int beyond the float range
-            return nn._is_real(value) and abs(value) <= sys.float_info.max
-
         def number(parent, where, key, default=None, kind=float):
             """parent[key], a finite JSON number, as kind; default when absent or wrong.
 
@@ -188,7 +185,7 @@ class PipelineConfig:
             never a truncated one.
             """
             value = parent.get(key, default)
-            if finite(value) and (kind is float or nn._is_integer(value)):
+            if sampling._finite_number(value) and (kind is float or nn._is_integer(value)):
                 return kind(value)
             what = "an integer" if kind is int else "a number"
             problems.append(f"{where}.{key} must be {what}, got {value!r}" if key in parent
@@ -233,7 +230,8 @@ class PipelineConfig:
             if mode == "box":
                 spacing = number(spec, where, "spacing_mm")
                 extents = spec.get("extents_mm")
-                if not (isinstance(extents, list) and len(extents) == 3 and all(map(finite, extents))):
+                if not (isinstance(extents, list) and len(extents) == 3
+                        and all(map(sampling._finite_number, extents))):
                     problems.append(f"{where}.extents_mm must be three numbers, got {extents!r}")
                 elif spacing is not None:
                     regions[name] = build(where, SamplingSpec, mode="box",

@@ -88,11 +88,17 @@ class SamplingSpec:
     def __post_init__(self):
         if self.mode not in ("box", "ellipsoid"):
             raise DatasetError(f"mode must be 'box' or 'ellipsoid', got {self.mode!r}")
+        for name in ("spacing", "r_para", "r_perp", "reference_length"):
+            value = getattr(self, name)
+            if not (_finite_number(value) or (value is None and name != "spacing")):
+                raise DatasetError(f"{name} must be a finite number, got {value!r}")
         if not self.spacing > 0:
             raise DatasetError(f"spacing must be positive, got {self.spacing}")
         if self.mode == "box":
-            if self.extents is None or len(self.extents) != 3 or any(e < 0 for e in self.extents):
-                raise DatasetError(f"box mode needs 3 non-negative extents, got {self.extents}")
+            if not (self.extents is not None and len(self.extents) == 3
+                    and all(_finite_number(e) and e >= 0 for e in self.extents)):
+                raise DatasetError(
+                    f"box mode needs 3 finite non-negative extents, got {self.extents}")
         else:
             if not (self.r_para and self.r_para > 0 and self.r_perp and self.r_perp > 0):
                 raise DatasetError(
@@ -101,13 +107,8 @@ class SamplingSpec:
         if self.normal_filter is not None:
             v = self.normal_filter
             v = v.tolist() if isinstance(v, np.ndarray) else v
-            try:  # finite numbers only: np.asarray would take "1" or True for one
-                ok = isinstance(v, (list, tuple)) and len(v) == 3 and all(
-                    isinstance(e, numbers.Real) and not isinstance(e, bool) and math.isfinite(e)
-                    for e in v)
-            except OverflowError:  # an int beyond the float range
-                ok = False
-            if not ok:
+            # finite numbers only: np.asarray would take "1" or True for one
+            if not (isinstance(v, (list, tuple)) and len(v) == 3 and all(map(_finite_number, v))):
                 raise DatasetError(
                     f"normal_filter must be None or a vector of 3 numbers, got {self.normal_filter!r}")
             v = np.asarray(v, dtype=float)
@@ -117,6 +118,14 @@ class SamplingSpec:
             object.__setattr__(self, "normal_filter", tuple(v / norm))
         if self.reference_length is not None and not self.reference_length > 0:
             raise DatasetError(f"reference_length must be positive, got {self.reference_length}")
+
+
+def _finite_number(value) -> bool:
+    """A finite real number, not a bool; False for an int beyond the float range."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _axis_count(extent: float, spacing: float, axis: int) -> int:

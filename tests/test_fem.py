@@ -25,9 +25,10 @@ from deformest.fem import (
     elasticity_matrix,
     solve_forced_displacement,
     _checked_geometry,
+    _element_stiffness_batch as _element_stiffness,
     _reverse_cuthill_mckee,
 )
-from deformest.mesh import TetMesh, generate_rpp
+from deformest.mesh import TetMesh, generate_rpp, load_mesh, rpp6_contact_specs, save_mesh
 from deformest.sampling import SamplingSpec, build_dataset
 
 from conftest import element_stiffness, make_blob_mesh
@@ -522,33 +523,117 @@ class TestDeform:
 
     @pytest.mark.parametrize("which", ["rpp-12.8mm", "blob0", "blob1", "blob2"])
     def test_rcm_bandwidth_matches_scipy(self, which):
-        # the plan's own RCM against scipy's on the vertex graph of the n-partition
+        # the plan's own RCM against scipy's on the vertex graph and, from
+        # every lowest-degree root as the plan runs it there, on the DOF
+        # graph of the n-partition
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        if which == "rpp-12.8mm":
-            mesh, region = generate_rpp(256.0, 51.2, 12.8), "end"
+        mesh, region = plan_mesh(which)
+        for graph, every_root in ((n_vertex_graph, False), (n_dof_graph, True)):
+            a, b, n = graph(mesh, region)
+
+            def bandwidth(order):
+                rank = np.empty(n, dtype=np.int64)
+                rank[order] = np.arange(n)
+                return np.abs(rank[a] - rank[b]).max()
+
+            order = _reverse_cuthill_mckee(a, b, n, every_root)
+            assert np.array_equal(np.sort(order), np.arange(n))
+            matrix = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+            assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(matrix, symmetric_mode=True))
+
+    def test_rcm_from_every_root_never_wider_than_scipy(self):
+        # on a connected graph scipy's root is one of the lowest-degree nodes
+        # that every_root tries, and the rest of its search is the same
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            n = int(rng.integers(2, 80))
+            tree = [int(rng.integers(0, i)) for i in range(1, n)]
+            extra = rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
+            a, b = np.concatenate([np.arange(1, n), extra[0]]), np.concatenate([tree, extra[1]])
+            a, b = a[a != b], b[a != b]
+            a, b = np.concatenate([a, b]), np.concatenate([b, a])
+
+            def bandwidth(order):
+                rank = np.empty(n, dtype=np.int64)
+                rank[order] = np.arange(n)
+                return np.abs(rank[a] - rank[b]).max()
+
+            order = _reverse_cuthill_mckee(a, b, n, every_root=True)
+            matrix = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+            assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(matrix, symmetric_mode=True))
+            assert bandwidth(order) <= bandwidth(_reverse_cuthill_mckee(a, b, n))
+
+    @pytest.mark.parametrize("spacing, n, bw", [(25.6, 243, 33), (12.8, 1425, 81),
+                                                (6.4, 9477, 249)])
+    def test_plan_bandwidth_on_the_rpp(self, spacing, n, bw):
+        # the DOF order: the vertex order's band is 41, 104 and 320 wide
+        mesh = generate_rpp(256.0, 51.2, spacing)
+        plan = fem._SolverPlan(mesh, "end")
+        assert (plan.n, plan.bw) == (n, bw)
+        assert bw < vertex_rcm_order(mesh, "end")[0]
+
+    @pytest.mark.parametrize("n_points", [40, 400])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_plan_band_never_wider_than_the_vertex_order(self, seed, n_points):
+        mesh = make_blob_mesh(seed=seed, n_points=n_points)
+        plan = fem._SolverPlan(mesh, "grab")
+        bw, n_flat = vertex_rcm_order(mesh, "grab")
+        assert plan.bw == min(bw, dof_rcm_width(mesh, "grab"))
+        if plan.bw == bw:
+            assert np.array_equal(plan._n_flat, n_flat)
+
+    @pytest.mark.parametrize("which", ["rpp-25.6mm", "rpp-12.8mm", "blob1"])
+    def test_perturbed_entries_lie_inside_the_band(self, which):
+        # off the rest configuration every entry of every element is nonzero;
+        # the plan's band holds them all, and the plan sums them as assemble does
+        mesh, region = plan_mesh(which)
+        plan, d = fem._SolverPlan(mesh, region), material_d()
+        rng = np.random.default_rng(23)
+        positions = mesh.vertices + rng.normal(scale=1e-3, size=mesh.vertices.shape)
+        k_rest, k = (assemble(mesh, x, d).K for x in (mesh.vertices, positions))
+        free_slot = mesh.free_index_of()[plan._n_flat // 3]
+        order = 3 * free_slot + plan._n_flat % 3  # reduced DOF of each plan position
+        rows, cols = np.nonzero(k[np.ix_(order, order)])
+        assert np.abs(rows - cols).max() == plan.bw
+        if which.startswith("rpp"):  # the RPP's rest pattern leaves entries out
+            assert np.count_nonzero(k[np.ix_(order, order)]) > np.count_nonzero(
+                k_rest[np.ix_(order, order)])
+
+        work = fem._StepWork(mesh.n_tets)
+        work.check(positions.reshape(-1), plan._corners)
+        band = plan._summed(work.stiffness(*fem._lame(d)))[0]
+        lower = np.tril(np.triu(k[np.ix_(order, order)], -plan.bw))
+        want = np.zeros_like(band)
+        for offset in range(plan.bw + 1):
+            want[offset, :plan.n - offset] = np.diagonal(lower, -offset)
+        scale = np.abs(k).max()
+        np.testing.assert_allclose(band, want, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("which", ["rpp-25.6mm", "rpp-12.8mm", "blob0", "blob1"])
+    def test_rest_pattern_matches_the_dense_element_stiffness(self, which):
+        # an entry is in the pattern exactly when the dense element stiffness
+        # is nonzero there for λ alone or for μ alone
+        mesh, _ = plan_mesh(which)
+        pattern = fem._rest_pattern(mesh.vertices[mesh.tets])
+        assert np.array_equal(pattern, rest_nonzeros(mesh)[:, fem._ROW_P, fem._ROW_Q].T)
+
+    @pytest.mark.parametrize("which", ["rpp-12.8mm", "rpp6-desk", "blob2"])
+    def test_reloaded_mesh_gets_the_same_order(self, which, tmp_path):
+        if which == "rpp6-desk":
+            mesh = generate_rpp(256.0, 51.2, 25.6, contact_specs=rpp6_contact_specs(11, 3, 3))
         else:
-            mesh, region = make_blob_mesh(seed=int(which[-1]), n_points=400), "grab"
-        n_vertex = np.ones(mesh.n_vertices, dtype=bool)
-        n_vertex[mesh.fixed_ids] = False
-        n_vertex[mesh.contact_regions[region]] = False
-        slot = np.full(mesh.n_vertices, -1)
-        slot[n_vertex] = np.arange(n_vertex.sum())
-        tv = slot[mesh.tets]
-        a, b = np.repeat(tv, 4, axis=1).ravel(), np.tile(tv, (1, 4)).ravel()
-        edge = (a >= 0) & (b >= 0) & (a != b)
-        a, b, n = a[edge], b[edge], int(n_vertex.sum())
-
-        def bandwidth(order):
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
-            return np.abs(rank[a] - rank[b]).max()
-
-        order = _reverse_cuthill_mckee(a, b, n)
-        assert np.array_equal(np.sort(order), np.arange(n))
-        graph = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-        assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(graph, symmetric_mode=True))
+            mesh = plan_mesh(which)[0]
+        save_mesh(mesh, tmp_path / "mesh.txt")
+        reloaded = load_mesh(tmp_path / "mesh.txt")
+        for region in mesh.contact_regions:
+            plans = [fem._SolverPlan(m, region) for m in (mesh, reloaded)]
+            assert plans[0].bw == plans[1].bw
+            assert np.array_equal(plans[0]._n_flat, plans[1]._n_flat)
 
     def test_unknown_region(self):
         mesh = fixed_bar()
@@ -778,6 +863,89 @@ class TestSolverPlanCache:
         assert peaks[0] < 1.5 * 2**20
         assert peaks[2] <= peaks[1] + 2**16
         assert peaks[2] < 9 * 2**20
+
+
+def plan_mesh(which):
+    """(mesh, region) of a test mesh named rpp-<spacing>mm or blob<seed>."""
+    if which.startswith("rpp-"):
+        return generate_rpp(256.0, 51.2, float(which[4:-2])), "end"
+    return make_blob_mesh(seed=int(which[4:]), n_points=400), "grab"
+
+
+def n_vertex_ids(mesh, region):
+    """The ids of the n-partition's vertices, those neither fixed nor in contact."""
+    n_vertex = np.ones(mesh.n_vertices, dtype=bool)
+    n_vertex[mesh.fixed_ids] = False
+    n_vertex[mesh.contact_regions[region]] = False
+    return np.flatnonzero(n_vertex)
+
+
+def n_vertex_graph(mesh, region):
+    """(a, b, n): the n-partition's vertices, adjacent when they share a tet."""
+    ids = n_vertex_ids(mesh, region)
+    slot = np.full(mesh.n_vertices, -1)
+    slot[ids] = np.arange(ids.size)
+    tv = slot[mesh.tets]
+    a, b = np.repeat(tv, 4, axis=1).ravel(), np.tile(tv, (1, 4)).ravel()
+    edge = (a >= 0) & (b >= 0) & (a != b)
+    return a[edge], b[edge], ids.size
+
+
+def n_element_dofs(mesh, region):
+    """(dofs, n): the index of each element DOF (M, 12) among the n-partition's
+    n DOFs in ascending reduced order, -1 outside them."""
+    in_n = np.ones(3 * mesh.n_free, dtype=bool)
+    in_n[(3 * mesh.free_index_of()[mesh.contact_regions[region]][:, None] + np.arange(3))] = False
+    n_index = np.full(3 * mesh.n_free + 1, -1)
+    n_index[np.flatnonzero(in_n)] = np.arange(in_n.sum())
+    return n_index[fem._element_dofs(mesh)], int(in_n.sum())
+
+
+def rest_nonzeros(mesh):
+    """(M, 12, 12): where the dense element stiffness V BᵀDB at rest is nonzero
+    for λ alone or for μ alone."""
+    d_lam, d_mu = np.zeros((6, 6)), np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
+    d_lam[:3, :3] = 1.0
+    x = mesh.vertices[mesh.tets]
+    return (_element_stiffness(x, d_lam) != 0) | (_element_stiffness(x, d_mu) != 0)
+
+
+def n_dof_graph(mesh, region):
+    """(a, b, n): the n-partition's DOFs, in ascending reduced order, adjacent
+    when an element entry between them is nonzero at rest for λ alone or for
+    μ alone."""
+    dofs, n = n_element_dofs(mesh, region)
+    a, b = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
+    edge = rest_nonzeros(mesh) & (a >= 0) & (b >= 0) & (a != b)
+    return a[edge], b[edge], n
+
+
+def dof_rcm_width(mesh, region):
+    """The band of the n-partition in the every-root RCM order of its DOF
+    graph: the largest spread of one element's DOF positions."""
+    a, b, n = n_dof_graph(mesh, region)
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[_reverse_cuthill_mckee(a, b, n, every_root=True)] = np.arange(n)
+    rank[n] = -1
+    dofs, _ = n_element_dofs(mesh, region)
+    pos = rank[np.where(dofs >= 0, dofs, n)]
+    hi = pos.max(axis=1)
+    lo = np.where(pos >= 0, pos, hi[:, None]).min(axis=1)
+    return int((hi - lo).max())
+
+
+def vertex_rcm_order(mesh, region):
+    """(bw, n_flat) of the n-partition in the RCM order of its vertices, each
+    vertex's three DOFs adjacent: every tet spans 3 (max - min) + 2 plan
+    positions from its vertices' ranks."""
+    order = n_vertex_ids(mesh, region)[_reverse_cuthill_mckee(*n_vertex_graph(mesh, region))]
+    rank = np.full(mesh.n_vertices, -1)
+    rank[order] = np.arange(order.size)
+    tet_rank = rank[mesh.tets]
+    hi = tet_rank.max(axis=1)
+    lo = np.where(tet_rank >= 0, tet_rank, hi[:, None]).min(axis=1)
+    bw = int((3 * (hi - lo) + 2)[hi >= 0].max())
+    return bw, (3 * order[:, None] + np.arange(3)).ravel()
 
 
 def unchecked_mesh(mesh, vertices):

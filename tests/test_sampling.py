@@ -151,6 +151,26 @@ class TestEllipsoidPoints:
                 mode="ellipsoid", spacing=1.0, r_para=1.0, r_perp=1.0, normal_filter=(0, 0, 0)
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), True])
+    @pytest.mark.parametrize("field", ["spacing", "extents", "r_para", "r_perp",
+                                       "reference_length"])
+    def test_lengths_must_be_finite_numbers(self, field, bad):
+        # a bool would read as 1, and NaN or inf would reach the lattice count
+        kwargs = ({"mode": "box", "spacing": 0.1, "extents": (0.2, 0.2, 0.0)}
+                  if field == "extents" else
+                  {"mode": "ellipsoid", "spacing": 0.1, "r_para": 0.2, "r_perp": 0.2,
+                   "reference_length": 1.0})
+        kwargs[field] = (0.2, bad, 0.0) if field == "extents" else bad
+        message = "box mode needs 3 finite" if field == "extents" else f"{field} must be a finite"
+        with pytest.raises(DatasetError, match=message):
+            SamplingSpec(**kwargs)
+
+    def test_lengths_of_any_number_type_accepted(self):
+        spec = SamplingSpec(mode="box", spacing=np.float32(0.5), extents=np.array([1, 0.5, 0]))
+        assert grid_points(np.zeros(3), spec.extents, spec.spacing).shape == (6, 3)
+        SamplingSpec(mode="ellipsoid", spacing=1, r_para=np.int64(2), r_perp=2.0,
+                     reference_length=np.float64(3.0))
+
     def test_unresolved_normal_filter_rejected(self):
         # only ellipsoid_spec_for_region resolves "auto"
         with pytest.raises(DatasetError, match="normal_filter must be None or a vector"):
