@@ -10,13 +10,13 @@ Two paths compute the same solve. :func:`assemble` and
 blocks ``V B^T D B`` and factor its non-contact block with a dense Cholesky;
 they are the public oracle the tests compare against. :func:`deform` instead
 uses one solver plan per (mesh, region): a reverse Cuthill-McKee ordering of
-the non-contact DOFs (Cuthill & McKee, 1969; George & Liu, 1981, ch. 4),
-the narrower of two, one over the vertices with each vertex's three DOFs
-adjacent and one over the DOFs that share an entry nonzero at rest, and one
-sparse 0/1 matrix that sums each element's 78 lower-triangle stiffness
-entries straight into LAPACK lower-band storage of ``K_nn``, into ``K_nc``
-and into the lower triangle of ``K_cc``, of which ``K_nc`` keeps only the
-rows that share a tetrahedron with the contact set. The plan is built on
+the non-contact vertices, each vertex's three DOFs adjacent, searched from
+several lowest-degree roots for the narrowest band (Cuthill & McKee, 1969;
+George & Liu, 1981, ch. 4), and one sparse 0/1 matrix that sums each
+element's 78 lower-triangle stiffness entries straight into LAPACK
+lower-band storage of ``K_nn``, into ``K_nc`` and into the lower triangle of
+``K_cc``, of which ``K_nc`` keeps only the rows that share a tetrahedron
+with the contact set. The plan is built on
 the region's first solve and kept with the mesh object for as long as that
 lives; it holds no reference to the mesh and stays out of a pickled mesh.
 Each step forms the entries in closed form for isotropic material, with the
@@ -138,21 +138,16 @@ def _check_volumes(vols: np.ndarray) -> None:
         )
 
 
-def _cofactors(tet_vertices: np.ndarray):
-    """Edge vectors e1, e2, e3 and cofactor rows of tetrahedra (M, 4, 3),
-    each (M, 3, 3); nothing is checked."""
-    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]
-    # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
-    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T)
-    return edges, np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
-
-
 def _checked_geometry(tet_vertices: np.ndarray):
     """Cofactor rows, determinants and signed volumes of tetrahedra (M, 4, 3).
 
     Raises DegenerateElementError naming the first non-positive volume.
     """
-    edges, cof = _cofactors(tet_vertices)
+    # rows are edge vectors e1, e2, e3
+    edges = tet_vertices[:, 1:, :] - tet_vertices[:, :1, :]
+    # cofactors e2 x e3, e3 x e1, e1 x e2: over det(E) they are the
+    # shape-function gradients of nodes 1..3 (the rows of inv(E)^T)
+    cof = np.cross(edges[:, [1, 2, 0]], edges[:, [2, 0, 1]])
     det = np.einsum("mi,mi->m", edges[:, 0], cof[:, 0])
     vols = det / 6.0
     _check_volumes(vols)
@@ -286,28 +281,34 @@ def solve_forced_displacement(system: StiffnessSystem, contact_dofs, u_c):
     return f_c, u_n
 
 
-def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int,
-                           every_root: bool = False) -> np.ndarray:
+# roots tried by _reverse_cuthill_mckee's first search: each try is one
+# breadth-first search, and a mesh may have many lowest-degree vertices
+_RCM_ROOTS = 8
+
+
+def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Reverse Cuthill-McKee order of the n-node graph with edges a[i] - b[i].
 
     Both directions of every edge are listed; repeats are allowed. A
     breadth-first search starts from a lowest-degree unvisited node of each
     component, the one of lowest index, and visits neighbours by ascending
-    degree, ties by index; the visit order is returned reversed. This is
-    the algorithm of scipy.sparse.csgraph.reverse_cuthill_mckee but for the
-    choice among lowest-degree roots, which scipy leaves to an unstable
-    sort: on the vertex graph of the RPP the two agree at 25.6 and 12.8 mm
-    spacing and differ at 6.4 mm, and a different order would round every
-    sample of that mesh differently.
+    degree, ties by index; the visit order is returned reversed. The first
+    search is run from each of the first _RCM_ROOTS lowest-degree nodes in
+    turn, by index, and the order of the narrowest bandwidth is kept, the
+    first of equals, so it is never wider than the order from the lowest
+    index alone and is that order on a tie.
 
-    With every_root, the first search starts from each lowest-degree node
-    in turn, and the order of the narrowest bandwidth is returned, the
-    first of equals. On a connected graph scipy's order is one of these,
-    so this one is never wider.
+    This is the algorithm of scipy.sparse.csgraph.reverse_cuthill_mckee but
+    for the choice among lowest-degree roots, which scipy leaves to an
+    unstable sort. On the vertex graph of the RPP at 25.6 / 12.8 / 6.4 mm
+    spacing the bandwidth is 10 / 26 / 82, where the lowest-index root
+    alone gives 13 / 34 / 106.
     """
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     key = np.sort(a * n + b)
     key = key[np.diff(key, prepend=-1) != 0]  # np.unique's result; its hash table is slower
-    a, b = key // n, key % n  # n == 0 leaves them empty
+    a, b = key // n, key % n
     degree = np.bincount(a, minlength=n)
     first = np.concatenate([[0], np.cumsum(degree)])
     by_degree = np.argsort(degree, kind="stable")
@@ -320,6 +321,8 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int,
         seen = np.zeros(n, dtype=bool)
         end = 0
         for root in itertools.chain([start_root], by_degree):
+            if end == n:
+                break
             if seen[root]:
                 continue
             seen[root] = True
@@ -341,18 +344,13 @@ def _reverse_cuthill_mckee(a: np.ndarray, b: np.ndarray, n: int,
                 start, end = end, end + new.size
         return order[::-1]
 
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if not every_root:
-        return visit(by_degree[0])
-
     def width(order):
         position = np.empty(n, dtype=np.int64)
         position[order] = np.arange(n)
         return np.abs(position[a] - position[b]).max(initial=0)
 
-    lowest = by_degree[:np.count_nonzero(degree == degree.min())]
-    return min((visit(root) for root in lowest), key=width)
+    roots = by_degree[:min(_RCM_ROOTS, np.count_nonzero(degree == degree.min()))]
+    return min((visit(root) for root in roots), key=width)
 
 
 def _lame(d: np.ndarray) -> tuple[float, float]:
@@ -479,64 +477,6 @@ _ROW_P, _ROW_Q = (np.concatenate([(3 * n[:, None] + np.arange(3)).ravel(), r])
                   for n, r in ((_PAIR_A, _P), (_PAIR_B, _Q)))
 
 
-def _rest_pattern(tet_vertices: np.ndarray) -> np.ndarray:
-    """(78, M): which lower-triangle stiffness entries of tetrahedra (M, 4, 3)
-    are nonzero for some (λ, μ), in the rows of the closed form above.
-
-    With h = det g the cofactors, an entry with i != j is nonzero when
-    h_ai h_bj or h_aj h_bi is, and one with i = j when h_ai h_bi or
-    h_a · h_b is. The pattern reads the cofactors only: a degenerate
-    tetrahedron gets one too, and the step that starts from it raises.
-    """
-    _, cof = _cofactors(tet_vertices)
-    h = np.concatenate([-cof.sum(axis=1, keepdims=True), cof], axis=1)  # (M, 4, 3)
-    dot = np.einsum("mak,mak->am", h[:, _PAIR_A], h[:, _PAIR_B])  # (10, M)
-    nonzero = h.reshape(-1, 12).T != 0
-    pattern = nonzero[_ROW_P] & nonzero[_ROW_Q]
-    pattern[30:] |= nonzero[_AJ] & nonzero[_BI]
-    pattern[:30] |= np.repeat(dot != 0, 3, axis=0)
-    return pattern
-
-
-def _rcm_rank(a: np.ndarray, b: np.ndarray, n: int, every_root: bool = False) -> np.ndarray:
-    """Position of each node in :func:`_reverse_cuthill_mckee`'s order of the
-    n-node graph with edges a[i] - b[i], both directions listed; pairs with
-    a negative end or a == b are not edges."""
-    edge = (a >= 0) & (b >= 0) & (a != b)
-    rank = np.empty(n, dtype=np.int64)
-    rank[_reverse_cuthill_mckee(a[edge], b[edge], n, every_root)] = np.arange(n)
-    return rank
-
-
-def _half_bandwidth(pos: np.ndarray) -> int:
-    """Half-bandwidth of K_nn where element DOFs sit at plan positions pos
-    (12, M), -1 outside the n-partition: the largest spread of one element's
-    positions, so that every entry of every element, zero or not, lies in
-    the band whatever the deformation."""
-    hi = pos.max(axis=0)
-    return int((hi - np.where(pos >= 0, pos, hi).min(axis=0)).max(initial=0))
-
-
-def _narrowest_order(tet_vertices: np.ndarray, n_of: np.ndarray, n: int):
-    """(rank, bw): the plan position of each of n DOFs and the half-bandwidth
-    of the narrower of two reverse Cuthill-McKee orders, for tetrahedra
-    (M, 4, 3) whose DOFs have the indices n_of (12, M), -1 outside the n.
-
-    One orders the vertices, adjacent when they share a tetrahedron, and
-    gives each three consecutive DOFs. The other orders the DOFs, adjacent
-    when an element entry between them is nonzero at rest for some
-    material, from every lowest-degree root. A tie keeps the vertex order.
-    """
-    vertex_rank = _rcm_rank(*_block_pairs((n_of[::3] // 3).T), n // 3)
-    pattern = _rest_pattern(tet_vertices)
-    p, q = n_of[_ROW_P][pattern], n_of[_ROW_Q][pattern]
-    candidates = [(3 * vertex_rank[:, None] + np.arange(3)).reshape(-1),
-                  _rcm_rank(np.concatenate([p, q]), np.concatenate([q, p]), n, every_root=True)]
-    widths = [_half_bandwidth(np.append(rank, -1)[n_of]) for rank in candidates]
-    best = int(np.argmin(widths))
-    return candidates[best], widths[best]
-
-
 class _StepWork:
     """The arrays of one deform call's steps over M tetrahedra, overwritten
     step after step. Without ``stiffness`` it holds only those that
@@ -628,28 +568,24 @@ def _translated(k: np.ndarray, t: np.ndarray) -> np.ndarray:
 class _SolverPlan:
     """Banded forced-displacement solver for one contact region of one mesh.
 
-    Everything here but the rest solve depends on the mesh alone, so one
+    Everything here but the rest solve depends on topology alone, so one
     plan serves every step of every sample of the region: the contact (c) /
-    remaining free (n) DOF partition; a reverse Cuthill-McKee ordering of
-    the n-partition and its half-bandwidth ``bw``; the flat position of each
-    tetrahedron corner coordinate and of each plan-order n DOF; and one
+    remaining free (n) DOF partition, a reverse Cuthill-McKee ordering of
+    the n-partition's vertices (see :func:`_reverse_cuthill_mckee`), which
+    gives each vertex three adjacent DOFs, its half-bandwidth ``bw``,
+    counted over every entry of every element, zero at rest or not, so that
+    no deformation leaves the band, the flat position of each
+    tetrahedron corner coordinate and of each plan-order n DOF, and one
     sparse 0/1 matrix that sums the elements' lower-triangle stiffness
     entries into three matrices laid end to end: K_nn's lower band in
-    LAPACK storage ``(bw + 1, n)``, column-major so that LAPACK factors it
-    in place, a dense K_nc of the ``coupled`` rows, those that share a
-    tetrahedron with a contact DOF, and the lower triangle of a dense
-    ``(c, c)`` K_cc.
-
-    The ordering is the narrower of a vertex-level and a DOF-level one
-    (:func:`_narrowest_order`). On a regular mesh many rest cofactor
-    components are zero, so the DOF graph is sparser than the vertex
-    graph. ``bw`` counts every entry of every element, zero at rest or not,
-    so a deformed element never leaves the band.
-
-    The plan also keeps the rest solve of the last material it was asked
-    for (see :meth:`rest_response`), its one mutable part. The plan keeps
-    the mesh's arrays, never the mesh: :func:`_plan` keeps one on the mesh,
-    and threads may share it.
+    LAPACK storage ``(bw + 1, n)``,
+    column-major so that LAPACK factors it in place, a dense K_nc of the
+    ``coupled`` rows, those that share a tetrahedron with a contact DOF,
+    and the lower triangle of a dense ``(c, c)`` K_cc. It also keeps the
+    rest solve of the last material it was asked for (see
+    :meth:`rest_response`), its one mutable part. The plan keeps the mesh's
+    arrays, never the mesh: :func:`_plan` keeps one on the mesh, and threads
+    may share it.
     """
 
     def __init__(self, mesh: TetMesh, region: str):
@@ -665,28 +601,33 @@ class _SolverPlan:
         # flat index in the (n_vertices, 3) positions of (corner, axis, tet)
         self._corners = 3 * mesh.tets.T[:, None, :] + np.arange(3)[:, None]
 
-        # index in n_idx and in the c order of each element DOF, -1 outside
-        # them; a fixed vertex's DOF is -1 and so reads the trailing -1
-        element_dofs = _element_dofs(mesh).T  # (12, M)
-        n_index, c_pos = np.full(n_dofs + 1, -1), np.full(n_dofs + 1, -1)
-        n_index[n_idx] = np.arange(self.n)
-        c_pos[contact_dofs] = np.arange(self.c)
-        n_of, c_of = n_index[element_dofs], c_pos[element_dofs]
-
-        n_perm, self.bw = _narrowest_order(mesh.vertices[mesh.tets], n_of, self.n)
+        # RCM over the n-partition's vertices, adjacent when they share a tet
+        n_vertices = self.n // 3
+        vertex_slot = np.full(mesh.n_vertices, -1)
+        vertex_slot[mesh.free_ids[in_n[::3]]] = np.arange(n_vertices)
+        a, b = _block_pairs(vertex_slot[mesh.tets])
+        edge = (a >= 0) & (b >= 0) & (a != b)
+        rank = np.empty(n_vertices, dtype=np.int64)
+        rank[_reverse_cuthill_mckee(a[edge], b[edge], n_vertices)] = np.arange(n_vertices)
+        n_perm = (3 * rank[:, None] + np.arange(3)).reshape(-1)  # plan position of n_idx[k]
         self._n_flat = np.empty(self.n, dtype=np.int64)  # flat position of plan-order u_n
         self._n_flat[n_perm] = (3 * mesh.free_ids[:, None] + np.arange(3)).reshape(-1)[n_idx]
-        dst = self._scatter_index(np.append(n_perm, -1)[n_of], c_of)
+
+        # position of each reduced DOF in the plan's n and c orders, -1 outside
+        # them; a fixed vertex's DOF is -1 and so reads the trailing -1
+        n_pos = np.full(n_dofs + 1, -1)
+        n_pos[n_idx] = n_perm
+        c_pos = np.full(n_dofs + 1, -1)
+        c_pos[contact_dofs] = np.arange(self.c)
+        dst = self._scatter_index(_element_dofs(mesh).T, n_pos, c_pos)
         self._slots, self._scatter = _summing_matrix(dst, self._ends[-1])
         self._rest = None  # ((λ, μ), W, F) of the material last solved at rest
         self._rest_lock = threading.Lock()
 
-    def _scatter_index(self, n_pos: np.ndarray, c_pos: np.ndarray):
-        """Sets the coupled rows and the slot ends; returns the flat slot in
-        [band | K_nc | K_cc] of each lower-triangle entry of the (78, M)
-        element stiffness, flattened. n_pos and c_pos (12, M) are the
-        positions of the element DOFs in the plan's n and c orders, -1
-        outside them.
+    def _scatter_index(self, dofs: np.ndarray, n_pos: np.ndarray, c_pos: np.ndarray):
+        """Sets bw, the coupled rows and the slot ends; returns the flat slot
+        in [band | K_nc | K_cc] of each lower-triangle entry of the (78, M)
+        element stiffness, flattened. dofs is (12, M).
 
         An entry K[p, q] stands for K[q, p] as well: it goes to the band at
         (max, min) of its plan positions, to K_nc in whichever orientation
@@ -695,10 +636,11 @@ class _SolverPlan:
         with a contact DOF, ascending. The entries no matrix needs, those at
         fixed DOFs, get the slot past the end.
         """
-        n_p, n_q = n_pos[_ROW_P], n_pos[_ROW_Q]
-        c_p, c_q = c_pos[_ROW_P], c_pos[_ROW_Q]
+        n_p, n_q = n_pos[dofs[_ROW_P]], n_pos[dofs[_ROW_Q]]
+        c_p, c_q = c_pos[dofs[_ROW_P]], c_pos[dofs[_ROW_Q]]
         hi, lo = np.maximum(n_p, n_q), np.minimum(n_p, n_q)
         nn = lo >= 0
+        self.bw = int((hi - lo)[nn].max(initial=0))
         nc_pairs = [(n, c, (n >= 0) & (c >= 0)) for n, c in ((n_p, c_q), (n_q, c_p))]
         self.coupled = np.unique(np.concatenate([n[nc] for n, _, nc in nc_pairs]))
         self._ends = np.cumsum([(self.bw + 1) * self.n, self.coupled.size * self.c,
@@ -858,8 +800,8 @@ def deform(
     with the contact DOFs prescribed.
 
     The solve uses the banded plan of (mesh, region), built on first use and
-    kept with the mesh: a band Cholesky of K_nn in the narrower of a
-    vertex-level and a DOF-level reverse Cuthill-McKee order, scattered from
+    kept with the mesh: a band Cholesky of K_nn in the narrowest reverse
+    Cuthill-McKee vertex order of several roots, scattered from
     closed-form element entries without forming the dense K. Step 1 scales
     the plan's rest solve for the material, computed on the first call with
     d and kept until a call with another d, so a warm one-step call factors

@@ -25,7 +25,6 @@ from deformest.fem import (
     elasticity_matrix,
     solve_forced_displacement,
     _checked_geometry,
-    _element_stiffness_batch as _element_stiffness,
     _reverse_cuthill_mckee,
 )
 from deformest.mesh import TetMesh, generate_rpp, load_mesh, rpp6_contact_specs, save_mesh
@@ -523,33 +522,26 @@ class TestDeform:
 
     @pytest.mark.parametrize("which", ["rpp-12.8mm", "blob0", "blob1", "blob2"])
     def test_rcm_bandwidth_matches_scipy(self, which):
-        # the plan's own RCM against scipy's on the vertex graph and, from
-        # every lowest-degree root as the plan runs it there, on the DOF
-        # graph of the n-partition
+        # the plan's own RCM against scipy's on the vertex graph of the n-partition
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-        mesh, region = plan_mesh(which)
-        for graph, every_root in ((n_vertex_graph, False), (n_dof_graph, True)):
-            a, b, n = graph(mesh, region)
+        a, b, n = n_vertex_graph(*plan_mesh(which))
+        order = _reverse_cuthill_mckee(a, b, n)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        graph = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+        assert bandwidth(order, a, b) <= bandwidth(
+            reverse_cuthill_mckee(graph, symmetric_mode=True), a, b)
 
-            def bandwidth(order):
-                rank = np.empty(n, dtype=np.int64)
-                rank[order] = np.arange(n)
-                return np.abs(rank[a] - rank[b]).max()
-
-            order = _reverse_cuthill_mckee(a, b, n, every_root)
-            assert np.array_equal(np.sort(order), np.arange(n))
-            matrix = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-            assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(matrix, symmetric_mode=True))
-
-    def test_rcm_from_every_root_never_wider_than_scipy(self):
-        # on a connected graph scipy's root is one of the lowest-degree nodes
-        # that every_root tries, and the rest of its search is the same
+    def test_rcm_is_the_narrowest_of_the_first_lowest_degree_roots(self):
+        # against a node-by-node search from each root: the first of the
+        # narrowest; where every lowest-degree node is tried, scipy's root is
+        # one of them and the order is never wider than scipy's
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import reverse_cuthill_mckee
 
         rng = np.random.default_rng(3)
+        all_tried = 0
         for _ in range(100):
             n = int(rng.integers(2, 80))
             tree = [int(rng.integers(0, i)) for i in range(1, n)]
@@ -558,32 +550,38 @@ class TestDeform:
             a, b = a[a != b], b[a != b]
             a, b = np.concatenate([a, b]), np.concatenate([b, a])
 
-            def bandwidth(order):
-                rank = np.empty(n, dtype=np.int64)
-                rank[order] = np.arange(n)
-                return np.abs(rank[a] - rank[b]).max()
+            degree = np.bincount(np.unique(a * n + b) // n, minlength=n)
+            lowest = np.flatnonzero(degree == degree.min())
+            tries = [reference_rcm(a, b, n, root) for root in lowest[:fem._RCM_ROOTS]]
+            order = _reverse_cuthill_mckee(a, b, n)
+            assert np.array_equal(order, min(tries, key=lambda o: bandwidth(o, a, b)))
+            if lowest.size <= fem._RCM_ROOTS:
+                all_tried += 1
+                matrix = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
+                assert bandwidth(order, a, b) <= bandwidth(
+                    reverse_cuthill_mckee(matrix, symmetric_mode=True), a, b)
+        assert all_tried > 20
 
-            order = _reverse_cuthill_mckee(a, b, n, every_root=True)
-            matrix = csr_matrix((np.ones(a.size), (a, b)), shape=(n, n))
-            assert bandwidth(order) <= bandwidth(reverse_cuthill_mckee(matrix, symmetric_mode=True))
-            assert bandwidth(order) <= bandwidth(_reverse_cuthill_mckee(a, b, n))
+    def test_rcm_of_no_nodes(self):
+        empty = np.empty(0, dtype=np.int64)
+        assert _reverse_cuthill_mckee(empty, empty, 0).size == 0
 
-    @pytest.mark.parametrize("spacing, n, bw", [(25.6, 243, 33), (12.8, 1425, 81),
-                                                (6.4, 9477, 249)])
+    @pytest.mark.parametrize("spacing, n, bw", [(25.6, 243, 32), (12.8, 1425, 80),
+                                                (6.4, 9477, 248)])
     def test_plan_bandwidth_on_the_rpp(self, spacing, n, bw):
-        # the DOF order: the vertex order's band is 41, 104 and 320 wide
+        # from the lowest-index root alone the band is 41, 104 and 320 wide
         mesh = generate_rpp(256.0, 51.2, spacing)
         plan = fem._SolverPlan(mesh, "end")
         assert (plan.n, plan.bw) == (n, bw)
-        assert bw < vertex_rcm_order(mesh, "end")[0]
+        assert bw < first_root_order(mesh, "end")[0]
 
     @pytest.mark.parametrize("n_points", [40, 400])
     @pytest.mark.parametrize("seed", range(12))
-    def test_plan_band_never_wider_than_the_vertex_order(self, seed, n_points):
+    def test_plan_band_never_wider_than_the_first_root_order(self, seed, n_points):
         mesh = make_blob_mesh(seed=seed, n_points=n_points)
         plan = fem._SolverPlan(mesh, "grab")
-        bw, n_flat = vertex_rcm_order(mesh, "grab")
-        assert plan.bw == min(bw, dof_rcm_width(mesh, "grab"))
+        bw, n_flat = first_root_order(mesh, "grab")
+        assert plan.bw <= bw
         if plan.bw == bw:
             assert np.array_equal(plan._n_flat, n_flat)
 
@@ -595,14 +593,11 @@ class TestDeform:
         plan, d = fem._SolverPlan(mesh, region), material_d()
         rng = np.random.default_rng(23)
         positions = mesh.vertices + rng.normal(scale=1e-3, size=mesh.vertices.shape)
-        k_rest, k = (assemble(mesh, x, d).K for x in (mesh.vertices, positions))
+        k = assemble(mesh, positions, d).K
         free_slot = mesh.free_index_of()[plan._n_flat // 3]
         order = 3 * free_slot + plan._n_flat % 3  # reduced DOF of each plan position
         rows, cols = np.nonzero(k[np.ix_(order, order)])
         assert np.abs(rows - cols).max() == plan.bw
-        if which.startswith("rpp"):  # the RPP's rest pattern leaves entries out
-            assert np.count_nonzero(k[np.ix_(order, order)]) > np.count_nonzero(
-                k_rest[np.ix_(order, order)])
 
         work = fem._StepWork(mesh.n_tets)
         work.check(positions.reshape(-1), plan._corners)
@@ -613,14 +608,6 @@ class TestDeform:
             want[offset, :plan.n - offset] = np.diagonal(lower, -offset)
         scale = np.abs(k).max()
         np.testing.assert_allclose(band, want, rtol=0, atol=1e-12 * scale)
-
-    @pytest.mark.parametrize("which", ["rpp-25.6mm", "rpp-12.8mm", "blob0", "blob1"])
-    def test_rest_pattern_matches_the_dense_element_stiffness(self, which):
-        # an entry is in the pattern exactly when the dense element stiffness
-        # is nonzero there for λ alone or for μ alone
-        mesh, _ = plan_mesh(which)
-        pattern = fem._rest_pattern(mesh.vertices[mesh.tets])
-        assert np.array_equal(pattern, rest_nonzeros(mesh)[:, fem._ROW_P, fem._ROW_Q].T)
 
     @pytest.mark.parametrize("which", ["rpp-12.8mm", "rpp6-desk", "blob2"])
     def test_reloaded_mesh_gets_the_same_order(self, which, tmp_path):
@@ -891,54 +878,45 @@ def n_vertex_graph(mesh, region):
     return a[edge], b[edge], ids.size
 
 
-def n_element_dofs(mesh, region):
-    """(dofs, n): the index of each element DOF (M, 12) among the n-partition's
-    n DOFs in ascending reduced order, -1 outside them."""
-    in_n = np.ones(3 * mesh.n_free, dtype=bool)
-    in_n[(3 * mesh.free_index_of()[mesh.contact_regions[region]][:, None] + np.arange(3))] = False
-    n_index = np.full(3 * mesh.n_free + 1, -1)
-    n_index[np.flatnonzero(in_n)] = np.arange(in_n.sum())
-    return n_index[fem._element_dofs(mesh)], int(in_n.sum())
+def bandwidth(order, a, b):
+    """The bandwidth of the graph with edges a[i] - b[i] in the node order order."""
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return np.abs(rank[a] - rank[b]).max(initial=0)
 
 
-def rest_nonzeros(mesh):
-    """(M, 12, 12): where the dense element stiffness V BᵀDB at rest is nonzero
-    for λ alone or for μ alone."""
-    d_lam, d_mu = np.zeros((6, 6)), np.diag([2.0, 2.0, 2.0, 1.0, 1.0, 1.0])
-    d_lam[:3, :3] = 1.0
-    x = mesh.vertices[mesh.tets]
-    return (_element_stiffness(x, d_lam) != 0) | (_element_stiffness(x, d_mu) != 0)
+def reference_rcm(a, b, n, root):
+    """Reverse Cuthill-McKee order of the n-node graph with edges a[i] - b[i],
+    node by node: first from root, then from the lowest-degree unvisited node
+    of each other component, neighbours by ascending degree, ties by index."""
+    adjacent = [set() for _ in range(n)]
+    for p, q in zip(a.tolist(), b.tolist()):
+        adjacent[p].add(q)
+    degree = [len(x) for x in adjacent]
+    order, seen = [], [False] * n
+    for start in [root] + sorted(range(n), key=lambda v: degree[v]):
+        if seen[start]:
+            continue
+        seen[start] = True
+        order.append(start)
+        head = len(order) - 1
+        while head < len(order):
+            for v in sorted(adjacent[order[head]], key=lambda v: (degree[v], v)):
+                if not seen[v]:
+                    seen[v] = True
+                    order.append(v)
+            head += 1
+    return np.array(order[::-1], dtype=np.int64)
 
 
-def n_dof_graph(mesh, region):
-    """(a, b, n): the n-partition's DOFs, in ascending reduced order, adjacent
-    when an element entry between them is nonzero at rest for λ alone or for
-    μ alone."""
-    dofs, n = n_element_dofs(mesh, region)
-    a, b = np.broadcast_arrays(dofs[:, :, None], dofs[:, None, :])
-    edge = rest_nonzeros(mesh) & (a >= 0) & (b >= 0) & (a != b)
-    return a[edge], b[edge], n
-
-
-def dof_rcm_width(mesh, region):
-    """The band of the n-partition in the every-root RCM order of its DOF
-    graph: the largest spread of one element's DOF positions."""
-    a, b, n = n_dof_graph(mesh, region)
-    rank = np.empty(n + 1, dtype=np.int64)
-    rank[_reverse_cuthill_mckee(a, b, n, every_root=True)] = np.arange(n)
-    rank[n] = -1
-    dofs, _ = n_element_dofs(mesh, region)
-    pos = rank[np.where(dofs >= 0, dofs, n)]
-    hi = pos.max(axis=1)
-    lo = np.where(pos >= 0, pos, hi[:, None]).min(axis=1)
-    return int((hi - lo).max())
-
-
-def vertex_rcm_order(mesh, region):
-    """(bw, n_flat) of the n-partition in the RCM order of its vertices, each
-    vertex's three DOFs adjacent: every tet spans 3 (max - min) + 2 plan
-    positions from its vertices' ranks."""
-    order = n_vertex_ids(mesh, region)[_reverse_cuthill_mckee(*n_vertex_graph(mesh, region))]
+def first_root_order(mesh, region):
+    """(bw, n_flat) of the n-partition in the RCM order of its vertices from
+    the lowest-index lowest-degree vertex alone, each vertex's three DOFs
+    adjacent: every tet spans 3 (max - min) + 2 plan positions from its
+    vertices' ranks."""
+    a, b, n = n_vertex_graph(mesh, region)
+    degree = np.bincount(np.unique(a * n + b) // n, minlength=n)
+    order = n_vertex_ids(mesh, region)[reference_rcm(a, b, n, int(np.argmin(degree)))]
     rank = np.full(mesh.n_vertices, -1)
     rank[order] = np.arange(order.size)
     tet_rank = rank[mesh.tets]
