@@ -4,7 +4,10 @@ The network maps the flattened displacements of the observation vertices to
 the flattened displacements of all free vertices (vertex-major layout, x, y,
 z within each vertex). Both hidden layers use ReLU; the output layer is
 linear. Each weight matrix carries its bias weights in column 0, fed by a
-constant 1.
+constant 1. The three matrices are row-major views into one flat float64
+parameter vector (w_hidden1, w_hidden2, w_out, in that order); the gradient
+and both Adam moments use the same flat layout, so that each step of an
+update is one pass over one vector.
 
 Training is mini-batch gradient descent with Adam: each epoch shuffles the
 training set with a seeded generator, partitions it into floor(m / batch)
@@ -12,11 +15,16 @@ batches (remainder dropped), and performs a fixed number of consecutive
 updates on each batch. The step size is 1 / (gamma * epoch), constant within
 an epoch. The data term of the cost is the mean over the batch of the
 half-squared output error; each weight matrix adds an L2 penalty
-lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count.
+lambda / (2 n) * sum(w^2) over its non-bias entries, n being their count. In
+the flat layout the penalty is 1/2 * sum(c * w^2), with one weight c per
+parameter: lambda / n on a non-bias entry, 0 on a bias column. Adam runs in
+the efficient form of Kingma & Ba (ICLR 2015, end of section 2), which folds
+both bias corrections into the step size and the denominator guard.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -50,19 +58,40 @@ def relu(z):
     return np.maximum(z, 0.0)
 
 
+def _shapes(layer_sizes) -> tuple:
+    """The (rows, columns) of the three weight matrices, bias column included."""
+    n_in, h1, h2, n_out = layer_sizes
+    return (h1, n_in + 1), (h2, h1 + 1), (n_out, h2 + 1)
+
+
+def _split(vector: np.ndarray, shapes) -> tuple:
+    """Row-major views of consecutive pieces of a flat vector, one per shape."""
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(vector[start : start + rows * cols].reshape(rows, cols))
+        start += rows * cols
+    return tuple(views)
+
+
 @dataclass
 class MlpModel:
-    """Weights of the estimator; column 0 of each matrix holds bias weights."""
+    """Weights of the estimator; column 0 of each matrix holds bias weights.
+
+    The matrices are views into ``_params``, one flat float64 vector that
+    holds copies of the given weights: an in-place write to a matrix shows in
+    the vector, and the reverse. Write into a matrix (``model.w_out[...] =``)
+    rather than rebinding the attribute, which would break that link. A copy
+    or an unpickled model gets a vector of its own.
+    """
 
     w_hidden1: np.ndarray  # (n_h1, n_in + 1)
     w_hidden2: np.ndarray  # (n_h2, n_h1 + 1)
     w_out: np.ndarray      # (n_out, n_h2 + 1)
+    _params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.w_hidden1 = np.asarray(self.w_hidden1, dtype=np.float64)
-        self.w_hidden2 = np.asarray(self.w_hidden2, dtype=np.float64)
-        self.w_out = np.asarray(self.w_out, dtype=np.float64)
-        h1, h2, out = self.w_hidden1, self.w_hidden2, self.w_out
+        h1, h2, out = (np.asarray(w, dtype=np.float64)
+                       for w in (self.w_hidden1, self.w_hidden2, self.w_out))
         if (
             any(w.ndim != 2 for w in (h1, h2, out))
             or h2.shape[1] != h1.shape[0] + 1
@@ -74,6 +103,16 @@ class MlpModel:
         for name, w in (("w_hidden1", h1), ("w_hidden2", h2), ("w_out", out)):
             if not np.isfinite(w).all():
                 raise ValueError(f"{name} contains non-finite entries")
+        self._params = np.empty(h1.size + h2.size + out.size)
+        views = _split(self._params, (h1.shape, h2.shape, out.shape))
+        for view, w in zip(views, (h1, h2, out)):
+            view[...] = w
+        self.w_hidden1, self.w_hidden2, self.w_out = views
+
+    def __reduce__(self):
+        # rebuilt from its matrices, a copy's matrices share one new vector;
+        # copied attribute by attribute, they would not
+        return MlpModel, self.weights()
 
     @property
     def layer_sizes(self) -> tuple:
@@ -147,9 +186,23 @@ def forward_batch(model: MlpModel, x: np.ndarray) -> ForwardCache:
     return ForwardCache(inputs=x, z_hidden1=z1, a_hidden1=a1, z_hidden2=z2, a_hidden2=a2, outputs=out)
 
 
-def _regularizer_counts(model: MlpModel) -> tuple:
-    # non-bias element count per matrix
-    return tuple(w.shape[0] * (w.shape[1] - 1) for w in model.weights())
+@functools.lru_cache(maxsize=4)
+def _l2_weights(layer_sizes: tuple, lambdas: tuple) -> np.ndarray:
+    """Read-only weight c of the L2 term for each entry of the flat parameter vector.
+
+    lambda / n on each of a matrix's n non-bias entries, 0 on its bias column;
+    :func:`cost` adds 1/2 * sum(c * w^2) and :func:`gradients` adds c * w.
+    The vectors of the last four (layer sizes, lambdas) pairs are kept and
+    shared by every caller, concurrent trials included.
+    """
+    parts = []
+    for lam, (rows, cols) in zip(lambdas, _shapes(layer_sizes)):
+        c = np.full((rows, cols), lam / (rows * (cols - 1)) if lam else 0.0)
+        c[:, 0] = 0.0
+        parts.append(c.reshape(-1))
+    c = np.concatenate(parts)
+    c.flags.writeable = False
+    return c
 
 
 def cost(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1)) -> float:
@@ -161,16 +214,26 @@ def cost(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1))
         raise ValueError(f"target shape {y.shape} != {out.shape}")
     data_term = 0.5 * np.sum((out - y) ** 2) / x.shape[0]
     reg = 0.0
-    for lam, n, w in zip(lambdas, _regularizer_counts(model), model.weights()):
-        if lam:
-            reg += lam / (2.0 * n) * np.sum(w[:, 1:] ** 2)
+    if any(lambdas):
+        w = model._params
+        # 1/2 * sum(c * w^2), in one pass and without a temporary vector
+        reg = 0.5 * np.einsum("i,i,i->", _l2_weights(model.layer_sizes, tuple(lambdas)), w, w)
     return float(data_term + reg)
+
+
+class _Gradients(tuple):
+    """What :func:`gradients` returns: one array per weight matrix, each a view
+    into ``vector``, the whole gradient in the flat parameter layout."""
+
+    vector: np.ndarray
 
 
 class _GradientWorkspace:
     """The arrays one :func:`gradients` call writes, for one shape and batch size.
 
     Column 0 of the bias-augmented input and activations holds the constant 1.
+    grad is the gradient in the model's flat parameter layout, and grads its
+    per-matrix views.
     """
 
     def __init__(self, model: MlpModel, m: int):
@@ -179,18 +242,21 @@ class _GradientWorkspace:
         self.z1, self.d1, self.z2, self.d2 = (np.empty((m, n)) for n in (h1, h1, h2, h2))
         self.mask1, self.mask2 = np.empty((m, h1), bool), np.empty((m, h2), bool)
         self.out = np.empty((m, n_out))  # outputs, then the output error
-        self.grads = tuple(np.empty_like(w) for w in model.weights())
-        self.l2 = np.empty(max(w[:, 1:].size for w in model.weights()))
+        self.grad = np.empty_like(model._params)
+        self.grads = _Gradients(_split(self.grad, _shapes(model.layer_sizes)))
+        self.grads.vector = self.grad
 
 
 def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 0.1),
               work: _GradientWorkspace | None = None) -> tuple:
     """Exact gradients of :func:`cost` for each weight matrix.
 
-    The output-layer error is (output - target); it back-propagates through
-    the linear output layer and the ReLU masks. Regularization gradients
-    touch non-bias entries only. The gradients are arrays of ``work`` (a
-    fresh workspace when None) and stay valid until its next use.
+    The output-layer error is (output - target) / m for a batch of m rows; it
+    back-propagates through the linear output layer and the ReLU masks, so
+    each gradient product already holds the batch mean. The L2 term c * w
+    (see :func:`_l2_weights`) is added in one pass over the flat vector. The
+    gradients are views into one flat vector of ``work`` (a fresh workspace
+    when None) and stay valid until its next use.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -215,6 +281,7 @@ def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 
     delta_out = np.matmul(work.a2, w_out.T, out=work.out)
 
     np.subtract(delta_out, y, out=delta_out)                       # (m, n_out)
+    np.divide(delta_out, m, out=delta_out)
     delta_h2 = np.matmul(delta_out, w_out[:, 1:], out=work.d2)
     np.multiply(delta_h2, np.greater(work.z2, 0.0, out=work.mask2), out=delta_h2)
     delta_h1 = np.matmul(delta_h2, w_h2[:, 1:], out=work.d1)
@@ -222,36 +289,31 @@ def gradients(model: MlpModel, x: np.ndarray, y: np.ndarray, lambdas=(0.1, 0.1, 
 
     for g, delta, a in zip(work.grads, (delta_h1, delta_h2, delta_out), (work.x, work.a1, work.a2)):
         np.matmul(delta.T, a, out=g)
-        np.divide(g, m, out=g)
 
-    for g, lam, n, w in zip(work.grads, lambdas, _regularizer_counts(model), model.weights()):
-        if lam:
-            g[:, 1:] += np.multiply(lam / n, w[:, 1:], out=work.l2[:n].reshape(w.shape[0], -1))
+    if any(lambdas):
+        work.grad += _l2_weights(model.layer_sizes, tuple(lambdas)) * model._params
     return work.grads
 
 
 @dataclass
 class AdamState:
-    """Per-matrix first and second moment accumulators and the step counter.
+    """First and second moments, flat in the model's parameter layout, and the step count.
 
-    scratch holds two arrays per matrix for the intermediate terms of
+    scratch is one more vector of that size, for the intermediate terms of
     :func:`adam_step`.
     """
 
-    first: tuple
-    second: tuple
+    first: np.ndarray
+    second: np.ndarray
     t: int = 0
-    scratch: tuple = field(init=False, repr=False, compare=False)
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = tuple((np.empty_like(m), np.empty_like(m)) for m in self.first)
+        self.scratch = np.empty_like(self.first)
 
     @classmethod
     def zeros(cls, model: MlpModel) -> "AdamState":
-        return cls(
-            first=tuple(np.zeros_like(w) for w in model.weights()),
-            second=tuple(np.zeros_like(w) for w in model.weights()),
-        )
+        return cls(first=np.zeros_like(model._params), second=np.zeros_like(model._params))
 
 
 # Adam's moment decay rates and denominator guard, at their published values
@@ -262,23 +324,41 @@ _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 def adam_step(state: AdamState, model: MlpModel, grads: tuple, alpha: float):
     """One Adam update, in place on both the state and the model weights.
 
-    w -= alpha * m_hat / (sqrt(v_hat) + epsilon), each operation written into
-    the state's scratch arrays.
+    grads holds one gradient per weight matrix, as :func:`gradients` returns
+    them. The update runs in Kingma & Ba's efficient form, over the flat
+    vectors:
+
+        alpha_t = alpha * sqrt(1 - beta2^t) / (1 - beta1^t)
+        eps_hat = epsilon * sqrt(1 - beta2^t)
+        w -= m / (sqrt(v) + eps_hat) * alpha_t
+
+    which is alpha * m_hat / (sqrt(v_hat) + epsilon) with m_hat and v_hat the
+    bias-corrected moments, up to rounding, at one square root and one
+    division per weight. Each term is one pass, written into the state's
+    scratch vector.
     """
+    shapes = [np.shape(g) for g in grads]
+    if shapes != [w.shape for w in model.weights()]:
+        raise ValueError(f"gradient shapes {shapes} != weight shapes "
+                         f"{[w.shape for w in model.weights()]}")
+    if isinstance(grads, _Gradients):
+        g = grads.vector
+    else:
+        g = np.concatenate([np.ravel(np.asarray(x, dtype=np.float64)) for x in grads])
     state.t += 1
     t = state.t
-    for w, g, m, v, (s, r) in zip(model.weights(), grads, state.first, state.second,
-                                  state.scratch):
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} != weight shape {w.shape}")
-        m *= _BETA1
-        m += np.multiply(1.0 - _BETA1, g, out=s)
-        v *= _BETA2
-        v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
-        m_hat = np.divide(m, 1.0 - _BETA1**t, out=s)
-        v_hat = np.divide(v, 1.0 - _BETA2**t, out=r)
-        denom = np.add(np.sqrt(v_hat, out=r), _EPSILON, out=r)
-        w -= np.divide(np.multiply(alpha, m_hat, out=s), denom, out=s)
+    alpha_t = alpha * math.sqrt(1.0 - _BETA2**t) / (1.0 - _BETA1**t)
+    eps_hat = _EPSILON * math.sqrt(1.0 - _BETA2**t)
+    m, v, s = state.first, state.second, state.scratch
+    m *= _BETA1
+    m += np.multiply(1.0 - _BETA1, g, out=s)
+    v *= _BETA2
+    v += np.multiply(np.multiply(1.0 - _BETA2, g, out=s), g, out=s)
+    np.sqrt(v, out=s)
+    s += eps_hat
+    np.divide(m, s, out=s)
+    s *= alpha_t
+    model._params -= s
 
 
 def _is_real(value) -> bool:
@@ -351,8 +431,8 @@ class TrainingLog:
     """What :func:`train` records.
 
     curve holds (update, test RMSE mm) pairs, taken every ``log_every``
-    updates and after the last one, when a test set is given; it stays empty
-    otherwise. epoch_mean_cost holds, per epoch, the mean over its batches of
+    updates (never when it is 0) and after the last one, when a test set is
+    given; it stays empty otherwise. epoch_mean_cost holds, per epoch, the mean over its batches of
     the cost after the batch's last update.
     """
 
@@ -410,8 +490,8 @@ def train(dataset, train_idx, config: TrainConfig, test_idx=None) -> tuple:
                     grads = gradients(model, xb, yb, config.lambdas, work)
                     adam_step(state, model, grads, alpha)
                     t = state.t
-                    if x_test is not None and config.log_every and (
-                        t % config.log_every == 0 or t == total_updates
+                    if x_test is not None and (
+                        t == total_updates or config.log_every and t % config.log_every == 0
                     ):
                         log.curve.append((t, _rmse_mm(model, x_test, y_test,
                                                       dataset.mm_per_unit)))

@@ -1,6 +1,9 @@
+import copy
+import hashlib
 import io
 import json
 import math
+import pickle
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -374,6 +377,15 @@ class TestTrain:
         _, log = train(ds, np.arange(20), cfg)
         assert log.curve == [] and len(log.epoch_mean_cost) == 1
 
+    def test_log_every_zero_records_only_the_last_update(self):
+        ds = synthetic_dataset(m=30)
+        cfg = TrainConfig(epochs=2, batch_size=10, inner_iters=3, seed=0, log_every=0,
+                          hidden=(3, 3))
+        model, log = train(ds, np.arange(20), cfg, test_idx=np.arange(20, 30))
+        out = forward_batch(model, ds.inputs()[20:]).outputs
+        rmse = float(np.sqrt(np.mean((out - ds.targets()[20:]) ** 2)) * ds.mm_per_unit)
+        assert log.curve == [(2 * 2 * 3, rmse)]
+
     def test_hidden_none_uses_free_vertex_count(self):
         ds = synthetic_dataset(m=20, n_free=7)
         cfg = TrainConfig(epochs=1, batch_size=10, inner_iters=1, seed=0, hidden=None)
@@ -513,6 +525,93 @@ class TestPredictProperties:
         assert np.array_equal(field.reshape(-1), forward_batch(model, o.reshape(1, -1)).outputs[0])
 
 
+def assert_one_flat_vector(model):
+    """The three matrices are row-major views of consecutive pieces of _params."""
+    flat = model._params
+    assert flat.dtype == np.float64 and flat.ndim == 1 and flat.flags.c_contiguous
+    assert flat.size == sum(w.size for w in model.weights())
+    for w in model.weights():
+        assert w.base is flat and w.flags.c_contiguous
+    assert np.array_equal(np.concatenate([w.ravel() for w in model.weights()]), flat)
+    ends = np.cumsum([w.size for w in model.weights()])
+    for w, start in zip(model.weights(), [0, *ends[:-1]]):
+        assert np.shares_memory(w, flat[start : start + w.size])
+
+
+def models_by_every_route(tmp_path):
+    fresh = init_model(4, 6, 5, 9, np.random.default_rng(21))
+    path = tmp_path / "model.json"
+    save_model(fresh, path)
+    return {
+        "init_model": fresh,
+        "MlpModel": MlpModel(*(w.tolist() for w in fresh.weights())),
+        "load_model": load_model(path)[0],
+        "deepcopy": copy.deepcopy(fresh),
+        "pickle": pickle.loads(pickle.dumps(fresh)),
+    }
+
+
+class TestFlatParameters:
+    def test_matrices_share_one_vector_by_every_route(self, tmp_path):
+        models = models_by_every_route(tmp_path)
+        for route, model in models.items():
+            assert_one_flat_vector(model)
+            assert_same_bits(model.weights(), models["init_model"].weights())
+
+    def test_copies_own_their_vector(self, tmp_path):
+        models = models_by_every_route(tmp_path)
+        for route, model in models.items():
+            if route != "init_model":
+                assert not np.shares_memory(model._params, models["init_model"]._params), route
+
+    def test_constructor_copies_its_arrays(self):
+        w = [np.zeros((3, 3)), np.zeros((2, 4)), np.zeros((5, 3))]
+        model = MlpModel(*w)
+        w[2][0, 0] = 1.0
+        assert not model._params.any()
+
+    def test_writes_show_both_ways(self):
+        model = init_model(4, 6, 5, 9, np.random.default_rng(22))
+        model.w_out[2, 3] = 7.5
+        assert model._params[6 * 5 + 5 * 7 + 2 * 6 + 3] == 7.5
+        model._params[6 * 5 + 1] = -2.25  # w_hidden2[0, 1]
+        assert model.w_hidden2[0, 1] == -2.25
+        model._params[:] = 0.0
+        assert not any(w.any() for w in model.weights())
+
+    def test_training_updates_the_vector_in_place(self):
+        ds = synthetic_dataset(m=20)
+        cfg = TrainConfig(epochs=2, batch_size=5, inner_iters=2, seed=1, hidden=(4, 3))
+        model, _ = train(ds, np.arange(20), cfg)
+        assert_one_flat_vector(model)
+
+    def test_save_model_bytes_unchanged(self, tmp_path):
+        # the same seeded model and metadata, written before the weights shared a vector
+        model = init_model(6, 5, 4, 9, np.random.default_rng(8))
+        path = tmp_path / "model.json"
+        save_model(model, path, observation_ids=[3, 7], mesh_hash="abc123", mm_per_unit=256.0,
+                   train_config=TrainConfig(epochs=2, seed=8), metrics={"rmse_mm": 0.5})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "243df42e229a6232a09179197aef7380ec768c62459654d879613efa4f99fa9a")
+
+    def test_l2_weights_per_parameter(self):
+        c = nn._l2_weights((2, 3, 4, 5), (0.3, 0.0, 0.8))
+        h1, h2, out = per_matrix(c, zero_model(2, 3, 4, 5))
+        assert not c.flags.writeable
+        assert (h1[:, 0] == 0).all() and (h1[:, 1:] == 0.3 / 6).all()
+        assert not h2.any()
+        assert (out[:, 0] == 0).all() and (out[:, 1:] == 0.8 / 20).all()
+
+    def test_cost_penalty_is_half_weighted_sum_of_squares(self):
+        model = init_model(2, 3, 4, 5, np.random.default_rng(23))
+        lambdas = (0.3, 0.5, 0.8)
+        x, y = np.zeros((1, 2)), np.zeros((1, 5))
+        penalty = cost(model, x, y, lambdas) - cost(model, x, y, (0, 0, 0))
+        by_matrix = sum(lam / (2 * w[:, 1:].size) * np.sum(w[:, 1:] ** 2)
+                        for lam, w in zip(lambdas, model.weights()))
+        assert math.isclose(penalty, by_matrix, rel_tol=1e-12)
+
+
 class TestModelFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -564,12 +663,22 @@ class TestModelFile:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: the allocating update as it was before the reusable workspace. The
-# in-place kernels must reproduce its every bit.
+# Oracles. The textbook update (Kingma & Ba's Algorithm 1, each gradient
+# divided by the batch size after its product) is the arithmetic of the
+# allocating update the reusable workspace replaced; the flat in-place update
+# reorders it, so it must match to rounding. The efficient-form references
+# below run the flat update's own order of operations on fresh per-matrix
+# arrays, and the in-place code must reproduce their every bit.
 # ---------------------------------------------------------------------------
 
 def _with_bias(x):
     return np.hstack([np.ones((x.shape[0], 1)), x])
+
+
+def per_matrix(vector, model):
+    """Views of a flat parameter-layout vector, one per weight matrix."""
+    ends = np.cumsum([w.size for w in model.weights()])[:-1]
+    return tuple(part.reshape(w.shape) for part, w in zip(np.split(vector, ends), model.weights()))
 
 
 def reference_gradients(model, x, y, lambdas=(0.1, 0.1, 0.1), work=None):
@@ -592,7 +701,8 @@ def reference_gradients(model, x, y, lambdas=(0.1, 0.1, 0.1), work=None):
 def reference_adam_step(state, model, grads, alpha):
     state.t += 1
     t = state.t
-    for w, g, m, v in zip(model.weights(), grads, state.first, state.second):
+    for w, g, m, v in zip(model.weights(), grads, per_matrix(state.first, model),
+                          per_matrix(state.second, model)):
         m *= 0.9
         m += (1.0 - 0.9) * g
         v *= 0.999
@@ -602,12 +712,60 @@ def reference_adam_step(state, model, grads, alpha):
         w -= alpha * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
-@pytest.fixture()
-def reference_update(monkeypatch):
-    """Make train() run the reference kernels; yields a function that undoes it."""
-    monkeypatch.setattr(nn, "gradients", reference_gradients)
-    monkeypatch.setattr(nn, "adam_step", reference_adam_step)
-    yield monkeypatch.undo
+def efficient_gradients(model, x, y, lambdas=(0.1, 0.1, 0.1), work=None):
+    """The batch size divides the output error before the products; the L2
+    term is c * w with c = lambda / n on non-bias entries and 0 on bias
+    columns, added to every matrix once any lambda is nonzero."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    cache = forward_batch(model, x)
+    delta_out = (cache.outputs - y) / x.shape[0]
+    delta_h2 = (delta_out @ model.w_out[:, 1:]) * relu_grad(cache.z_hidden2)
+    delta_h1 = (delta_h2 @ model.w_hidden2[:, 1:]) * relu_grad(cache.z_hidden1)
+    grads = (delta_h1.T @ _with_bias(cache.inputs), delta_h2.T @ _with_bias(cache.a_hidden1),
+             delta_out.T @ _with_bias(cache.a_hidden2))
+    if any(lambdas):
+        for g, lam, w in zip(grads, lambdas, model.weights()):
+            c = np.full(w.shape, lam / w[:, 1:].size if lam else 0.0)
+            c[:, 0] = 0.0
+            g += c * w
+    return grads
+
+
+def efficient_adam_step(state, model, grads, alpha):
+    """Kingma & Ba's efficient form: both bias corrections folded into the
+    step size and the denominator guard."""
+    state.t += 1
+    t = state.t
+    alpha_t = alpha * math.sqrt(1.0 - 0.999**t) / (1.0 - 0.9**t)
+    eps_hat = 1e-8 * math.sqrt(1.0 - 0.999**t)
+    for w, g, m, v in zip(model.weights(), grads, per_matrix(state.first, model),
+                          per_matrix(state.second, model)):
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * g * g
+        w -= m / (np.sqrt(v) + eps_hat) * alpha_t
+
+
+ORACLES = {
+    "textbook": (reference_gradients, reference_adam_step),
+    "efficient": (efficient_gradients, efficient_adam_step),
+}
+# Largest relative difference allowed against the textbook oracle, over 100x
+# the largest measured on these cases (see CHANGES.md); the efficient-form
+# oracle must match exactly.
+TEXTBOOK_REL = 1e-12
+
+
+@pytest.fixture(params=sorted(ORACLES))
+def oracle_update(request, monkeypatch):
+    """Make train() run an oracle's kernels; yields (undo, bound), the bound
+    None where the bits must match."""
+    oracle_gradients, oracle_adam_step = ORACLES[request.param]
+    monkeypatch.setattr(nn, "gradients", oracle_gradients)
+    monkeypatch.setattr(nn, "adam_step", oracle_adam_step)
+    yield monkeypatch.undo, (TEXTBOOK_REL if request.param == "textbook" else None)
 
 
 def assert_same_bits(a, b):
@@ -617,65 +775,115 @@ def assert_same_bits(a, b):
         assert np.array_equal(np.signbit(x), np.signbit(y))
 
 
+def relative_difference(a, b) -> float:
+    """Largest |a - b| over the largest |b|, taken across a sequence of arrays."""
+    return max(np.abs(np.subtract(x, y)).max() for x, y in zip(a, b)) / max(
+        np.abs(y).max() for y in b)
+
+
+def assert_matches(a, b, bound):
+    """a and b equal in every bit (bound None) or to within the relative bound."""
+    if bound is None:
+        assert_same_bits(a, b)
+    else:
+        assert len(a) == len(b) and relative_difference(a, b) <= bound
+
+
+def assert_values_match(a, b, bound, where="report"):
+    """Nested reports equal, each float to within the relative bound (bound
+    None: equal)."""
+    if isinstance(a, float) and bound is not None:
+        assert math.isclose(a, b, rel_tol=bound, abs_tol=0.0), (where, a, b)
+    elif isinstance(a, (list, tuple)):
+        assert type(a) is type(b) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_values_match(x, y, bound, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for key in a:
+            assert_values_match(a[key], b[key], bound, f"{where}.{key}")
+    else:
+        assert a == b, (where, a, b)
+
+
 class TestAllocationFreeUpdate:
     @pytest.mark.parametrize("batch_size, hidden, lambdas", [
         (1, (6, 5), (0.1, 0.1, 0.1)),
         (7, (5, 4), (0.0, 0.3, 0.1)),
         (10, None, (0.1, 0.1, 0.1)),
     ])
-    def test_train_matches_reference(self, reference_update, batch_size, hidden, lambdas):
+    def test_train_matches_oracle(self, oracle_update, batch_size, hidden, lambdas):
+        undo, bound = oracle_update
         ds = synthetic_dataset(m=40, n_free=5)
         cfg = TrainConfig(epochs=3, batch_size=batch_size, inner_iters=3, lambdas=lambdas,
                           seed=4, log_every=5, hidden=hidden)
         ref_model, ref_log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
-        reference_update()
+        undo()
         model, log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
-        assert_same_bits(model.weights(), ref_model.weights())
-        assert log.epoch_mean_cost == ref_log.epoch_mean_cost
-        assert log.curve == ref_log.curve
+        assert_matches(model.weights(), ref_model.weights(), bound)
+        assert_values_match(log.epoch_mean_cost, ref_log.epoch_mean_cost, bound)
+        assert_values_match(log.curve, ref_log.curve, bound)
 
-    def test_session_report_matches_reference(self, reference_update):
+    def test_session_report_matches_oracle(self, oracle_update):
+        undo, bound = oracle_update
         ds = synthetic_dataset(m=30, n_free=4)
         cfg = TrainConfig(epochs=2, batch_size=6, inner_iters=2, seed=3, log_every=4,
                           hidden=(5, 5))
         ref = asdict(run_session(ds, cfg, k=3, n_repeats=2))
-        reference_update()
+        undo()
         report = asdict(run_session(ds, cfg, k=3, n_repeats=2))
-        assert report.keys() == ref.keys()
-        for key in ref:
-            assert report[key] == ref[key], key
+        assert_values_match(report, ref, bound)
 
     def test_reused_workspace_matches_fresh_calls(self):
         rng = np.random.default_rng(11)
         model = init_model(4, 6, 5, 3, rng)
         work = nn._GradientWorkspace(model, 5)
-        for lambdas in ((0.1, 0.2, 0.3), (0.0, 0.0, 0.0)):
+        for lambdas in ((0.1, 0.2, 0.3), (0.0, 0.0, 0.0), (0.0, 0.2, 0.0)):
             for _ in range(2):  # two different batches through one workspace
                 x, y = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
                 reused = gradients(model, x, y, lambdas, work)
                 assert_same_bits(reused, gradients(model, x, y, lambdas))
-                assert_same_bits(reused, reference_gradients(model, x, y, lambdas))
+                assert_same_bits(reused, efficient_gradients(model, x, y, lambdas))
+                assert_matches(reused, reference_gradients(model, x, y, lambdas), TEXTBOOK_REL)
                 assert (work.x[:, 0] == 1).all() and (work.a1[:, 0] == 1).all()
                 assert (work.a2[:, 0] == 1).all()
+                assert all(np.shares_memory(g, work.grad) for g in reused)
 
     def test_workspace_of_other_batch_size_rejected(self):
         model = init_model(4, 6, 5, 3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="workspace"):
             gradients(model, np.zeros((3, 4)), np.zeros((3, 3)), work=nn._GradientWorkspace(model, 5))
 
-    def test_adam_step_matches_reference(self):
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("flat_gradients", [True, False], ids=["from_gradients", "tuple"])
+    def test_adam_step_matches_oracle(self, name, flat_gradients):
+        bound = TEXTBOOK_REL if name == "textbook" else None
+        oracle_adam_step = ORACLES[name][1]
         rng = np.random.default_rng(12)
         model = init_model(3, 4, 4, 6, rng)
         ref_model = MlpModel(*(w.copy() for w in model.weights()))
         state, ref_state = AdamState.zeros(model), AdamState.zeros(ref_model)
+        work = nn._GradientWorkspace(model, 2)
         for step in range(1, 6):
             grads = tuple(rng.normal(size=w.shape) for w in model.weights())
+            if flat_gradients:  # the flat path that train takes
+                for g, src in zip(work.grads, grads):
+                    g[...] = src
+                grads = work.grads
             adam_step(state, model, grads, alpha=0.02 / step)
-            reference_adam_step(ref_state, ref_model, grads, alpha=0.02 / step)
-        assert_same_bits(model.weights(), ref_model.weights())
-        assert_same_bits(state.first, ref_state.first)
-        assert_same_bits(state.second, ref_state.second)
+            oracle_adam_step(ref_state, ref_model, grads, alpha=0.02 / step)
+        assert_matches(model.weights(), ref_model.weights(), bound)
+        assert_matches([state.first, state.second], [ref_state.first, ref_state.second], bound)
         assert state.t == ref_state.t == 5
+
+    def test_adam_step_rejects_wrong_shapes(self):
+        model = init_model(3, 4, 4, 6, np.random.default_rng(0))
+        state = AdamState.zeros(model)
+        for grads in (tuple(np.zeros_like(w) for w in model.weights()[:2]),
+                      tuple(np.zeros_like(w.T) for w in model.weights())):
+            with pytest.raises(ValueError, match="gradient shapes"):
+                adam_step(state, model, grads, alpha=0.01)
+        assert state.t == 0
 
     def test_one_gradient_and_one_adam_call_per_update(self, monkeypatch):
         # the benchmark's traced run divides train time by the nn.gradients span count
