@@ -195,12 +195,11 @@ def _l2_weights(layer_sizes: tuple, lambdas: tuple) -> np.ndarray:
     The vectors of the last four (layer sizes, lambdas) pairs are kept and
     shared by every caller, concurrent trials included.
     """
-    parts = []
-    for lam, (rows, cols) in zip(lambdas, _shapes(layer_sizes)):
-        c = np.full((rows, cols), lam / (rows * (cols - 1)) if lam else 0.0)
-        c[:, 0] = 0.0
-        parts.append(c.reshape(-1))
-    c = np.concatenate(parts)
+    shapes = _shapes(layer_sizes)
+    c = np.zeros(sum(rows * cols for rows, cols in shapes))
+    for lam, part in zip(lambdas, _split(c, shapes)):
+        if lam:
+            part[:, 1:] = lam / part[:, 1:].size
     c.flags.writeable = False
     return c
 

@@ -754,18 +754,18 @@ ORACLES = {
 }
 # Largest relative difference allowed against the textbook oracle, over 100x
 # the largest measured on these cases (see CHANGES.md); the efficient-form
-# oracle must match exactly.
-TEXTBOOK_REL = 1e-12
+# oracle must match exactly (bound None).
+BOUNDS = {"textbook": 1e-12, "efficient": None}
 
 
-@pytest.fixture(params=sorted(ORACLES))
-def oracle_update(request, monkeypatch):
-    """Make train() run an oracle's kernels; yields (undo, bound), the bound
-    None where the bits must match."""
-    oracle_gradients, oracle_adam_step = ORACLES[request.param]
+def run_with_oracle(monkeypatch, oracle, call):
+    """call() with train() running the oracle's kernels, then call() as is."""
+    oracle_gradients, oracle_adam_step = ORACLES[oracle]
     monkeypatch.setattr(nn, "gradients", oracle_gradients)
     monkeypatch.setattr(nn, "adam_step", oracle_adam_step)
-    yield monkeypatch.undo, (TEXTBOOK_REL if request.param == "textbook" else None)
+    want = call()
+    monkeypatch.undo()
+    return call(), want
 
 
 def assert_same_bits(a, b):
@@ -806,33 +806,45 @@ def assert_values_match(a, b, bound, where="report"):
         assert a == b, (where, a, b)
 
 
+TRAIN_CASES = [
+    (1, (6, 5), (0.1, 0.1, 0.1)),
+    (7, (5, 4), (0.0, 0.3, 0.1)),
+    (10, None, (0.1, 0.1, 0.1)),
+]
+
+
 class TestAllocationFreeUpdate:
-    @pytest.mark.parametrize("batch_size, hidden, lambdas", [
-        (1, (6, 5), (0.1, 0.1, 0.1)),
-        (7, (5, 4), (0.0, 0.3, 0.1)),
-        (10, None, (0.1, 0.1, 0.1)),
-    ])
-    def test_train_matches_oracle(self, oracle_update, batch_size, hidden, lambdas):
-        undo, bound = oracle_update
+    def check_train(self, monkeypatch, oracle, batch_size, hidden, lambdas):
         ds = synthetic_dataset(m=40, n_free=5)
         cfg = TrainConfig(epochs=3, batch_size=batch_size, inner_iters=3, lambdas=lambdas,
                           seed=4, log_every=5, hidden=hidden)
-        ref_model, ref_log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
-        undo()
-        model, log = train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40))
-        assert_matches(model.weights(), ref_model.weights(), bound)
-        assert_values_match(log.epoch_mean_cost, ref_log.epoch_mean_cost, bound)
-        assert_values_match(log.curve, ref_log.curve, bound)
+        (model, log), (ref_model, ref_log) = run_with_oracle(
+            monkeypatch, oracle, lambda: train(ds, np.arange(35), cfg, test_idx=np.arange(35, 40)))
+        assert_matches(model.weights(), ref_model.weights(), BOUNDS[oracle])
+        assert_values_match(log.epoch_mean_cost, ref_log.epoch_mean_cost, BOUNDS[oracle])
+        assert_values_match(log.curve, ref_log.curve, BOUNDS[oracle])
 
-    def test_session_report_matches_oracle(self, oracle_update):
-        undo, bound = oracle_update
+    @pytest.mark.parametrize("batch_size, hidden, lambdas", TRAIN_CASES)
+    def test_train_matches_reference(self, monkeypatch, batch_size, hidden, lambdas):
+        self.check_train(monkeypatch, "textbook", batch_size, hidden, lambdas)
+
+    @pytest.mark.parametrize("batch_size, hidden, lambdas", TRAIN_CASES)
+    def test_train_matches_efficient_reference(self, monkeypatch, batch_size, hidden, lambdas):
+        self.check_train(monkeypatch, "efficient", batch_size, hidden, lambdas)
+
+    def check_session(self, monkeypatch, oracle):
         ds = synthetic_dataset(m=30, n_free=4)
         cfg = TrainConfig(epochs=2, batch_size=6, inner_iters=2, seed=3, log_every=4,
                           hidden=(5, 5))
-        ref = asdict(run_session(ds, cfg, k=3, n_repeats=2))
-        undo()
-        report = asdict(run_session(ds, cfg, k=3, n_repeats=2))
-        assert_values_match(report, ref, bound)
+        report, ref = run_with_oracle(
+            monkeypatch, oracle, lambda: asdict(run_session(ds, cfg, k=3, n_repeats=2)))
+        assert_values_match(report, ref, BOUNDS[oracle])
+
+    def test_session_report_matches_reference(self, monkeypatch):
+        self.check_session(monkeypatch, "textbook")
+
+    def test_session_report_matches_efficient_reference(self, monkeypatch):
+        self.check_session(monkeypatch, "efficient")
 
     def test_reused_workspace_matches_fresh_calls(self):
         rng = np.random.default_rng(11)
@@ -844,7 +856,8 @@ class TestAllocationFreeUpdate:
                 reused = gradients(model, x, y, lambdas, work)
                 assert_same_bits(reused, gradients(model, x, y, lambdas))
                 assert_same_bits(reused, efficient_gradients(model, x, y, lambdas))
-                assert_matches(reused, reference_gradients(model, x, y, lambdas), TEXTBOOK_REL)
+                assert_matches(reused, reference_gradients(model, x, y, lambdas),
+                               BOUNDS["textbook"])
                 assert (work.x[:, 0] == 1).all() and (work.a1[:, 0] == 1).all()
                 assert (work.a2[:, 0] == 1).all()
                 assert all(np.shares_memory(g, work.grad) for g in reused)
@@ -854,27 +867,32 @@ class TestAllocationFreeUpdate:
         with pytest.raises(ValueError, match="workspace"):
             gradients(model, np.zeros((3, 4)), np.zeros((3, 3)), work=nn._GradientWorkspace(model, 5))
 
-    @pytest.mark.parametrize("name", sorted(ORACLES))
-    @pytest.mark.parametrize("flat_gradients", [True, False], ids=["from_gradients", "tuple"])
-    def test_adam_step_matches_oracle(self, name, flat_gradients):
-        bound = TEXTBOOK_REL if name == "textbook" else None
-        oracle_adam_step = ORACLES[name][1]
-        rng = np.random.default_rng(12)
-        model = init_model(3, 4, 4, 6, rng)
-        ref_model = MlpModel(*(w.copy() for w in model.weights()))
-        state, ref_state = AdamState.zeros(model), AdamState.zeros(ref_model)
-        work = nn._GradientWorkspace(model, 2)
-        for step in range(1, 6):
-            grads = tuple(rng.normal(size=w.shape) for w in model.weights())
-            if flat_gradients:  # the flat path that train takes
-                for g, src in zip(work.grads, grads):
-                    g[...] = src
-                grads = work.grads
-            adam_step(state, model, grads, alpha=0.02 / step)
-            oracle_adam_step(ref_state, ref_model, grads, alpha=0.02 / step)
-        assert_matches(model.weights(), ref_model.weights(), bound)
-        assert_matches([state.first, state.second], [ref_state.first, ref_state.second], bound)
-        assert state.t == ref_state.t == 5
+    def check_adam_step(self, oracle):
+        oracle_adam_step = ORACLES[oracle][1]
+        for flat_gradients in (True, False):
+            rng = np.random.default_rng(12)
+            model = init_model(3, 4, 4, 6, rng)
+            ref_model = MlpModel(*(w.copy() for w in model.weights()))
+            state, ref_state = AdamState.zeros(model), AdamState.zeros(ref_model)
+            work = nn._GradientWorkspace(model, 2)
+            for step in range(1, 6):
+                grads = tuple(rng.normal(size=w.shape) for w in model.weights())
+                if flat_gradients:  # the flat path that train takes
+                    for g, src in zip(work.grads, grads):
+                        g[...] = src
+                    grads = work.grads
+                adam_step(state, model, grads, alpha=0.02 / step)
+                oracle_adam_step(ref_state, ref_model, grads, alpha=0.02 / step)
+            assert_matches(model.weights(), ref_model.weights(), BOUNDS[oracle])
+            assert_matches([state.first, state.second], [ref_state.first, ref_state.second],
+                           BOUNDS[oracle])
+            assert state.t == ref_state.t == 5
+
+    def test_adam_step_matches_reference(self):
+        self.check_adam_step("textbook")
+
+    def test_adam_step_matches_efficient_reference(self):
+        self.check_adam_step("efficient")
 
     def test_adam_step_rejects_wrong_shapes(self):
         model = init_model(3, 4, 4, 6, np.random.default_rng(0))
