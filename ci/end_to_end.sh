@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end runs of the command-line pipeline: `repro --profile rpp1-desk`,
 # `predict` from the model it trained, and `repro --profile rpp6-desk`. Each
-# must exit 0 and write its files. The bytes are not compared, because
+# must exit 0 and write its files. First, `mesh` on two invalid configs must
+# each exit 1 with exactly one stderr line, starting with `error: `. The bytes are not compared, because
 # another CPU's BLAS kernels may round differently; instead three metrics of
 # each repro run must match ci/golden.json to 1e-9 relative: `mean_rmse_mm`
 # and `mean_max_lpe_mm` of report.json and `train_rmse_mm` of model.json.
@@ -39,6 +40,26 @@ for name in misses:
 sys.exit(1 if misses else 0)
 EOF
 }
+
+# check_error NAME: `mesh` on $work/NAME.json exits 1 with one stderr line, an error line
+check_error() {
+    local code=0
+    "${deformest[@]}" mesh --config "$work/$1.json" --out "$work/$1" 2> "$work/$1.err" || code=$?
+    if [[ $code -ne 1 || $(wc -l < "$work/$1.err") -ne 1 || $(head -c 7 "$work/$1.err") != "error: " ]]; then
+        echo "$1 config: exit $code, expected 1 and one error line; stderr:" >&2
+        cat "$work/$1.err" >&2
+        exit 1
+    fi
+}
+
+# a spacing whose lattice count overflows, and a NaN literal, which Python's json reads
+region='"sampling": {"regions": {"end": {"mode": "box", "extents_mm": [204.8, 204.8, 102.4], "spacing_mm": 20.48}}}'
+printf '{"mesh": {"generator": {"kind": "rpp", "long_mm": 256.0, "short_mm": 51.2, "spacing_mm": 1e-320}}, %s}\n' \
+    "$region" > "$work/tiny_spacing.json"
+printf '{"mesh": {"generator": {"kind": "rpp", "long_mm": 256.0, "short_mm": 51.2, "spacing_mm": 25.6}}, "material": {"poisson_ratio": NaN}, %s}\n' \
+    "$region" > "$work/nan.json"
+check_error tiny_spacing
+check_error nan
 
 "${deformest[@]}" repro --profile rpp1-desk --out "$work/desk"
 test -f "$work/desk/repro.manifest.json"

@@ -32,8 +32,12 @@ import numpy as np
 from . import evaluation, nn, sampling
 from .fem import FemError, MaterialParams, elasticity_matrix
 from .mesh import (
+    MeshError,
     ScaleConvention,
     TetMesh,
+    _count,
+    _finite_number,
+    _is_integer,
     _lattice_count,
     generate_rpp,
     load_mesh,
@@ -177,25 +181,27 @@ class PipelineConfig:
                             if keys is not None and key not in keys)
             return value
 
-        def number(parent, where, key, default=None, kind=float):
-            """parent[key], a finite JSON number, as kind; default when absent or wrong.
+        def number(parent, where, key, default=None, least=None):
+            """parent[key], a finite JSON number, as a float; default when absent or wrong.
 
-            A default of None makes the key required. kind int takes what
-            TrainConfig takes for its counts: an integer or an integral float,
-            never a truncated one.
+            A default of None makes the key required. With least, the value is
+            a count of at least least, as mesh._count takes it, and an int.
             """
             value = parent.get(key, default)
-            if sampling._finite_number(value) and (kind is float or nn._is_integer(value)):
-                return kind(value)
-            what = "an integer" if kind is int else "a number"
-            problems.append(f"{where}.{key} must be {what}, got {value!r}" if key in parent
-                            else f"missing {where}.{key}")
-            return default
+            try:
+                if least is not None:
+                    return _count(value, least, f"{where}.{key}")
+                if _finite_number(value):
+                    return float(value)
+                raise ValueError(f"{where}.{key} must be a number, got {value!r}")
+            except ValueError as exc:
+                problems.append(str(exc) if key in parent else f"missing {where}.{key}")
+                return default
 
         def triples(value, where):
             """value as a list of (ix, iy, iz) tuples; otherwise a problem, and []."""
             if isinstance(value, list) and all(isinstance(c, list) and len(c) == 3
-                                               and all(map(nn._is_integer, c)) for c in value):
+                                               and all(map(_is_integer, c)) for c in value):
                 return [tuple(map(int, c)) for c in value]
             problems.append(f"{where} must be a list of [ix, iy, iz] integer triples, got {value!r}")
             return []
@@ -216,9 +222,7 @@ class PipelineConfig:
                          young_modulus=number(sec["material"], "material", "young_modulus_pa", 1.0e6),
                          poisson_ratio=number(sec["material"], "material", "poisson_ratio", 0.40))
 
-        n_steps = number(sec["fem"], "fem", "n_steps", 1000, int)
-        if n_steps < 1:
-            problems.append(f"fem.n_steps must be >= 1, got {n_steps}")
+        n_steps = number(sec["fem"], "fem", "n_steps", 1000, least=1)
 
         regions = {}
         if not sec["sampling"].get("regions"):
@@ -231,7 +235,7 @@ class PipelineConfig:
                 spacing = number(spec, where, "spacing_mm")
                 extents = spec.get("extents_mm")
                 if not (isinstance(extents, list) and len(extents) == 3
-                        and all(map(sampling._finite_number, extents))):
+                        and all(map(_finite_number, extents))):
                     problems.append(f"{where}.extents_mm must be three numbers, got {extents!r}")
                 elif spacing is not None:
                     regions[name] = build(where, SamplingSpec, mode="box",
@@ -257,12 +261,8 @@ class PipelineConfig:
 
         train = build("train", nn.TrainConfig.from_dict, sec["train"])
 
-        eval_k = number(sec["eval"], "eval", "k", 5, int)
-        eval_repeats = number(sec["eval"], "eval", "repeats", 1, int)
-        if eval_k < 2:
-            problems.append(f"eval.k must be >= 2, got {eval_k}")
-        if eval_repeats < 1:
-            problems.append(f"eval.repeats must be >= 1, got {eval_repeats}")
+        eval_k = number(sec["eval"], "eval", "k", 5, least=2)
+        eval_repeats = number(sec["eval"], "eval", "repeats", 1, least=1)
 
         generator = None
         gen = sec["mesh"].get("generator")
@@ -535,15 +535,14 @@ def _read_observation_csv(path, n_obs: int) -> np.ndarray:
 
 def cmd_predict(args, cfg, out):
     model, meta = nn.load_model(args.model)
-    mm_per_unit = 256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"]
-    ok = isinstance(mm_per_unit, (int, float)) and not isinstance(mm_per_unit, bool)
-    if not (ok and 0 < mm_per_unit < np.inf):  # a JSON true would read as 1
-        raise ConfigError(
-            f"{args.model}: mm_per_unit must be positive and finite, got {mm_per_unit!r}"
-        )
+    try:
+        scale = ScaleConvention(256.0 if meta["mm_per_unit"] is None else meta["mm_per_unit"])
+    except MeshError as exc:
+        raise ConfigError(f"{args.model}: {exc}") from None
+    mm_per_unit = scale.mm_per_unit
     n_obs = model.layer_sizes[0] // 3
     obs_mm = _read_observation_csv(args.observations, n_obs)
-    field_units = nn.predict(model, obs_mm / mm_per_unit)
+    field_units = nn.predict(model, scale.to_units(obs_mm))
     field_mm = field_units * mm_per_unit
 
     csv_path = out / "field.csv"

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import _blas
-from .mesh import ScaleConvention, TetMesh
+from .mesh import ScaleConvention, TetMesh, _count
 from .nn import TrainConfig, forward_batch, train
 
 __all__ = [
@@ -42,9 +42,9 @@ def kfold(n: int, k: int = 5, seed: int = 0) -> tuple:
 
     Returns a tuple of k index arrays whose sizes differ by at most one; they
     partition ``range(n)``, and fold f trains on the concatenation of the others.
+    k is an integer >= 2, not a bool; an integral float counts as one.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    k = _count(k, 2, "k")
     if n < k:
         raise ValueError(f"cannot split {n} samples into {k} folds")
     return tuple(np.array_split(np.random.default_rng(seed).permutation(n), k))
@@ -159,10 +159,10 @@ def run_session(
     its own model, optimizer state and batch workspace. The results are
     collected in trial order, so the report does not depend on the thread
     count. If trials fail, the error of the first failing one in trial order
-    is raised.
+    is raised. k and n_repeats are integers, at least 2 and 1, not bools; an
+    integral float counts as one. ValueError otherwise, before any training.
     """
-    if n_repeats < 1:
-        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    n_repeats = _count(n_repeats, 1, "n_repeats")
     max_disp_units = dataset.max_contact_displacement()
     max_disp_mm = max_disp_units * dataset.mm_per_unit
     if not max_disp_mm > 0:
@@ -172,6 +172,7 @@ def run_session(
     pct = 100.0 / max_disp_mm
     x_all, y_all = dataset.inputs(), dataset.targets()
     repeat_folds = [kfold(dataset.m, k=k, seed=config.seed + r) for r in range(n_repeats)]
+    k = len(repeat_folds[0])  # an int, as kfold checked it
 
     def trial(index: int) -> TrialResult:
         repeat, fold = divmod(index, k)

@@ -61,7 +61,7 @@ import scipy.sparse
 from scipy.linalg import cython_lapack
 
 from . import _blas
-from .mesh import TetMesh
+from .mesh import TetMesh, _count, _finite_number
 
 __all__ = [
     "FemError",
@@ -96,15 +96,18 @@ class SingularSystemError(FemError):
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """Isotropic linear-elastic material: Young's modulus (Pa) and Poisson's ratio."""
+    """Isotropic linear-elastic material: Young's modulus (Pa) and Poisson's ratio.
+
+    Both are finite numbers, not bools; ValueError otherwise.
+    """
 
     young_modulus: float = 1.0e6
     poisson_ratio: float = 0.40
 
     def __post_init__(self):
-        if not self.young_modulus > 0:
-            raise ValueError(f"young_modulus must be positive, got {self.young_modulus}")
-        if not 0.0 <= self.poisson_ratio < 0.5:
+        if not (_finite_number(self.young_modulus) and self.young_modulus > 0):
+            raise ValueError(f"young_modulus must be positive and finite, got {self.young_modulus!r}")
+        if not (_finite_number(self.poisson_ratio) and 0.0 <= self.poisson_ratio < 0.5):
             raise ValueError(
                 f"poisson_ratio must lie in [0, 0.5) for a non-singular material, "
                 f"got {self.poisson_ratio}"
@@ -114,8 +117,6 @@ class MaterialParams:
 def elasticity_matrix(mat: MaterialParams) -> np.ndarray:
     """6x6 isotropic constitutive matrix in Voigt notation (engineering shear)."""
     e, nu = mat.young_modulus, mat.poisson_ratio
-    if nu >= 0.5:
-        raise ValueError(f"poisson_ratio {nu} >= 0.5 gives a singular material")
     c = e / ((1.0 + nu) * (1.0 - 2.0 * nu))
     d = np.zeros((6, 6))
     d[:3, :3] = c * nu
@@ -714,8 +715,7 @@ class _SolverPlan:
 
     def deform(self, lame: tuple[float, float], target_disp, n_steps: int) -> DeformResult:
         """:func:`deform` of this plan's region, for Lamé's lame = (λ, μ)."""
-        if n_steps < 1:
-            raise FemError(f"n_steps must be >= 1, got {n_steps}")
+        n_steps = _count(n_steps, 1, "n_steps", FemError)
         target = np.asarray(target_disp, dtype=np.float64).reshape(3)
         if not np.isfinite(target).all():
             raise FemError("target_disp contains non-finite values")
@@ -793,6 +793,9 @@ def deform(
     n_steps: int = 1000,
 ) -> DeformResult:
     """Translate a contact region by target_disp through n_steps equal increments.
+
+    n_steps is an integer >= 1, not a bool; an integral float counts as one.
+    FemError otherwise.
 
     Every vertex of the region receives the same displacement (rigid
     translation of the contact set). After each increment the stiffness is

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -33,18 +35,43 @@ class MeshError(ValueError):
     """Invalid mesh topology, geometry, role assignment, or file content."""
 
 
+# The value rules every module of the package shares
+def _finite_number(value) -> bool:
+    """A finite real number, not a bool; False for an int beyond the float range."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _is_integer(value) -> bool:
+    """A finite number with an integral value, not a bool (JSON may write 3 as 3.0)."""
+    return _finite_number(value) and float(value).is_integer()
+
+
+def _count(value, least: int, name: str, error=ValueError) -> int:
+    """value as an int when :func:`_is_integer` takes it and it is at least least; error otherwise."""
+    if not _is_integer(value):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScaleConvention:
-    """Millimeters of real space per simulation unit."""
+    """Millimeters of real space per simulation unit: a finite positive number, not a bool."""
 
     mm_per_unit: float = 256.0
 
     def __post_init__(self):
-        if not self.mm_per_unit > 0:
-            raise MeshError(f"mm_per_unit must be positive, got {self.mm_per_unit}")
+        if not (_finite_number(self.mm_per_unit) and self.mm_per_unit > 0):
+            raise MeshError(f"mm_per_unit must be positive and finite, got {self.mm_per_unit!r}")
 
     def to_units(self, mm):
-        return np.asarray(mm, dtype=float) / self.mm_per_unit
+        """mm in simulation units; a length beyond the float range becomes inf, without a warning."""
+        with np.errstate(over="ignore"):
+            return np.asarray(mm, dtype=float) / self.mm_per_unit
 
 
 def signed_tet_volumes(vertices: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -236,9 +263,11 @@ _CUBE_TET_PATHS = _cube_tet_paths()
 
 
 def _lattice_count(length_mm: float, spacing_mm: float, name: str) -> int:
-    if not spacing_mm > 0:
-        raise MeshError(f"spacing must be positive, got {spacing_mm}")
-    ratio = length_mm / spacing_mm
+    if not (_finite_number(spacing_mm) and spacing_mm > 0):
+        raise MeshError(f"spacing must be positive and finite, got {spacing_mm!r}")
+    ratio = length_mm / spacing_mm if _finite_number(length_mm) else math.nan
+    if not math.isfinite(ratio):  # a non-finite length, or a ratio beyond the float range
+        raise MeshError(f"{name} ({length_mm!r}) over spacing ({spacing_mm!r}) is not finite")
     cells = round(ratio)
     if cells < 1 or abs(ratio - cells) > 1e-9 * max(1.0, abs(cells)):
         raise MeshError(
@@ -306,6 +335,8 @@ def generate_rpp(
     nx, ny, nz = cx + 1, cy + 1, cy + 1
 
     spacing_units = scale.to_units(spacing_mm)
+    if not np.isfinite(spacing_units):
+        raise MeshError(f"spacing ({spacing_mm} mm) is not finite at {scale.mm_per_unit} mm per unit")
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
     vertices = np.stack([ix, iy, iz], axis=-1).reshape(-1, 3).astype(np.float64) * spacing_units
 

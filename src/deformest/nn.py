@@ -27,12 +27,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _blas
+from .mesh import _count, _finite_number, _is_integer
 
 __all__ = [
     "MlpModel",
@@ -360,15 +360,6 @@ def adam_step(state: AdamState, model: MlpModel, grads: tuple, alpha: float):
     model._params -= s
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    """An integer, or a float with an integral value (JSON may write 3 as 3.0)."""
-    return _is_real(value) and (isinstance(value, numbers.Integral) or float(value).is_integer())
-
-
 def alpha_schedule(epoch: int, gamma: float = 50.0) -> float:
     """Step size 1 / (gamma * epoch); epochs are 1-based."""
     if epoch < 1:
@@ -390,21 +381,15 @@ class TrainConfig:
     hidden: tuple | None = (90, 90)  # hidden layer widths; None: both the free-vertex count
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "inner_iters", "seed", "log_every"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if min(self.epochs, self.batch_size, self.inner_iters) < 1:
-            raise ValueError("epochs, batch_size and inner_iters must be >= 1")
-        if min(self.seed, self.log_every) < 0:
-            raise ValueError("seed and log_every must be >= 0")
+        for name, least in (("epochs", 1), ("batch_size", 1), ("inner_iters", 1), ("seed", 0),
+                            ("log_every", 0)):
+            object.__setattr__(self, name, _count(getattr(self, name), least, name))
         lambdas = self.lambdas
         if not (isinstance(lambdas, (list, tuple)) and len(lambdas) == 3
-                and all(_is_real(lam) and 0 <= lam < math.inf for lam in lambdas)):
+                and all(_finite_number(lam) and lam >= 0 for lam in lambdas)):
             raise ValueError(f"lambdas must be three finite non-negative numbers, got {lambdas!r}")
         object.__setattr__(self, "lambdas", tuple(lambdas))
-        if not (_is_real(self.gamma) and 0 < self.gamma < math.inf):
+        if not (_finite_number(self.gamma) and self.gamma > 0):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         hidden = self.hidden
         if hidden is not None:

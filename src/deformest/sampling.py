@@ -12,8 +12,6 @@ cannot and the call is large enough to pay for the pool.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,7 +21,7 @@ import numpy as np
 
 from . import _blas
 from .fem import FemError, _lame, _plan
-from .mesh import ScaleConvention, TetMesh, vertex_normals
+from .mesh import ScaleConvention, TetMesh, _count, _finite_number, vertex_normals
 
 __all__ = [
     "DatasetError",
@@ -118,14 +116,6 @@ class SamplingSpec:
             object.__setattr__(self, "normal_filter", tuple(v / norm))
         if self.reference_length is not None and not self.reference_length > 0:
             raise DatasetError(f"reference_length must be positive, got {self.reference_length}")
-
-
-def _finite_number(value) -> bool:
-    """A finite real number, not a bool; False for an int beyond the float range."""
-    try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:
-        return False
 
 
 def _axis_count(extent: float, spacing: float, axis: int) -> int:
@@ -247,7 +237,7 @@ def ellipsoid_spec_for_region(
     overrides it, and "diameter" takes the largest vertex-pair distance of
     the mesh. normal_filter "auto" averages the surface normals of the
     region's vertices; a vector overrides the direction; None disables the
-    filter.
+    filter. Any other value is :class:`SamplingSpec`'s to reject.
     """
     _, l = fixed_to_contact_direction(mesh, region)
     if reference_length == "diameter":
@@ -259,9 +249,7 @@ def ellipsoid_spec_for_region(
         l = float(pdist(mesh.vertices[ConvexHull(mesh.vertices).vertices]).max())
     elif reference_length is not None:
         l = reference_length
-    if isinstance(normal_filter, str):
-        if normal_filter != "auto":
-            raise DatasetError(f"normal_filter must be 'auto', None, or a vector, got {normal_filter!r}")
+    if isinstance(normal_filter, str) and normal_filter == "auto":
         normal_filter = tuple(region_surface_normal(mesh, region))
     return SamplingSpec(
         mode="ellipsoid",
@@ -329,7 +317,7 @@ class Dataset:
             raise DatasetError(f"region ids must index the {len(self.regions)} region names")
         if not np.isin(self.observation_ids, self.free_ids).all():
             raise DatasetError("observation vertices must be free vertices")
-        if not 0 < self.mm_per_unit < np.inf:  # NaN fails too
+        if not (_finite_number(self.mm_per_unit) and self.mm_per_unit > 0):
             raise DatasetError(f"mm_per_unit must be positive and finite, got {self.mm_per_unit}")
 
     @property
@@ -488,8 +476,8 @@ def build_dataset(
     not depend on the worker or thread count, and the returned dataset's
     ``runners`` records both. Calls may run in threads of their own.
     """
-    if workers is not None and workers < 1:
-        raise DatasetError(f"workers must be >= 1, got {workers}")
+    if workers is not None:
+        workers = _count(workers, 1, "workers", DatasetError)
     try:
         lame = _lame(d)  # a d the FEM cannot take would fail every sample
     except FemError as exc:

@@ -6,6 +6,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deformest import _blas, sampling
 from deformest.cli import (PROFILES, ConfigError, PipelineConfig, build_mesh, main,
@@ -115,6 +117,11 @@ class TestConfig:
                                           "r_perp_ratio": 0.2, "spacing_ratio": 0.04,
                                           "normal_filter": [True, 0, 0]},
          "sampling.regions.end: normal_filter must be None or a vector of 3 numbers"),
+        (("mesh", "generator", "spacing_mm"), 1e-320,
+         "mesh.generator: long_mm (51.2) over spacing (1e-320) is not finite"),
+        (("mesh", "generator"), {"kind": "rpp", "long_mm": 1e308, "short_mm": 25.6,
+                                 "spacing_mm": 1e-300},
+         "mesh.generator: long_mm (1e+308) over spacing (1e-300) is not finite"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, capsys, path, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -182,6 +189,10 @@ class TestConfig:
         ("lambdas", [0.1, 0.1, float("inf")], "lambdas must be three finite"),
         ("gamma", float("inf"), "gamma must be positive and finite"),
         ("gamma", float("nan"), "gamma must be positive and finite"),
+        pytest.param("lambdas", [10**400, 0, 0], "lambdas must be three finite",
+                     id="lambdas-10**400-lambdas must be three finite"),
+        pytest.param("gamma", 10**400, "gamma must be positive and finite",
+                     id="gamma-10**400-gamma must be positive and finite"),
     ])
     def test_bad_train_field_exits_1(self, tmp_path, capsys, key, value, message):
         cfg_path = tmp_path / "cfg.json"
@@ -189,7 +200,7 @@ class TestConfig:
         assert run(["train", "--config", cfg_path, "--out", tmp_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ConfigError: train: ") and message in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("path, value", [
         (("fem", "n_steps"), 2.7),
@@ -235,6 +246,48 @@ class TestConfig:
         spec = resolve_sampling_specs(PipelineConfig.from_dict(raw), mesh)["grab"]
         diffs = mesh.vertices[:, None, :] - mesh.vertices[None, :, :]
         assert spec.reference_length == np.sqrt((diffs**2).sum(axis=2)).max()
+
+
+def key_paths(node, path=()):
+    """The key path of node and of every object entry and list item below it."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from key_paths(child, path + (key,))
+
+
+# Each path into the two desk profiles, the root included; rpp6-desk's
+# regions c1 to c5 are copies of c0 and are left out.
+DESK_PATHS = [(name, path) for name in ("rpp1-desk", "rpp6-desk")
+              for path in key_paths(PROFILES[name]) if path[2:3] not in [(f"c{i}",) for i in range(1, 6)]]
+# What a JSON reader can return, with weight on the numbers at the edges of
+# the float range, integers beyond it, NaN and infinities (Python's json reads
+# NaN and Infinity), and on the strings and object keys the profiles use.
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(), st.text(max_size=3),
+    st.sampled_from([0, -1, 10**400, -10**400, float("nan"), float("inf"), float("-inf"),
+                     1e-320, -1e-320, 1e308, -1e308]),
+    st.sampled_from(["auto", "diameter", "rpp", "box", "ellipsoid", "single", "six"]))
+JSON_KEYS = st.text(max_size=3) | st.sampled_from(sorted({str(p[-1]) for _, p in DESK_PATHS if p}))
+JSON_VALUES = JSON_LEAVES | st.recursive(
+    JSON_LEAVES, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=10)
+
+
+class TestConfigFuzz:
+    """from_dict on a desk profile with one subtree replaced by generated JSON."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(JSON_VALUES)
+    def test_returns_a_config_or_raises_config_error(self, value):
+        for name, path in DESK_PATHS:  # the value in place of each subtree in turn
+            raw = json.loads(json.dumps(changed(path, value, PROFILES[name])))  # as _read_json reads it
+            try:  # a warning fails too: pyproject makes RuntimeWarning an error
+                assert isinstance(PipelineConfig.from_dict(raw), PipelineConfig)
+            except ConfigError:
+                pass
+            except Exception as exc:
+                raise AssertionError(f"{name} {'.'.join(map(str, path))}: {exc!r}") from exc
 
 
 class TestMeshCommand:
@@ -292,6 +345,20 @@ class TestMeshCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: MeshError: ") and len(err.splitlines()) == 1
         assert f"vertex 5 has non-finite coordinates [{float(bad)!r}, 0.1, 0.2]" in err
+
+    @pytest.mark.parametrize("profile, line", [
+        ("small", "error: ConfigError: sampling.regions.end: spacing must be a finite number, got inf"),
+        ("rpp6-desk", "error: MeshError: spacing (25.6 mm) is not finite at 1e-320 mm per unit"),
+    ])
+    def test_overflowing_scale_prints_only_the_error_line(self, tmp_path, capsys, profile, line):
+        base = SMALL_CONFIG if profile == "small" else PROFILES[profile]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(changed(("scale", "mm_per_unit"), 1e-320, base)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # outside pytest, each prints two lines to stderr
+            assert run(["mesh", "--config", cfg_path, "--out", tmp_path]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -65,6 +65,11 @@ class TestKFold:
         with pytest.raises(ValueError, match="cannot split"):
             kfold(3, k=5)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            kfold(10, k)
+
 
 class TestRmse:
     def test_zero_for_identical(self):
@@ -209,6 +214,16 @@ class TestSessionArguments:
         monkeypatch.setattr(evaluation, "train", untrained)
         ds = make_synthetic_dataset(m=30, n_free=4, seed=2)
         with pytest.raises(ValueError, match="n_repeats must be >= 1, got"):
+            run_session(ds, TrainConfig(batch_size=5, hidden=(6, 6)), k=2, n_repeats=n_repeats)
+
+    @pytest.mark.parametrize("n_repeats", [1.5, True])
+    def test_non_integral_repeats_are_rejected_before_training(self, n_repeats, monkeypatch):
+        def untrained(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(evaluation, "train", untrained)
+        ds = make_synthetic_dataset(m=30, n_free=4, seed=2)
+        with pytest.raises(ValueError, match=f"n_repeats must be an integer, got {n_repeats!r}"):
             run_session(ds, TrainConfig(batch_size=5, hidden=(6, 6)), k=2, n_repeats=n_repeats)
 
     def test_hidden_widths_come_from_the_config(self):

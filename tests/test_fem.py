@@ -72,6 +72,12 @@ class TestElasticityMatrix:
         with pytest.raises(ValueError, match="young_modulus"):
             MaterialParams(young_modulus=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"young_modulus": float("inf")}, {"young_modulus": True},
+                                        {"young_modulus": "1e6"}, {"poisson_ratio": "0.4"}])
+    def test_non_finite_or_non_number_material_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):  # not a TypeError from >
+            MaterialParams(**kwargs)
+
     def test_lame_parameters_of_every_material(self):
         for e in (1e3, 1.0, 2.5e6):
             for nu in (0.0, 0.1, 0.3, 0.45, 0.499):
@@ -631,6 +637,16 @@ class TestDeform:
         mesh = fixed_bar()
         with pytest.raises(FemError, match="n_steps"):
             deform(mesh, material_d(), "end", (0, 0, 0), n_steps=0)
+
+    @pytest.mark.parametrize("n_steps", [True, 2.5, "2"])
+    def test_step_count_must_be_an_integer(self, n_steps):
+        with pytest.raises(FemError, match=f"n_steps must be an integer, got {n_steps!r}"):
+            deform(fixed_bar(), material_d(), "end", (0, 0, 0), n_steps=n_steps)
+
+    def test_integral_float_step_count_counts(self):
+        mesh = fixed_bar()
+        a, b = (deform(mesh, material_d(), "end", (0.05, 0.0, 0.0), n_steps=n) for n in (3, 3.0))
+        assert np.array_equal(a.displacements, b.displacements) and b.n_steps == 3
 
     def test_element_inversion_reports_step(self):
         mesh = fixed_bar()

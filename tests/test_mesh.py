@@ -72,6 +72,25 @@ class TestGenerateRpp:
         mesh = generate_rpp(scale=ScaleConvention(mm_per_unit=1.0))
         assert mesh.vertices[:, 0].max() == 256.0
 
+    @pytest.mark.parametrize("mm_per_unit", [float("inf"), float("nan"), True, "256"])
+    def test_scale_must_be_a_finite_positive_number(self, mm_per_unit):
+        with pytest.raises(MeshError, match="mm_per_unit must be positive and finite"):
+            ScaleConvention(mm_per_unit)
+
+    def test_scale_overflows_to_inf_without_a_warning(self):
+        assert ScaleConvention(1e-320).to_units([1.0, 0.0]).tolist() == [float("inf"), 0.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"long_side_mm": float("inf")},
+        {"short_side_mm": float("nan")},
+        {"spacing_mm": 1e-320},
+        {"long_side_mm": 1e308, "spacing_mm": 1e-300},
+        {"scale": ScaleConvention(1e-320)},
+    ])
+    def test_non_finite_lattice_rejected(self, kwargs):
+        with pytest.raises(MeshError, match="not finite"):
+            generate_rpp(**kwargs)
+
 
 class TestTetMeshInvariants:
     def test_tet_index_out_of_range(self):

@@ -262,12 +262,13 @@ class TestTrainConfig:
                            ("log_every", np.float64(2.5)), ("inner_iters", None)):
             with pytest.raises(ValueError, match=f"{key} must be an integer"):
                 TrainConfig(**{key: value})
-        with pytest.raises(ValueError, match="seed and log_every"):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
-        for lambdas in ((0.1, np.nan, 0.1), (np.inf, 0.1, 0.1), (0.1, "a", 0.1), 0.1):
+        for lambdas in ((0.1, np.nan, 0.1), (np.inf, 0.1, 0.1), (0.1, "a", 0.1), 0.1,
+                        (10**400, 0, 0)):
             with pytest.raises(ValueError, match="lambdas"):
                 TrainConfig(lambdas=lambdas)
-        for gamma in (np.inf, np.nan, "50"):
+        for gamma in (np.inf, np.nan, "50", 10**400):
             with pytest.raises(ValueError, match="gamma"):
                 TrainConfig(gamma=gamma)
         for hidden in ((90,), (0, 5), (4, 4, 4), "12", (8.5, 8)):

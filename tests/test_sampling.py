@@ -492,6 +492,12 @@ class TestBuildDataset:
         with pytest.raises(DatasetError, match="workers must be >= 1"):
             build_dataset(mesh, D, {"end": spec}, n_steps=1, workers=workers)
 
+    @pytest.mark.parametrize("workers", [True, 2.5])
+    def test_non_integral_worker_count_rejected(self, workers):
+        spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
+        with pytest.raises(DatasetError, match=f"workers must be an integer, got {workers!r}"):
+            build_dataset(small_bar(), D, {"end": spec}, n_steps=1, workers=workers)
+
     def test_non_isotropic_d_rejected_before_any_sample(self):
         d = D.copy()
         d[0, 0] *= 2.0
