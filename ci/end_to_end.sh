@@ -2,7 +2,11 @@
 # End-to-end runs of the command-line pipeline: `repro --profile rpp1-desk`,
 # `predict` from the model it trained, and `repro --profile rpp6-desk`. Each
 # must exit 0 and write its files. First, `mesh` on two invalid configs must
-# each exit 1 with exactly one stderr line, starting with `error: `. The bytes are not compared, because
+# each exit 1 with exactly one stderr line, starting with `error: `, and
+# `sample` of a one-step copy of the rpp1-desk config must write the same
+# dataset.ds, by SHA-256, at --workers 1 and --workers 2: a one-step call
+# samples in the calling thread whatever --workers says, and both runs are
+# on one machine. The repro bytes are not compared, because
 # another CPU's BLAS kernels may round differently; instead three metrics of
 # each repro run must match ci/golden.json to 1e-9 relative: `mean_rmse_mm`
 # and `mean_max_lpe_mm` of report.json and `train_rmse_mm` of model.json.
@@ -60,6 +64,29 @@ printf '{"mesh": {"generator": {"kind": "rpp", "long_mm": 256.0, "short_mm": 51.
     "$region" > "$work/nan.json"
 check_error tiny_spacing
 check_error nan
+
+# the rpp1-desk config at one load step
+python3 - "$work/one_step.json" <<'EOF'
+import json, sys
+from deformest.cli import PROFILES
+
+config = json.loads(json.dumps(PROFILES["rpp1-desk"]))
+config["fem"]["n_steps"] = 1
+with open(sys.argv[1], "w") as fh:
+    json.dump(config, fh)
+EOF
+sha256() {
+    python3 -c 'import hashlib, sys; print(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest())' "$1"
+}
+for workers in 1 2; do
+    "${deformest[@]}" mesh --config "$work/one_step.json" --out "$work/one_step_$workers"
+    "${deformest[@]}" sample --config "$work/one_step.json" --out "$work/one_step_$workers" \
+        --workers "$workers"
+done
+if [[ $(sha256 "$work/one_step_1/dataset.ds") != $(sha256 "$work/one_step_2/dataset.ds") ]]; then
+    echo "one-step dataset.ds differs between --workers 1 and --workers 2" >&2
+    exit 1
+fi
 
 "${deformest[@]}" repro --profile rpp1-desk --out "$work/desk"
 test -f "$work/desk/repro.manifest.json"

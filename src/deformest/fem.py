@@ -28,7 +28,10 @@ contact set by exactly t = target / n_steps; at the rest configuration it is
 linear in t, so the plan solves the rest state once per material for t = I
 and step 1 scales it. Each call runs its other steps in a workspace of its
 own, allocated once and overwritten step after step; a one-step call
-allocates only the rows of its final volume check.
+allocates only the rows of its final volume check, which forms the
+determinants alone. The plan's one_step takes many one-step targets at
+once, as sampling does: one product scales the rest solve for all of them,
+and one volume check covers each chunk of samples.
 
 Calls on a shared mesh may run in threads, and they overlap: the sparse
 sum and the band factor and solve release the GIL, and so does numpy in
@@ -481,7 +484,7 @@ _ROW_P, _ROW_Q = (np.concatenate([(3 * n[:, None] + np.arange(3)).ravel(), r])
 class _StepWork:
     """The arrays of one deform call's steps over M tetrahedra, overwritten
     step after step. Without ``stiffness`` it holds only those that
-    :meth:`check` uses.
+    :meth:`check` uses, and check forms only what the volumes need.
 
     The element index is last (Cuvelier, Japhet & Scarella, 2016): each
     array is a stack of length-M rows, and each operation below runs over
@@ -506,24 +509,33 @@ class _StepWork:
         block = np.empty((self._ROWS[len(shapes)], m))
         for (name, shape), start, stop in zip(shapes, self._ROWS, self._ROWS[1:]):
             setattr(self, name, block[start:stop].reshape(shape + (m,)))
+        self._cofactors = 3 if stiffness else 1  # the rows stiffness needs, or det's alone
 
-    def check(self, flat_positions: np.ndarray, corners: np.ndarray) -> None:
-        """Gathers the tetrahedra, forms their cofactors, determinants and
-        volumes, and raises DegenerateElementError at the first non-positive
-        volume."""
-        x, e, cof = self.x, self.e, self.h[1:]
+    def volumes(self, flat_positions: np.ndarray, corners: np.ndarray) -> np.ndarray:
+        """Gathers the tetrahedra and forms their cofactors, determinants and
+        volumes; returns the volumes, valid until the next call."""
+        x, e, k = self.x, self.e, self._cofactors
+        cof = self.h[1:1 + k]
         np.take(flat_positions, corners, out=x, mode="clip")
         np.subtract(x[1:], x[0], out=e[:3, :3])  # edge r is x_{r+1} - x_0
-        e[3:, :3] = e[:2, :3]
-        e[:, 3:] = e[:, :2]
+        if k == 3:
+            e[3:, :3] = e[:2, :3]
+        e[1:k + 2, 3:] = e[1:k + 2, :2]
         # cofactor row r is e_{r+1} x e_{r+2}, np.cross's products; over det
-        # they are the gradients of nodes 1..3. g[1:] is scratch here.
-        np.multiply(e[1:4, 1:4], e[2:5, 2:5], out=cof)
-        np.subtract(cof, np.multiply(e[1:4, 2:5], e[2:5, 1:4], out=self.g[1:]), out=cof)
+        # they are the gradients of nodes 1..3. g[1:] is scratch here. det
+        # needs row 0 alone.
+        np.multiply(e[1:1 + k, 1:4], e[2:2 + k, 2:5], out=cof)
+        np.subtract(cof, np.multiply(e[1:1 + k, 2:5], e[2:2 + k, 1:4], out=self.g[1:1 + k]),
+                    out=cof)
         det = np.multiply(e[0, 0], cof[0, 0], out=self.det)
-        for k in (1, 2):
-            det += np.multiply(e[0, k], cof[0, k], out=self.vol)
-        _check_volumes(np.divide(det, 6.0, out=self.vol))
+        for axis in (1, 2):
+            det += np.multiply(e[0, axis], cof[0, axis], out=self.vol)
+        return np.divide(det, 6.0, out=self.vol)
+
+    def check(self, flat_positions: np.ndarray, corners: np.ndarray) -> None:
+        """:meth:`volumes`, raising DegenerateElementError at the first
+        non-positive one."""
+        _check_volumes(self.volumes(flat_positions, corners))
 
     def stiffness(self, lam: float, mu: float) -> np.ndarray:
         """The (78, M) lower-triangle stiffness entries of the tetrahedra
@@ -557,6 +569,17 @@ class _StepWork:
                     np.take(g, _BI, axis=0, out=tmp2, mode="clip"), out=tmp)
         np.add(off, tmp, out=off)
         return self.ke
+
+
+# Tetrahedron-samples per chunk of :meth:`_SolverPlan.one_step`: 32 samples of
+# the 240-tetrahedron desk mesh or 4 at 1,920 tetrahedra. A chunk's check
+# workspace and positions take a few MB. On a 2-core Xeon one check of 32
+# desk samples took 0.36-0.46 ms, and 32 checks of one sample 0.7-1.1 ms.
+_ONE_STEP_TETS = 7_680
+
+# The largest miss of a sample's contact rows from its target: beyond it, the
+# sample fails.
+_ECHO_TOL = 1e-9
 
 
 def _translated(k: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -754,6 +777,47 @@ class _SolverPlan:
             free_ids=free_ids,
             n_steps=n_steps,
         )
+
+    def one_step(self, lame: tuple[float, float], targets) -> tuple[np.ndarray, np.ndarray]:
+        """The one-step :meth:`deform` of each of the targets (S, 3) at once.
+
+        Returns the (S, 3 n_free) flat fields, bit for bit deform's, and a
+        mask of the samples that failed: deform would raise for them, or
+        their contact rows miss the target by more than _ECHO_TOL. Their
+        rows hold no field; deform on them gives the reason. The chunks of
+        about _ONE_STEP_TETS tetrahedra each write their positions into one
+        array and check all of its volumes at once.
+        """
+        targets = np.asarray(targets, dtype=np.float64).reshape(-1, 3)
+        s, m = targets.shape[0], self._corners.shape[-1]
+        fields = np.empty((s, 3 * self.free_ids.size))
+        failed = ~np.isfinite(targets).all(axis=1)  # deform refuses these; here they stay at rest
+        targets = np.where(failed[:, None], 0.0, targets)
+        try:
+            w, _ = self.rest_response(lame)
+        except FemError:
+            failed[:] = True
+            return fields, failed
+
+        rest = self.vertices.reshape(-1)
+        free = (3 * self.free_ids[:, None] + np.arange(3)).reshape(-1)  # flat positions
+        start = self.vertices[self.contact_ids]
+        chunk = max(1, _ONE_STEP_TETS // m)
+        for lo in range(0, s, chunk):
+            t = targets[lo:lo + chunk]  # h = target * (1 / 1)
+            c = t.shape[0]
+            if lo == 0 or c < chunk:
+                # sample k of the chunk takes flat positions [k V, (k + 1) V), V = rest.size
+                corners = self._corners[:, :, None] + rest.size * np.arange(c)[:, None]
+                corners, work = corners.reshape(4, 3, -1), _StepWork(c * m, stiffness=False)
+            positions = np.tile(rest, (c, 1))
+            positions[:, self._n_flat] += (w[None] * t[:, None]).sum(axis=2)
+            positions.reshape(c, -1, 3)[:, self.contact_ids] = start + t[:, None]
+            u = np.subtract(positions[:, free], rest[free], out=fields[lo:lo + c])
+            vols = work.volumes(positions.reshape(-1), corners).reshape(c, m)
+            miss = np.abs(u.reshape(c, -1, 3)[:, self.contact_slots] - t[:, None]).max(axis=(1, 2))
+            failed[lo:lo + c] |= (vols <= 0.0).any(axis=1) | (miss > _ECHO_TOL)
+        return fields, failed
 
 
 def _plan(mesh: TetMesh, region: str) -> _SolverPlan:

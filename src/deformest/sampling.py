@@ -4,13 +4,16 @@ For each contact region, target displacements are laid out on a lattice (an
 axis-aligned box grid around the contact centroid, or a spheroid oriented
 along the fixed-to-contact direction with an optional surface-normal filter).
 Each target is pushed through the incremental FEM solver and the resulting
-full displacement field is stored as one sample. A call samples in threads
-of this process where they overlap, and in a pool of processes where they
-cannot and the call is large enough to pay for the pool.
+full displacement field is stored as one sample. A call of one-step samples
+takes each region's targets in one pass over the stored rest solve. Other
+calls sample in threads of this process where they overlap, and in a pool
+of processes where they cannot and the call is large enough to pay for the
+pool.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import _blas
-from .fem import FemError, _lame, _plan
+from .fem import _ECHO_TOL, FemError, _lame, _plan
 from .mesh import ScaleConvention, TetMesh, _count, _finite_number, vertex_normals
 
 __all__ = [
@@ -235,10 +238,15 @@ def ellipsoid_spec_for_region(
 
     The reference length defaults to the fixed-to-contact distance; a length
     overrides it, and "diameter" takes the largest vertex-pair distance of
-    the mesh. normal_filter "auto" averages the surface normals of the
-    region's vertices; a vector overrides the direction; None disables the
-    filter. Any other value is :class:`SamplingSpec`'s to reject.
+    the mesh. Any other reference length is a DatasetError. normal_filter
+    "auto" averages the surface normals of the region's vertices; a vector
+    overrides the direction; None disables the filter. Any other value is
+    :class:`SamplingSpec`'s to reject.
     """
+    if not (reference_length is None or _finite_number(reference_length)
+            or isinstance(reference_length, str) and reference_length == "diameter"):
+        raise DatasetError(f"reference_length must be a positive finite number, 'diameter' or "
+                           f"None, got {reference_length!r}")
     _, l = fixed_to_contact_direction(mesh, region)
     if reference_length == "diameter":
         # imported here: scipy.spatial adds ~9 MB and ~0.1 s to every command
@@ -319,6 +327,7 @@ class Dataset:
             raise DatasetError("observation vertices must be free vertices")
         if not (_finite_number(self.mm_per_unit) and self.mm_per_unit > 0):
             raise DatasetError(f"mm_per_unit must be positive and finite, got {self.mm_per_unit}")
+        self.mm_per_unit = float(self.mm_per_unit)
 
     @property
     def m(self) -> int:
@@ -388,9 +397,22 @@ def _run_sample(mesh, lame, n_steps, task):
     except FemError as exc:
         return SampleFailure(region, point_index, str(exc))
     miss = np.abs(u.reshape(-1, 3)[plan.contact_slots] - target).max()
-    if miss > 1e-9:
+    if miss > _ECHO_TOL:
         return SampleFailure(region, point_index, f"contact displacement echo off by {miss:.2e}")
     return u
+
+
+def _one_step_samples(mesh, lame, tasks):
+    """:func:`_run_sample`'s outcomes of one-step tasks, listed region by
+    region: each region's targets in one pass of its plan's one_step, and
+    the samples that fail there through _run_sample again, for the reason."""
+    outcomes = []
+    for region, group in itertools.groupby(tasks, key=lambda task: task[0]):
+        group = list(group)
+        fields, failed = _plan(mesh, region).one_step(lame, [target for _, _, target in group])
+        outcomes += [_run_sample(mesh, lame, 1, task) if bad else u
+                     for task, u, bad in zip(group, fields, failed)]
+    return outcomes
 
 
 # numpy releases the GIL only in an operation over more than 500 elements,
@@ -409,11 +431,9 @@ _MAX_THREADS = 2
 # a call has about 250,000 tetrahedron-steps, samples x steps x tets. On 240
 # tetrahedra at 100 steps, two processes sampled 12 targets at 30-36/s
 # against one thread's 19-25/s, and 8 targets at 16-21/s against 18-25/s.
-# A pool did not beat this process elsewhere: 726 one-step targets took two
-# processes 0.10-0.17 s and one thread 0.07-0.11 s on 240 tetrahedra, and
-# 0.28-0.48 s against 0.27-0.34 s on 1920; at 1920 tetrahedra and 10 steps,
-# 18, 50 and 75 targets sampled at 51-69, 57-72 and 58-71/s in two threads
-# against 44-57, 56-58 and 57-69/s in two processes.
+# A pool did not beat this process elsewhere: at 1920 tetrahedra and 10
+# steps, 18, 50 and 75 targets sampled at 51-69, 57-72 and 58-71/s in two
+# threads against 44-57, 56-58 and 57-69/s in two processes.
 _POOL_MIN_TET_STEPS = 250_000
 
 
@@ -422,24 +442,26 @@ def sampling_runners(mesh: TetMesh, n_samples: int, n_steps: int,
     """(processes, threads per process) that :func:`build_dataset` runs
     n_samples samples of mesh in.
 
-    Threads overlap for samples of more than one step on meshes of more
-    than 500 tetrahedra: a one-step sample only scales the plan's stored
-    rest solve and factors nothing, and on a smaller mesh most of a step
-    holds the GIL. workers=None chooses the processes: one per core this
-    process may use for samples of more than one step on a mesh of at most
-    500 tetrahedra, when the call has at least 250,000 tetrahedron-steps;
-    otherwise this process alone. Never more processes than samples. A pool
-    worker runs one thread; this process runs one thread per core where
-    threads overlap, at most two and at most one per sample, and one where
-    they do not or where scipy's OpenBLAS is not found, so that its band
-    factor cannot be pinned to one thread.
+    A one-step call runs in the calling thread whatever workers says: it
+    only scales the plan's stored rest solve, a region's targets at once,
+    and factors nothing. Otherwise threads overlap on meshes of more than
+    500 tetrahedra; on a smaller mesh most of a step holds the GIL.
+    workers=None chooses the processes: one per core this process may use
+    on a mesh of at most 500 tetrahedra, when the call has at least 250,000
+    tetrahedron-steps; otherwise this process alone. Never more processes
+    than samples. A pool worker runs one thread; this process runs one
+    thread per core where threads overlap, at most two and at most one per
+    sample, and one where they do not or where scipy's OpenBLAS is not
+    found, so that its band factor cannot be pinned to one thread.
     """
+    if n_steps == 1:
+        return 1, 1
     small = mesh.n_tets <= _THREADED_MIN_TETS
     if workers is None:
         pays = n_samples * n_steps * mesh.n_tets >= _POOL_MIN_TET_STEPS
-        workers = _blas.cores() if n_steps > 1 and small and pays else 1
+        workers = _blas.cores() if small and pays else 1
     workers = max(1, min(workers, n_samples))
-    if workers > 1 or n_steps == 1 or small:
+    if workers > 1 or small:
         return workers, 1
     return 1, min(_MAX_THREADS, _blas.runners("scipy", n_samples))
 
@@ -467,17 +489,24 @@ def build_dataset(
     Targets are point - contact centroid, generated region by region in spec
     order, lattice points in lexicographic order. A sample fails when the FEM
     raises or its contact rows miss the target by more than 1e-9; failures
-    are recorded and skipped.
+    are recorded and skipped. n_steps and workers are integers >= 1;
+    DatasetError otherwise.
 
-    workers is the number of sampling processes: 1 samples in this process,
-    on the threads :func:`sampling_runners` gives, which share the mesh's
-    solver plans; N > 1 runs a pool of N processes, one thread each; None
-    lets :func:`sampling_runners` choose from the call's size. Results do
-    not depend on the worker or thread count, and the returned dataset's
-    ``runners`` records both. Calls may run in threads of their own.
+    A one-step call (n_steps=1) runs in the calling thread whatever
+    workers says: each region's targets go through its solver plan in one
+    pass, and only the samples that fail there run again one by one, so
+    that each failure keeps the reason that :func:`fem.deform` gives.
+    Otherwise workers is the number of sampling processes: 1 samples in
+    this process, on the threads :func:`sampling_runners` gives, which
+    share the mesh's solver plans; N > 1 runs a pool of N processes, one
+    thread each; None lets :func:`sampling_runners` choose from the call's
+    size. Results never depend on the worker or thread count, and the
+    returned dataset's ``runners`` records both. Calls may run in threads
+    of their own.
     """
     if workers is not None:
         workers = _count(workers, 1, "workers", DatasetError)
+    n_steps = _count(n_steps, 1, "n_steps", DatasetError)  # as for d below
     try:
         lame = _lame(d)  # a d the FEM cannot take would fail every sample
     except FemError as exc:
@@ -499,9 +528,12 @@ def build_dataset(
             _plan(mesh, region).rest_response(lame)
         except FemError:
             pass  # then each sample of the region fails with this error
-    runners = sampling_runners(mesh, len(tasks), n_steps, workers)
+    # one step: the calling thread, as sampling_runners says, whatever workers is
+    runners = (1, 1) if n_steps == 1 else sampling_runners(mesh, len(tasks), n_steps, workers)
     processes, threads = runners
-    if processes > 1:
+    if n_steps == 1:
+        outcomes = _one_step_samples(mesh, lame, tasks)
+    elif processes > 1:
         chunk = max(1, len(tasks) // (processes * 8))
         with ProcessPoolExecutor(
             max_workers=processes, initializer=_worker_init, initargs=(mesh, lame, n_steps)
@@ -653,7 +685,7 @@ def load_dataset(path) -> Dataset:
         mesh_hash=header["mesh_hash"],
         free_ids=header["free_ids"],
         observation_ids=header["observation_ids"],
-        mm_per_unit=float(header["mm_per_unit"]),
+        mm_per_unit=header["mm_per_unit"],
         regions=header["regions"],
         region_id=rid.astype(np.int64),
         target=records[:, 1:4],

@@ -427,6 +427,20 @@ class TestPipelineCommands:
         assert len(err.splitlines()) == 1
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_scale_beyond_the_float_range_exits_1(self, config_path, tmp_path, capsys,
+                                                          command):
+        # a JSON integer is a number to the header check, but not a float
+        out = tmp_path / "run"
+        assert run(["mesh", "--config", config_path, "--out", out]) == 0
+        assert run(["sample", "--config", config_path, "--out", out]) == 0
+        rewrite_dataset_header(out / "dataset.ds", mm_per_unit=10**400)
+        capsys.readouterr()
+        assert run([command, "--config", config_path, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DatasetError: mm_per_unit must be positive and finite")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("workers", [None, 1, 2])
     def test_sample_manifest_records_threads_per_process(self, tmp_path, workers):
         # the 12.8 mm RPP (1920 tetrahedra) samples in threads in one process

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from deformest import _blas, fem
+from deformest import _blas, fem, sampling
 from deformest.fem import (
     DegenerateElementError,
     FemError,
@@ -1044,6 +1044,161 @@ class TestRestSolve:
             fresh = fem._SolverPlan(mesh, "end").deform(lame, targets[i], 1 + i % 2)
             assert np.array_equal(res.displacements, fresh.displacements)
             assert np.array_equal(res.contact_forces, fresh.contact_forces)
+
+
+def one_step_mesh(which):
+    """(mesh, region) of the desk RPP, the 12.8 mm RPP or blob<seed>."""
+    if which == "desk":
+        return generate_rpp(), "end"
+    if which == "rpp-12.8mm":
+        return generate_rpp(256.0, 51.2, 12.8), "end"
+    return make_blob_mesh(seed=int(which[4:])), "grab"
+
+
+def per_sample_outcomes(mesh, region, targets):
+    """deform(..., n_steps=1) of each target: its flat field, or the str of what it raised."""
+    outcomes = []
+    for target in targets:
+        try:
+            outcomes.append(deform(mesh, material_d(), region, target, n_steps=1).flat_displacements)
+        except FemError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def assert_bits_equal(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def one_step_tasks(mesh, specs):
+    """build_dataset's (region, lattice index, target) tasks of the specs."""
+    tasks = []
+    for region, spec in specs.items():
+        centroid = mesh.vertices[mesh.contact_regions[region]].mean(axis=0)
+        points = sampling.sample_points_for_region(mesh, region, spec)
+        tasks += [(region, i, point - centroid) for i, point in enumerate(points)]
+    return tasks
+
+
+def assert_per_sample_outcomes(mesh, specs):
+    """The one-step pass gives each task the outcome that _run_sample gives it
+    alone: the same field bits, or the same SampleFailure."""
+    lame, tasks = fem._lame(material_d()), one_step_tasks(mesh, specs)
+    got = sampling._one_step_samples(mesh, lame, tasks)
+    want = [sampling._run_sample(mesh, lame, 1, task) for task in tasks]
+    assert len(got) == len(want) == len(tasks)
+    for g, w in zip(got, want):
+        if isinstance(w, sampling.SampleFailure):
+            assert g == w
+        else:
+            assert_bits_equal(g, w)
+    return want
+
+
+class TestOneStepPass:
+    """_SolverPlan.one_step samples every one-step target of a region at once,
+    bit for bit as deform(..., n_steps=1) does one by one."""
+
+    @pytest.mark.parametrize("which", ["desk", "rpp-12.8mm", "blob0", "blob1", "blob2", "blob3"])
+    def test_fields_equal_deform_bit_for_bit(self, which):
+        mesh, region = one_step_mesh(which)
+        chunk = fem._ONE_STEP_TETS // mesh.n_tets
+        rng = np.random.default_rng(7)
+        plan, lame = fem._plan(mesh, region), fem._lame(material_d())
+        failures = 0
+        for count in (1, chunk - 1, chunk, chunk + 1):
+            # up to about a third of the mesh's size: some targets invert an element
+            targets = rng.normal(size=(count, 3)) * 0.3 * np.ptp(mesh.vertices, axis=0).min()
+            fields, failed = plan.one_step(lame, targets)
+            assert fields.shape == (count, 3 * mesh.n_free) and failed.shape == (count,)
+            for u, bad, want in zip(fields, failed, per_sample_outcomes(mesh, region, targets)):
+                assert bad == isinstance(want, str)
+                if not bad:
+                    assert_bits_equal(u, want)
+            failures += failed.sum()
+        if which.startswith("blob"):
+            assert failures > 0
+
+    def test_desk_lattice_in_chunks(self):
+        # 726 targets: 22 chunks of 32 and one of 22
+        mesh = generate_rpp()
+        tasks = one_step_tasks(mesh, {"end": SamplingSpec(mode="box", spacing=0.08,
+                                                          extents=(0.8, 0.8, 0.4))})
+        assert fem._ONE_STEP_TETS // mesh.n_tets == 32 and len(tasks) == 726
+        targets = [target for _, _, target in tasks]
+        fields, failed = fem._plan(mesh, "end").one_step(fem._lame(material_d()), targets)
+        assert not failed.any()
+        assert_bits_equal(fields, np.array(per_sample_outcomes(mesh, "end", targets)))
+
+    def test_non_finite_target_is_masked(self):
+        targets = [(0.1, 0.0, 0.0), (np.nan, 0.0, 0.0), (0.0, np.inf, 0.0)]
+        _, failed = fem._plan(generate_rpp(), "end").one_step(fem._lame(material_d()), targets)
+        assert failed.tolist() == [False, True, True]
+
+    def test_check_only_volumes_equal_the_full_check(self):
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        corners = fem._plan(mesh, "end")._corners
+        rng = np.random.default_rng(3)
+        positions = (mesh.vertices + rng.normal(scale=0.02, size=mesh.vertices.shape)).reshape(-1)
+        want = fem._StepWork(mesh.n_tets).volumes(positions, corners)
+        got = fem._StepWork(mesh.n_tets, stiffness=False).volumes(positions, corners)
+        assert (want <= 0).any() and (want > 0).any()
+        assert_bits_equal(got, want)
+
+    def test_inverting_target_fails_with_the_per_sample_reason(self):
+        # the compressed bar: lattice targets -0.4, 0 and 0.4 units; the first and last invert
+        mesh = generate_rpp(51.2, 25.6, 25.6)
+        spec = SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0))
+        outcomes = assert_per_sample_outcomes(mesh, {"end": spec})
+        ds = build_dataset(mesh, material_d(), {"end": spec}, n_steps=1)
+        assert ds.failures == [outcomes[0], outcomes[2]]
+        assert ds.failures[0].reason.startswith("step 1/1: tetrahedron 0 has non-positive volume")
+
+    def test_singular_and_degenerate_rest_states_fail_with_the_per_sample_reason(self):
+        # region a leaves a vertex in no tetrahedron free, so K_nn is singular
+        # at rest; region b holds it in contact
+        box = generate_rpp(51.2, 25.6, 25.6)
+        end = box.contact_regions["end"].tolist()
+        orphan = TetMesh(vertices=np.vstack([box.vertices, [0.3, 0.05, 0.05]]), tets=box.tets,
+                         fixed_ids=box.fixed_ids,
+                         contact_regions={"a": end, "b": end + [box.n_vertices]})
+        # the free middle vertex of the bar moved past its contact end
+        bar = fixed_bar()
+        vertices = bar.vertices.copy()
+        vertices[4, 0] = 0.35
+        inverted = unchecked_mesh(bar, vertices)
+        spec = SamplingSpec(mode="box", spacing=0.05, extents=(0.05, 0.0, 0.0))
+        for mesh, specs, reason in ((orphan, {"a": spec, "b": spec}, "not positive definite"),
+                                    (inverted, {"end": spec}, "step 1/1: tetrahedron")):
+            outcomes = assert_per_sample_outcomes(mesh, specs)
+            failures = [o for o in outcomes if isinstance(o, sampling.SampleFailure)]
+            assert len(failures) == 2 and all(reason in f.reason for f in failures)
+        ds = build_dataset(orphan, material_d(), {"a": spec, "b": spec}, n_steps=1)
+        assert ds.regions == ["b"] and ds.m == 2
+        assert ds.failures == assert_per_sample_outcomes(orphan, {"a": spec})
+
+    def test_two_regions_keep_spec_and_lattice_order(self):
+        mesh = generate_rpp(256.0, 51.2, 25.6, contact_specs=rpp6_contact_specs(11, 3, 3))
+        specs = {"c3": SamplingSpec(mode="box", spacing=0.05, extents=(0.1, 0.05, 0.0)),
+                 "c0": SamplingSpec(mode="box", spacing=0.1, extents=(0.1, 0.0, 0.1))}
+        outcomes = assert_per_sample_outcomes(mesh, specs)
+        ds = build_dataset(mesh, material_d(), specs, n_steps=1, workers=2)
+        assert ds.regions == ["c3", "c0"] and ds.region_id.tolist() == [0] * 6 + [1] * 4
+        assert not ds.failures and ds.runners == (1, 1)
+        assert_bits_equal(ds.u, np.array(outcomes))
+        assert_bits_equal(ds.target, np.array([t for _, _, t in one_step_tasks(mesh, specs)]))
+
+    def test_one_step_call_starts_no_thread_and_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-step call started a runner")
+
+        monkeypatch.setattr(sampling, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(_blas, "in_threads", refuse)
+        mesh = generate_rpp(256.0, 51.2, 12.8)
+        spec = SamplingSpec(mode="box", spacing=0.1, extents=(0.2, 0.2, 0.2))
+        for workers in (None, 1, 2):
+            ds = build_dataset(mesh, material_d(), {"end": spec}, n_steps=1, workers=workers)
+            assert ds.m == 27 and ds.runners == (1, 1)
 
 
 class TestLapackThreadPin:

@@ -231,6 +231,13 @@ class TestRegionGeometry:
         assert spec.reference_length == np.sqrt((diffs**2).sum(axis=2)).max()
         assert spec.r_para == 0.2 * spec.reference_length
 
+    @pytest.mark.parametrize("reference_length", ["radius", True, [1.0], float("nan")])
+    def test_unknown_reference_length_rejected(self, paper_rpp, reference_length):
+        with pytest.raises(DatasetError, match="reference_length must be a positive finite "
+                                               "number, 'diameter' or None, got "):
+            ellipsoid_spec_for_region(paper_rpp, "end", r_para_ratio=0.05, r_perp_ratio=0.2,
+                                      reference_length=reference_length)
+
     def test_direction_requires_fixed_vertices(self):
         mesh = generate_rpp(51.2, 25.6, 25.6, fixed_spec=[], observation_spec=[])
         with pytest.raises(DatasetError, match="no fixed vertices"):
@@ -339,7 +346,9 @@ class TestBuildDataset:
             (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 2, []),
             # the compressed bar of test_failed_samples_recorded_and_skipped
             (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 4, [0]),
-            # one step: each process solves the rest once, and two targets invert
+            (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 2, [0]),
+            # one step: the calling thread samples, whatever the runners, and
+            # two targets invert
             (SamplingSpec(mode="box", spacing=0.02, extents=(0.04, 0.02, 0.0)), 1, []),
             (SamplingSpec(mode="box", spacing=0.4, extents=(0.8, 0.0, 0.0)), 1, [0, 2]),
         ):
@@ -348,7 +357,7 @@ class TestBuildDataset:
                 # the bar is too small for sampling_runners to choose two threads itself
                 monkeypatch.setattr(sampling, "sampling_runners", lambda *args, r=runners: r)
                 ds = build_dataset(mesh, D, {"end": spec}, n_steps=n_steps)
-                assert ds.runners == runners
+                assert ds.runners == (runners if n_steps > 1 else (1, 1))
                 assert [f.point_index for f in ds.failures] == failed
                 save_dataset(ds, tmp_path / "dataset.ds")
                 blobs.append((tmp_path / "dataset.ds").read_bytes())
@@ -497,6 +506,14 @@ class TestBuildDataset:
         spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
         with pytest.raises(DatasetError, match=f"workers must be an integer, got {workers!r}"):
             build_dataset(small_bar(), D, {"end": spec}, n_steps=1, workers=workers)
+
+    @pytest.mark.parametrize("n_steps, message", [(True, "must be an integer, got True"),
+                                                  (1.5, "must be an integer, got 1.5"),
+                                                  (0, "must be >= 1, got 0")])
+    def test_step_count_rejected_before_any_sample(self, n_steps, message):
+        spec = SamplingSpec(mode="box", spacing=1.0, extents=(0.0, 0.0, 0.0))
+        with pytest.raises(DatasetError, match=f"^n_steps {message}$"):
+            build_dataset(small_bar(), D, {"end": spec}, n_steps=n_steps)
 
     def test_non_isotropic_d_rejected_before_any_sample(self):
         d = D.copy()
